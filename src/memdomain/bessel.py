@@ -10,18 +10,40 @@ Evaluation is recurrence-based and self-contained:
   and y_1; y is the dominant solution so upward is stable.
 
 Derivatives use f_n' = f_{n-1} - ((n+1)/z) f_n (and f_0' = -f_1).
+
+sph_j_array / sph_y_array evaluate one order over a whole array of z with a
+single vectorised recurrence. They perform the same IEEE operations per
+element as the scalar functions, so their results are bitwise equal; the
+scalar functions keep their own loop because a one-point call through the
+array path costs tens of times more.
 """
 
 import enum
 import math
 
+import numpy as np
+
 from .errors import DomainError
 
-__all__ = ["BesselKind", "sph_j", "sph_y", "sph_deriv", "sph_second_deriv"]
+__all__ = [
+    "BesselKind",
+    "sph_j",
+    "sph_y",
+    "sph_j_array",
+    "sph_y_array",
+    "sph_deriv",
+    "sph_second_deriv",
+]
 
 # Values this large force a mid-recurrence rescale so the downward pass
 # cannot overflow even for z << n.
 _RESCALE_AT = 1e250
+_RESCALE_BY = 1e-250
+# The array pass tests columns against _RESCALE_AT only once a running upper
+# bound passes this; the margin absorbs rounding in the bound itself.
+_CHECK_AT = _RESCALE_AT / 16
+# Unnormalised value seeded at the start order of the downward pass.
+_SEED = 1e-30
 
 
 class BesselKind(enum.Enum):
@@ -47,6 +69,43 @@ def _check_n(n):
         raise DomainError(f"order must be >= 0, got {n}")
 
 
+def _check_z_array(z, positive_only):
+    try:
+        arr = np.asarray(z)
+    except (TypeError, ValueError) as exc:
+        raise DomainError(f"z must be an array of real numbers: {exc}") from None
+    if arr.dtype.kind not in "iuf":
+        raise DomainError(f"z must hold real numbers, got dtype {arr.dtype}")
+    arr = arr.astype(float)
+    if not np.all(np.isfinite(arr)):
+        raise DomainError("z must be finite")
+    if np.any(arr < 0):
+        raise DomainError("z must be non-negative")
+    if positive_only and np.any(arr == 0):
+        raise DomainError("second-kind functions are singular at z = 0")
+    return arr
+
+
+def _start_order(n: int, z: float) -> int:
+    """Order at which the downward pass for j_n(z) is seeded.
+
+    Miller's algorithm: seed a tiny value above the padded start order and
+    recur down; the minimal solution j dominates the descent. The pad must
+    clear the turning point m ~ z with room to spare. 20 extra orders on top
+    of 1.5 z are enough over n <= 12 and 1e-3 <= z <= 1.2e3: the tests hold
+    each order within 1e-12 of its largest value against scipy.special
+    there (below 2e-14 for n >= 2), and an mpmath probe found 2e-14 relative
+    error at z = 1045, which large-momentum modes reach at t = 0.
+    """
+    return n + max(40, math.ceil(1.5 * z) + 20)
+
+
+def _seeds_j(z):
+    """(j_0, j_1) at z > 0 from their closed forms."""
+    s, c = math.sin(z), math.cos(z)
+    return s / z, s / (z * z) - c / z
+
+
 def sph_j(n: int, z: float) -> float:
     """First-kind spherical Bessel j_n(z) for n >= 0, z >= 0."""
     _check_n(n)
@@ -54,21 +113,15 @@ def sph_j(n: int, z: float) -> float:
     if z == 0.0:
         return 1.0 if n == 0 else 0.0
 
-    j0 = math.sin(z) / z
+    j0, j1 = _seeds_j(z)
     if n == 0:
         return j0
-    j1 = math.sin(z) / (z * z) - math.cos(z) / z
     if n == 1:
         return j1
 
-    # Miller's algorithm: seed two tiny values above the padded start order
-    # and recur down; the minimal solution j dominates the descent. The pad
-    # must clear the turning point m ~ z with room to spare: 20 extra orders
-    # on top of 1.5 z keeps the relative error below ~1e-13 for z up to ~60,
-    # which the oscillator substitution reaches at large mode index.
-    start = n + max(40, math.ceil(1.5 * z) + 20)
+    start = _start_order(n, z)
     fk1 = 0.0          # f_{start+1}
-    fk = 1e-30         # f_{start}
+    fk = _SEED         # f_{start}
     saved = 0.0
     saved_set = False
     for m in range(start, 0, -1):
@@ -77,10 +130,10 @@ def sph_j(n: int, z: float) -> float:
             saved = fk
             saved_set = True
         if abs(fk) > _RESCALE_AT:
-            fk = fk * 1e-250
-            fk1 = fk1 * 1e-250
+            fk = fk * _RESCALE_BY
+            fk1 = fk1 * _RESCALE_BY
             if saved_set:
-                saved = saved * 1e-250
+                saved = saved * _RESCALE_BY
     # After the loop fk is the unnormalised f_0 and fk1 is f_1.
     # Normalise against whichever closed form is better conditioned.
     if abs(j0) >= abs(j1):
@@ -90,20 +143,136 @@ def sph_j(n: int, z: float) -> float:
     return saved * scale
 
 
+def _seeds_y(z):
+    """(y_0, y_1) at z > 0 from their closed forms."""
+    s, c = math.sin(z), math.cos(z)
+    return -c / z, -c / (z * z) - s / z
+
+
 def sph_y(n: int, z: float) -> float:
     """Second-kind spherical Bessel y_n(z) for n >= 0, z > 0."""
     _check_n(n)
     _check_z(z, positive_only=True)
-    y0 = -math.cos(z) / z
+    y0, y1 = _seeds_y(z)
     if n == 0:
         return y0
-    y1 = -math.cos(z) / (z * z) - math.sin(z) / z
     if n == 1:
         return y1
     prev, cur = y0, y1
     for m in range(1, n):
         prev, cur = cur, (2 * m + 1) / z * cur - prev
     return cur
+
+
+def _seed_columns(seeds, z):
+    """Two float arrays from the per-point closed-form seeds.
+
+    The seeds stay on `math`: numpy's vectorised sin/cos/exp may differ
+    from libm in the last bit, and the recurrences only use +, -, *, /,
+    which numpy rounds exactly as Python does.
+    """
+    pairs = np.array([seeds(x) for x in z.tolist()], dtype=float)
+    return pairs.reshape(-1, 2).T
+
+
+def _miller_j(n, z, j0, j1):
+    """Downward pass for j_n (n >= 2) at every z > 0 at once.
+
+    Each column runs the scalar recurrence from its own start order. Columns
+    are sorted by z, descending, so the columns already seeded at order m
+    form a prefix; the rest are still zero in every buffer, and zero stays
+    zero under the recurrence. The overflow rescale is applied per column.
+    """
+    order = np.argsort(-z, kind="stable")
+    zs = z[order]
+    starts = [_start_order(n, x) for x in zs.tolist()]  # non-increasing
+    size = zs.size
+    full = [np.zeros(size) for _ in range(3)]  # f_{m+1}, f_m, scratch
+    coef = np.zeros(size)
+    saved = np.zeros(size)
+    active = 0
+    # Upper bound on |f_m| and |f_{m+1}| over the seeded columns; the exact
+    # per-column overflow test runs only once the bound could reach it.
+    bound = bound1 = 0.0
+    # overflow to inf / nan stays silent, as in float arithmetic
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        for m in range(starts[0], 0, -1):
+            if active < size and starts[active] == m:
+                first = active
+                while active < size and starts[active] == m:
+                    active += 1
+                full[1][first:active] = _SEED
+                bound = max(bound, _SEED)
+                zv, cv = zs[:active], coef[:active]
+                zmin = zs[active - 1]
+                f1, f, out = (buf[:active] for buf in full)
+            np.divide(2 * m + 1, zv, out=cv)
+            np.multiply(cv, f, out=out)
+            np.subtract(out, f1, out=out)
+            f1, f, out = f, out, f1
+            full = [full[1], full[2], full[0]]
+            bound, bound1 = (2 * m + 1) / zmin * bound + bound1, bound
+            if m - 1 == n:
+                saved[:] = full[1]
+            if not bound <= _CHECK_AT:  # also once a column has gone inf / nan
+                big = np.flatnonzero(np.abs(f) > _RESCALE_AT)
+                if big.size:
+                    f[big] *= _RESCALE_BY
+                    f1[big] *= _RESCALE_BY
+                    if m - 1 <= n:
+                        saved[big] *= _RESCALE_BY
+                bound = float(np.abs(f).max())
+                bound1 = float(np.abs(f1).max())
+        fk1, fk = full[0], full[1]
+        j0, j1 = j0[order], j1[order]
+        scale = np.where(np.abs(j0) >= np.abs(j1), j0 / fk, j1 / fk1)
+        result = np.empty(size)
+        result[order] = saved * scale
+    return result
+
+
+def sph_j_array(n: int, z) -> np.ndarray:
+    """j_n at every element of z (z >= 0), shaped like z.
+
+    One downward recurrence covers the whole array; each element gets the
+    scalar start order and rescaling, so the result equals sph_j(n, x)
+    bit for bit at every x.
+    """
+    _check_n(n)
+    z = _check_z_array(z, positive_only=False)
+    flat = z.ravel()
+    out = np.zeros(flat.size)
+    if n == 0:
+        out[flat == 0] = 1.0
+    pos = np.flatnonzero(flat > 0)
+    if pos.size:
+        zs = flat[pos]
+        j0, j1 = _seed_columns(_seeds_j, zs)
+        if n == 0:
+            out[pos] = j0
+        elif n == 1:
+            out[pos] = j1
+        else:
+            out[pos] = _miller_j(n, zs, j0, j1)
+    return out.reshape(z.shape)
+
+
+def sph_y_array(n: int, z) -> np.ndarray:
+    """y_n at every element of z (z > 0), shaped like z.
+
+    One vectorised upward recurrence; equals sph_y(n, x) bit for bit.
+    """
+    _check_n(n)
+    z = _check_z_array(z, positive_only=True)
+    flat = z.ravel()
+    prev, cur = _seed_columns(_seeds_y, flat)
+    if n == 0:
+        return prev.reshape(z.shape)
+    # overflow to inf / nan stays silent, as in float arithmetic
+    with np.errstate(over="ignore", invalid="ignore"):
+        for m in range(1, n):
+            prev, cur = cur, (2 * m + 1) / flat * cur - prev
+    return cur.reshape(z.shape)
 
 
 def _value(kind: BesselKind, n: int, z: float) -> float:

@@ -53,6 +53,7 @@ __all__ = [
     "build_hamiltonians",
     "k2_generator",
     "k2_single_mode",
+    "pair_coupling",
     "expm_dense",
     "expm_apply",
     "brute_force_evolve",

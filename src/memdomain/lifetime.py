@@ -81,7 +81,12 @@ def lambda_lifetime(params: SystemParams, mode: ModeIndex, t: float) -> float:
     if t >= T:
         raise ModeDead(f"t = {t:.6g} is at or past the window end T = {T:.6g}")
     g = _gamma(params, mode.n)
-    val = math.exp(-t * g) * math.sinh(g * (T - t)) / math.sinh(g * T)
+    return _lambda_at(t, T, g, math.sinh(g * T))
+
+
+def _lambda_at(t: float, T: float, g: float, sinh_gT: float) -> float:
+    """Lambda(t) for 0 <= t < T given the mode's constants g and sinh(g T)."""
+    val = math.exp(-t * g) * math.sinh(g * (T - t)) / sinh_gT
     return -0.5 * math.log(val) + 0.0  # + 0.0 turns -0.0 at t=0 into 0.0
 
 
@@ -131,10 +136,12 @@ def lifetime_profile(
     T = recording_window(params, mode)
     if T == 0.0:
         raise NeverRecordable("degenerate window: nothing to sample")
+    g = _gamma(params, mode.n)
+    sinh_gT = math.sinh(g * T)
     ts, ls = [], []
     for j in range(points):
         t = T * j / points
-        lam = lambda_lifetime(params, mode, t)
+        lam = _lambda_at(t, T, g, sinh_gT)
         ts.append(t)
         ls.append(lam)
         if lam > ceiling:

@@ -80,7 +80,8 @@ def integrate_to_grid(f, t_grid, y0, rel_tol, abs_tol=None):
     for idx in range(1, t_grid.size):
         target = float(t_grid[idx])
         while t < target:
-            clipped = min(h, target - t)
+            lands = h >= target - t
+            clipped = target - t if lands else h
             if clipped < 1e-14 * max(1.0, abs(t)):
                 raise StepSizeUnderflow(
                     f"step {clipped:.3e} below resolution floor at t = {t:.6g}"
@@ -93,7 +94,9 @@ def integrate_to_grid(f, t_grid, y0, rel_tol, abs_tol=None):
             sc = atol + rel_tol * np.maximum(np.abs(y), np.abs(y5))
             err = math.sqrt(float(np.mean(((y5 - y4) / sc) ** 2)))
             if err <= 1.0:
-                t = t + clipped
+                # t + (target - t) can fall one ulp short of target, which
+                # would leave a step below the resolution floor
+                t = target if lands else t + clipped
                 y = y5
                 k[0] = k[6]  # first-same-as-last
                 factor = _SAFETY * (err + 1e-300) ** -_ALPHA * err_prev**_BETA

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bessel import BesselKind, sph_deriv, sph_j, sph_y
+from .bessel import BesselKind, sph_deriv, sph_j, sph_j_array, sph_y, sph_y_array
 from .errors import GridTooCoarse, RealityViolation, UnsupportedBranch
 from .ode import integrate_to_grid
 
@@ -176,15 +176,13 @@ def common_frequency(params: SystemParams, mode: ModeIndex, t: float) -> float:
     return math.sqrt(val)
 
 
-def _basis(mode_n: int, z: float, coeffs) -> tuple[float, float]:
-    """M_n(z) and M_n'(z) for M_n = a j_n + b y_n."""
+def _combination(j, y, mode_n: int, z, coeffs):
+    """M_n(z) = a j_n(z) + b y_n(z) through the scalar or array kernels j, y."""
     a, b = coeffs
-    m = a * sph_j(mode_n, z)
-    mp_ = a * sph_deriv(BesselKind.FIRST, mode_n, z)
+    m = a * j(mode_n, z)
     if b != 0.0:
-        m += b * sph_y(mode_n, z)
-        mp_ += b * sph_deriv(BesselKind.SECOND, mode_n, z)
-    return m, mp_
+        m = m + b * y(mode_n, z)
+    return m
 
 
 def closed_form_pair(
@@ -193,7 +191,7 @@ def closed_form_pair(
     """(u(t), v(t)) from the Bessel closed form."""
     sub = substitution(params, mode)
     x = sub.x(t)
-    m, _ = _basis(mode.n, sub.z(t), coeffs)
+    m = _combination(sph_j, sph_y, mode.n, sub.z(t), coeffs)
     return m * x ** (mode.n + 1), m * x ** (-mode.n)
 
 
@@ -205,8 +203,12 @@ def closed_form_state(
     sub = substitution(params, mode)
     x = sub.x(t)
     z = sub.z(t)
-    m, mp_ = _basis(mode.n, z, coeffs)
     n = mode.n
+    a, b = coeffs
+    m = _combination(sph_j, sph_y, n, z, coeffs)
+    mp_ = a * sph_deriv(BesselKind.FIRST, n, z)
+    if b != 0.0:
+        mp_ += b * sph_deriv(BesselKind.SECOND, n, z)
     u = m * x ** (n + 1)
     v = m * x ** (-n)
     du = -(x ** (n + 1) / sub.alpha) * (z * mp_ + (n + 1) * m)
@@ -223,13 +225,21 @@ def parametric_radius(params: SystemParams, mode: ModeIndex, t: float, coeffs=(1
 def closed_form_trajectory(
     params: SystemParams, mode: ModeIndex, t_grid, coeffs=(1.0, 0.0)
 ) -> Trajectory:
+    """Closed-form (u, v, r) on a time grid, one Bessel pass per line.
+
+    The per-point factors use `math` so each sample equals closed_form_pair
+    and parametric_radius at that time bit for bit.
+    """
     t_grid = np.asarray(t_grid, dtype=float)
-    u = np.empty_like(t_grid)
-    v = np.empty_like(t_grid)
-    r = np.empty_like(t_grid)
-    for i, t in enumerate(t_grid):
-        u[i], v[i] = closed_form_pair(params, mode, float(t), coeffs)
-        r[i] = math.sqrt(2.0) * u[i] * math.exp(params.L * t / 2)
+    sub = substitution(params, mode)
+    n = mode.n
+    times = t_grid.tolist()
+    x = [sub.x(t) for t in times]
+    m = _combination(sph_j_array, sph_y_array, n, sub.epsilon * np.array(x), coeffs)
+    # Python's float pow, not np.power, which can differ in the last bit
+    u = m * np.array([xi ** (n + 1) for xi in x])
+    v = m * np.array([xi ** (-n) for xi in x])
+    r = math.sqrt(2.0) * u * np.array([math.exp(params.L * t / 2) for t in times])
     return Trajectory(t_grid, u, v, r, mode, TrajectoryMethod.CLOSED_FORM)
 
 

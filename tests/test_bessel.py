@@ -7,9 +7,19 @@ recurrence for the second kind) at 50 significant digits, then frozen here.
 
 import math
 
+import numpy as np
 import pytest
+from scipy.special import spherical_jn, spherical_yn
 
-from memdomain.bessel import BesselKind, sph_deriv, sph_j, sph_second_deriv, sph_y
+from memdomain.bessel import (
+    BesselKind,
+    sph_deriv,
+    sph_j,
+    sph_j_array,
+    sph_second_deriv,
+    sph_y,
+    sph_y_array,
+)
 from memdomain.errors import DomainError
 
 from _oracles import oracle_deriv, series_sph_j, upward_sph_y
@@ -185,3 +195,82 @@ class TestDomain:
 
     def test_second_kind_blows_up_toward_zero(self):
         assert abs(sph_y(4, 1e-3)) > 1e12
+
+
+def _array_grid():
+    """Log grid over [1e-3, 1.2e3] with the awkward cases mixed in: points
+    out of order, repeated points, and deep-decay points whose downward pass
+    must rescale."""
+    z = np.geomspace(1e-3, 1.2e3, 241)
+    extra = np.array([1e-8, 0.3, 2.0, 5.0, 5.0, 1045.0, 1e-3])
+    z = np.concatenate([z, extra, z[::7]])
+    return np.random.default_rng(7).permutation(z)
+
+
+class TestArrayKernel:
+    Z = _array_grid()
+
+    @pytest.mark.parametrize("n", [*range(13), 30, 40])
+    def test_first_kind_bitwise_equals_scalar(self, n):
+        z = np.concatenate([self.Z, [0.0, 0.0]])
+        ref = np.array([sph_j(n, float(x)) for x in z])
+        assert np.array_equal(sph_j_array(n, z), ref)
+
+    # z where the downward pass rescales on the very step that yields j_n
+    @pytest.mark.parametrize("n,z0", [(2, 2.6829164714990188e-06),
+                                      (5, 3.1522790535124164e-06),
+                                      (9, 3.73803325566539e-06),
+                                      (12, 4.174987348650252e-06)])
+    def test_rescale_on_saved_step(self, n, z0):
+        z = np.concatenate([[z0], self.Z])
+        ref = np.array([sph_j(n, float(x)) for x in z])
+        assert np.array_equal(sph_j_array(n, z), ref)
+
+    def test_overflowed_column_leaves_others_exact(self):
+        # j_5(1e-100) overflows to nan on both paths; the other columns must
+        # still rescale exactly where the scalar loop does
+        z = np.concatenate([[1e-100], self.Z])
+        for n in (5, 12, 30):
+            ref = np.array([sph_j(n, float(x)) for x in z])
+            assert np.array_equal(sph_j_array(n, z), ref, equal_nan=True)
+
+    @pytest.mark.parametrize("n", [*range(13), 30, 40])
+    def test_second_kind_bitwise_equals_scalar(self, n):
+        # y_40 overflows to inf / nan near z = 1e-8 on both paths
+        ref = np.array([sph_y(n, float(x)) for x in self.Z])
+        assert np.array_equal(sph_y_array(n, self.Z), ref, equal_nan=True)
+
+    @pytest.mark.parametrize("n", range(13))
+    def test_against_scipy(self, n):
+        # deviation as a fraction of the line's largest value
+        z = np.geomspace(1e-3, 1.2e3, 241)
+        for ours, ref in ((sph_j_array(n, z), spherical_jn(n, z)),
+                          (sph_y_array(n, z), spherical_yn(n, z))):
+            assert np.max(np.abs(ours - ref)) <= 1e-12 * np.max(np.abs(ref)), n
+
+    @pytest.mark.xfail(strict=True, reason="the closed form sin z/z^2 - cos z/z "
+                       "cancels for z << 1; j_1(1e-8) comes out negative")
+    def test_first_order_small_z(self):
+        for z in (1e-8, 1e-6, 1e-4):
+            assert sph_j(1, z) == pytest.approx(spherical_jn(1, z), rel=1e-12)
+
+    def test_shapes(self):
+        z = np.array([[0.5, 1.0], [2.0, 40.0]])
+        out = sph_j_array(3, z)
+        assert out.shape == (2, 2)
+        assert out[1, 1] == sph_j(3, 40.0)
+        assert sph_y_array(2, 1.5).shape == ()
+        assert sph_y_array(2, 1.5) == sph_y(2, 1.5)
+        assert sph_j_array(5, []).shape == (0,)
+        assert sph_j_array(0, [0.0, 0]).tolist() == [1.0, 1.0]
+
+    def test_rejects_bad_arguments(self):
+        for n, z in [(-1, [1.0]), (1.5, [1.0]), (True, [1.0]), (2, [1.0, -0.5]),
+                     (2, [math.nan]), (2, [1.0, math.inf]), (2, ["a"]),
+                     (2, [True, False]), (2, [1 + 1j])]:
+            with pytest.raises(DomainError):
+                sph_j_array(n, z)
+            with pytest.raises(DomainError):
+                sph_y_array(n, z)
+        with pytest.raises(DomainError):
+            sph_y_array(3, [1.0, 0.0])

@@ -161,6 +161,35 @@ class TestEvolve:
         assert manifest.read_bytes() == man_first
 
 
+class TestGoldenBytes:
+    """CSV digests pinned from the per-point implementation, so a last-digit
+    change in any closed-form or lifetime value fails here."""
+
+    EVOLVE_SHA256 = "f3085b0f34695c1c8fb8309cb172913a033a74ceb5ed48517085bf9baadac4c7"
+    FIGURES_SHA256 = {
+        "fig1.csv": "0d3e0d8fa615197069fb00ead6ef33ff2676004f66d17ef957e25f3accc903b3",
+        "fig2.csv": "810b80e9b48392d8e4b6a6121629de6ea5774eed8763ca0e32edcf572958bb6a",
+        "fig3.csv": "792a42a7f7981d2def5b58e1fbc7fc57af34f8279b3fbb9deb31f6b13b3657d2",
+        "fig4.csv": "79ab1b13f262cda6bbff8bb55104d1e299ce80af2d4039d6812c4b93856b6a32",
+    }
+
+    @staticmethod
+    def _sha256(path):
+        return hashlib.sha256(path.read_bytes()).hexdigest()
+
+    def test_evolve_closed_form(self, tmp_path):
+        out = tmp_path / "traj.csv"
+        assert main(["evolve", "--L", "1", "--k", "55", "--n", "9", "--t-max", "30",
+                     "--method", "closed", "--no-timestamp", "--out", str(out)]) == 0
+        assert self._sha256(out) == self.EVOLVE_SHA256
+
+    def test_figures_all(self, tmp_path):
+        assert main(["figures", "--which", "all", "--no-timestamp",
+                     "--out", str(tmp_path)]) == 0
+        digests = {p.name: self._sha256(p) for p in sorted(tmp_path.glob("*.csv"))}
+        assert digests == self.FIGURES_SHA256
+
+
 class TestLifetimes:
     def test_stdout_table(self, capsys):
         assert main(["lifetimes", "--L", "1", "--k", "2", "--n", "1"]) == 0

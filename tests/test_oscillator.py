@@ -179,6 +179,46 @@ class TestClosedForm:
                 assert dv == pytest.approx((vp - vm) / (2 * h), abs=1e-8)
 
 
+def per_point_trajectory(params, mode, grid, coeffs):
+    """The closed form evaluated one sample at a time with scalar Bessel
+    calls: the reference the array path must match bit for bit."""
+    sub = substitution(params, mode)
+    a, b = coeffs
+    n = mode.n
+    u, v, r = [], [], []
+    for t in grid:
+        x = math.exp(-float(t) / sub.alpha)
+        z = sub.epsilon * x
+        m = a * sph_j(n, z)
+        if b != 0.0:
+            m += b * sph_y(n, z)
+        u.append(m * x ** (n + 1))
+        v.append(m * x ** (-n))
+        r.append(math.sqrt(2.0) * u[-1] * math.exp(params.L * t / 2))
+    return np.array(u), np.array(v), np.array(r)
+
+
+class TestTrajectoryArrayPath:
+    @pytest.mark.parametrize("k,n", [(2.0, 1), (0.55, 7), (8.0, 0), (55.0, 9)])
+    @pytest.mark.parametrize("coeffs", [(1.0, 0.0), (0.7, -0.3), (0.0, 1.0)])
+    def test_bitwise_equals_per_point(self, k, n, coeffs):
+        mode = ModeIndex(k=k, n=n)
+        window = (2 * n + 1) * math.log(2 * k)
+        grid = np.linspace(0.0, 0.9 * window, 301)
+        traj = closed_form_trajectory(PARAMS, mode, grid, coeffs)
+        u, v, r = per_point_trajectory(PARAMS, mode, grid, coeffs)
+        assert np.array_equal(traj.u, u)
+        assert np.array_equal(traj.v, v)
+        assert np.array_equal(traj.r, r)
+
+    def test_matches_scalar_entry_points(self):
+        grid = np.linspace(0.0, 3.0, 31)
+        traj = closed_form_trajectory(PARAMS, MODE2, grid, (0.4, 1.2))
+        for i, t in enumerate(grid.tolist()):
+            assert (traj.u[i], traj.v[i]) == closed_form_pair(PARAMS, MODE2, t, (0.4, 1.2))
+            assert traj.r[i] == parametric_radius(PARAMS, MODE2, t, (0.4, 1.2))
+
+
 class TestRadius:
     def test_consistent_from_both_lines(self):
         for t in [0.0, 0.9, 2.2]:
@@ -230,6 +270,18 @@ class TestIntegration:
             ref = closed_form_trajectory(PARAMS, mode, grid)
             assert np.max(np.abs(traj.u - ref.u)) <= 1e-6
             assert np.max(np.abs(traj.v - ref.v)) <= 1e-6
+
+    def test_step_clipped_to_grid_time_lands_exactly(self):
+        # t + (target - t) falls one ulp short of a grid time here; the
+        # remaining sliver used to raise StepSizeUnderflow at t = 0.00995669
+        params = SystemParams(L=1.0)
+        mode = ModeIndex(k=3.148719109108496, n=1)
+        grid = np.linspace(0.0, 4.968385880412281, 500)
+        init = closed_form_state(params, mode, 0.0)
+        traj = integrate_pair(params, mode, init, grid)
+        ref = closed_form_trajectory(params, mode, grid)
+        assert np.max(np.abs(traj.u - ref.u)) <= 1e-6
+        assert np.max(np.abs(traj.v - ref.v)) <= 1e-6
 
     def test_zero_data_stays_zero(self):
         grid = np.linspace(0.0, 2.0, 51)
