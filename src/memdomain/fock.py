@@ -11,8 +11,14 @@ quadratic Hamiltonian are built from ladder matrices:
 (dagger written ^.). HI1 can be rotated away by exp(-i theta K2) with
 tanh theta = -W1/W0; HI2 then drives the vacuum into the paired squeezed
 state with coefficients tanh^m(G t)/cosh(G t) on |m, m>. All of that is
-checked against a brute-force matrix exponential, so the closed forms and
-the matrix layer validate each other.
+checked against a brute-force evolution under the matrix generator, so the
+closed forms and the matrix layer validate each other.
+
+The oracle uses structure, not formulas: HI2 conserves m_A - m_Atilde, so
+it maps the paired states |m, m> into themselves. brute_force_evolve checks
+that invariance entry by entry on the generator it is handed and then
+applies the exponential on that (cutoff+1)-dim sector alone, instead of on
+all (cutoff+1)^2 joint states.
 
 Truncation policy: tails scale as tanh^{2(m+1)}(G t), so the default cutoff
 solves tanh^{2(m+1)} < 1e-12 and is clamped to [8, 256]. Commutator and
@@ -54,7 +60,6 @@ __all__ = [
     "k2_generator",
     "k2_single_mode",
     "pair_coupling",
-    "expm_dense",
     "expm_apply",
     "brute_force_evolve",
 ]
@@ -190,16 +195,24 @@ def bogoliubov_time_coeffs(gamma: float, t: float):
     return math.cosh(gamma * t), math.sinh(gamma * t)
 
 
+def _tail_cutoff(gamma_t: float) -> int:
+    """Paired occupation keeping tanh^{2(m+1)} below TAIL_BOUND, unclamped."""
+    th = math.tanh(abs(gamma_t))
+    if th == 0.0:
+        return 0
+    if th == 1.0:
+        raise CutoffTooSmall(
+            f"tanh({gamma_t:g}) rounds to 1; no finite cutoff bounds the tail"
+        )
+    return math.ceil(6 * math.log(10.0) / -math.log(th))
+
+
 def default_cutoff(gamma_t: float) -> int:
     """Smallest paired occupation keeping tanh^{2(m+1)} below TAIL_BOUND,
     clamped to [8, 256]."""
     if not math.isfinite(gamma_t):
         raise ValueError("gamma_t must be finite")
-    th = math.tanh(abs(gamma_t))
-    if th == 0.0:
-        return _CUTOFF_MIN
-    raw = math.ceil(6 * math.log(10.0) / -math.log(th))
-    return min(max(raw, _CUTOFF_MIN), _CUTOFF_MAX)
+    return min(max(_tail_cutoff(gamma_t), _CUTOFF_MIN), _CUTOFF_MAX)
 
 
 def _pair_tail(gamma_t: float, cutoff: int) -> float:
@@ -232,7 +245,7 @@ class TwoModeState:
             if tail > TAIL_BOUND:
                 raise CutoffTooSmall(
                     f"truncation tail {tail:.3e} exceeds {TAIL_BOUND:g}; "
-                    f"need cutoff >= {default_cutoff(self.gamma_t)}"
+                    f"need cutoff >= {_tail_cutoff(self.gamma_t)}"
                 )
             if not (1.0 - tail - 1e-9 <= norm <= 1.0 + 1e-9):
                 raise ValueError(f"norm^2 = {norm!r} inconsistent with gamma_t")
@@ -347,8 +360,10 @@ def pair_coupling(gamma: float, cutoff: int) -> OperatorMatrix:
         or not math.isfinite(gamma)
     ):
         raise ValueError(f"gamma must be a finite number, got {gamma!r}")
-    A, At = pair_ladders(cutoff)
-    hi2 = 1j * gamma * (A.getH() @ At.getH() - A @ At)
+    # A+ At+ = kron(a+, a+) and A At = kron(a, a), entry for entry
+    a = ladder(cutoff)
+    ad = a.getH()
+    hi2 = 1j * gamma * (sparse.kron(ad, ad) - sparse.kron(a, a))
     return OperatorMatrix(OperatorLabel.HI2, cutoff, hi2.tocsr())
 
 
@@ -371,28 +386,6 @@ def k2_generator(cutoff: int) -> OperatorMatrix:
     eye = sparse.identity(cutoff + 1, format="csr", dtype=complex)
     full = sparse.kron(k, eye, format="csr") + sparse.kron(eye, k, format="csr")
     return OperatorMatrix(OperatorLabel.K2, cutoff, full.tocsr())
-
-
-def expm_dense(m) -> np.ndarray:
-    """exp(m) by scaling and squaring with a truncated series (1-norm scaled)."""
-    m = np.asarray(sparse.csr_matrix(m).toarray() if sparse.issparse(m) else m)
-    m = m.astype(complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError("matrix must be square")
-    norm = float(np.linalg.norm(m, 1))
-    s = max(0, math.ceil(math.log2(norm))) if norm > 1.0 else 0
-    a = m / (2**s)
-    dim = m.shape[0]
-    result = np.eye(dim, dtype=complex)
-    term = np.eye(dim, dtype=complex)
-    for k in range(1, 60):
-        term = term @ a / k
-        result += term
-        if np.abs(term).max() <= 1e-18 * max(1.0, np.abs(result).max()):
-            break
-    for _ in range(s):
-        result = result @ result
-    return result
 
 
 def expm_apply(m, vec: np.ndarray) -> np.ndarray:
@@ -418,36 +411,47 @@ def expm_apply(m, vec: np.ndarray) -> np.ndarray:
 
 
 def brute_force_evolve(generator: OperatorMatrix, t: float, init: TwoModeState) -> TwoModeState:
-    """Evolve init by exp(-i t generator) on the full joint basis.
+    """Evolve init by exp(-i t generator) on the paired sector |m, m>.
 
     Used as the independent oracle for the closed-form squeezed vacuum; no
-    coefficient formula enters. Raises CutoffTooSmall when the evolved state
-    puts more than 1e-8 of its mass on the top two occupation levels of
-    either mode (the truncated dynamics is untrustworthy past that point).
+    coefficient formula enters. The generator is first checked entry by
+    entry: no nonzero may take a paired column |m, m> to an unpaired row,
+    else ValueError. The paired states then span an invariant subspace, so
+    exp(-i t generator) restricted to them is the exponential of the
+    restricted generator, and expm_apply runs on that (cutoff+1)-dim block;
+    the coefficients still come from the matrix alone. Raises
+    CutoffTooSmall when the evolved state puts more than 1e-8 of its mass
+    on the top two occupation levels of either mode (the truncated dynamics
+    is untrustworthy past that point).
     """
     if not math.isfinite(t):
         raise ValueError("t must be finite")
     n = generator.cutoff
     if init.cutoff > n:
         raise ValueError("initial state does not fit inside the generator cutoff")
-    vec = init.full_vector(n)
-    out = expm_apply(-1j * t * generator.matrix, vec)
-    grid = out.reshape(n + 1, n + 1)
-    mass = np.abs(grid) ** 2
-    top = mass[n - 1 :, :].sum() + mass[:, n - 1 :].sum() - mass[n - 1 :, n - 1 :].sum()
+    paired = np.arange(n + 1) * (n + 2)  # joint index of |m, m>
+    cols = generator.matrix[:, paired]
+    entries = cols.tocoo()
+    stray = (entries.row % (n + 2) != 0) & (entries.data != 0)
+    if stray.any():
+        raise ValueError(
+            f"evolution left the paired subspace ({int(stray.sum())} generator "
+            "entries lead from |m, m> to unpaired states); "
+            "the result cannot be represented as a paired state"
+        )
+    block = cols[paired]
+    vec = np.zeros(n + 1, dtype=complex)
+    vec[: init.cutoff + 1] = init.coeffs
+    out = expm_apply(-1j * t * block, vec)
+    mass = np.abs(out) ** 2
+    # for a paired state the top-two-level union of either mode is these two
+    top = mass[n - 1] + mass[n]
     if top > 1e-8:
         raise CutoffTooSmall(
             f"{top:.3e} of the state reached the top two levels; raise the cutoff"
         )
-    paired = np.diag(grid)
-    stray = float(mass.sum() - (np.abs(paired) ** 2).sum())
-    if stray > 1e-10:
-        raise ValueError(
-            f"evolution left the paired subspace (off-pair mass {stray:.3e}); "
-            "the result cannot be represented as a paired state"
-        )
     coeffs = []
-    for c in paired:
+    for c in out:
         c = complex(c)
         coeffs.append(c.real if c.imag == 0.0 else c)
     return TwoModeState(cutoff=n, coeffs=tuple(coeffs), gamma_t=None)

@@ -22,6 +22,8 @@ import dataclasses
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import ModeDead, NeverRecordable
 from .oscillator import ModeIndex, SystemParams, common_frequency
 
@@ -117,9 +119,12 @@ class LifetimeProfile:
     def __post_init__(self):
         if len(self.times) != len(self.lambdas):
             raise ValueError("times and lambdas must have equal length")
-        if any(b <= a for a, b in zip(self.times, self.times[1:])):
+        # neighbour comparisons, not np.diff: inf - inf would hide a repeat
+        ts = np.fromiter(self.times, float, len(self.times))
+        ls = np.fromiter(self.lambdas, float, len(self.lambdas))
+        if (ts[1:] <= ts[:-1]).any():
             raise ValueError("times must be strictly increasing")
-        if any(b < a for a, b in zip(self.lambdas, self.lambdas[1:])):
+        if (ls[1:] < ls[:-1]).any():
             raise ValueError("lambdas must be non-decreasing")
 
 

@@ -1,11 +1,16 @@
 """Independent reference implementations used only by the test suite.
 
 These deliberately avoid the algorithms used inside the package (downward
-recurrence, adaptive stepping) so that agreement is evidence, not tautology.
-High-precision arithmetic comes from mpmath.
+recurrence, adaptive stepping, the action of a matrix exponential on one
+vector) so that agreement is evidence, not tautology. High-precision
+arithmetic comes from mpmath.
 """
 
+import math
+
 import mpmath as mp
+import numpy as np
+from scipy import sparse
 
 
 def series_sph_j(n, z, dps=50):
@@ -94,3 +99,25 @@ def bisect_root(f, lo, hi, tol=1e-10, max_iter=200):
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+def expm_dense(m) -> np.ndarray:
+    """exp(m) by scaling and squaring with a truncated series (1-norm scaled)."""
+    m = np.asarray(sparse.csr_matrix(m).toarray() if sparse.issparse(m) else m)
+    m = m.astype(complex)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise ValueError("matrix must be square")
+    norm = float(np.linalg.norm(m, 1))
+    s = max(0, math.ceil(math.log2(norm))) if norm > 1.0 else 0
+    a = m / (2**s)
+    dim = m.shape[0]
+    result = np.eye(dim, dtype=complex)
+    term = np.eye(dim, dtype=complex)
+    for k in range(1, 60):
+        term = term @ a / k
+        result += term
+        if np.abs(term).max() <= 1e-18 * max(1.0, np.abs(result).max()):
+            break
+    for _ in range(s):
+        result = result @ result
+    return result

@@ -10,7 +10,7 @@ import random
 
 import numpy as np
 
-from _oracles import bisect_root
+from _oracles import bisect_root, expm_dense
 from memdomain.bessel import BesselKind, sph_deriv, sph_j, sph_second_deriv, sph_y
 from memdomain.fock import (
     bogoliubov_theta_coeffs,
@@ -18,7 +18,6 @@ from memdomain.fock import (
     build_hamiltonians,
     expected_pair_number,
     expm_apply,
-    expm_dense,
     inner_product,
     k2_generator,
     k2_single_mode,

@@ -323,6 +323,17 @@ class TestSqueeze:
                      "--out", str(tmp_path / "x.json")]) == 2
         assert "cutoff" in capsys.readouterr().err
 
+    def test_clamped_default_cutoff_names_real_requirement(self, tmp_path, capsys):
+        # the default cutoff stops at 256; tanh(2) needs 378 levels
+        assert main(["squeeze", "--gamma", "2", "--t", "1",
+                     "--out", str(tmp_path / "x.json")]) == 2
+        assert "need cutoff >= 378" in capsys.readouterr().err
+
+    def test_saturated_squeeze_is_validation_error(self, tmp_path, capsys):
+        assert main(["squeeze", "--gamma", "20", "--t", "1",
+                     "--out", str(tmp_path / "x.json")]) == 2
+        assert "rounds to 1" in capsys.readouterr().err
+
     def test_negative_time(self, tmp_path):
         assert main(["squeeze", "--gamma", "0.5", "--t", "-1",
                      "--out", str(tmp_path / "x.json")]) == 2

@@ -10,8 +10,10 @@ import math
 
 import numpy as np
 import pytest
-from scipy import sparse
+from scipy import linalg, sparse
+from scipy.sparse.linalg import expm_multiply
 
+from _oracles import expm_dense
 from memdomain.errors import CutoffTooSmall, ModeDead, NeverRecordable
 from memdomain.fock import (
     OperatorLabel,
@@ -25,13 +27,13 @@ from memdomain.fock import (
     default_cutoff,
     expected_pair_number,
     expm_apply,
-    expm_dense,
     inner_product,
     k2_generator,
     k2_single_mode,
     ladder,
     mixing_angle,
     number_operators,
+    pair_coupling,
     pair_ladders,
     squeezed_vacuum,
     vacuum_overlap,
@@ -201,6 +203,20 @@ class TestDefaultCutoff:
         for gt in (0.3, 0.6, 0.9, 1.2, 1.5, 1.8):
             m = default_cutoff(gt)
             assert math.tanh(gt) ** (2 * (m + 1)) <= 1e-12
+
+    def test_saturated_tanh_is_cutoff_error(self):
+        # tanh(20) rounds to 1.0: no finite cutoff holds the tail
+        with pytest.raises(CutoffTooSmall, match="rounds to 1"):
+            default_cutoff(20.0)
+        with pytest.raises(CutoffTooSmall, match="rounds to 1"):
+            squeezed_vacuum(1.0, 20.0, cutoff=256)
+
+    def test_tail_error_names_the_unclamped_requirement(self):
+        # tanh(2) needs 378 levels; the default clamps to 256
+        assert default_cutoff(2.0) == 256
+        with pytest.raises(CutoffTooSmall, match="need cutoff >= 378$"):
+            squeezed_vacuum(2.0, 1.0)
+        assert math.tanh(2.0) ** (2 * 379) <= 1e-12 < math.tanh(2.0) ** (2 * 257)
 
 
 class TestSqueezedVacuum:
@@ -455,6 +471,12 @@ class TestExpm:
         want = [[math.cos(th), -math.sin(th)], [math.sin(th), math.cos(th)]]
         assert np.allclose(expm_dense(m), want, atol=1e-14)
 
+    def test_dense_oracle_matches_scipy(self):
+        rng = np.random.default_rng(5)
+        m = rng.normal(size=(30, 30)) + 1j * rng.normal(size=(30, 30))
+        want = linalg.expm(m)
+        assert np.abs(expm_dense(m) - want).max() <= 1e-10 * np.abs(want).max()
+
     def test_apply_matches_dense(self):
         rng = np.random.default_rng(11)
         m = rng.normal(size=(30, 30)) + 1j * rng.normal(size=(30, 30))
@@ -498,8 +520,6 @@ class TestBruteForce:
         assert 1e-8 < worst < 2e-6
 
     def test_pair_coupling_is_the_third_hamiltonian(self):
-        from memdomain.fock import pair_coupling
-
         _, _, hi2 = build_hamiltonians(P, MODE, 0.0, cutoff=12)
         standalone = pair_coupling(P.L / 2, 12)
         assert abs(hi2.matrix - standalone.matrix).max() == 0.0
@@ -520,6 +540,59 @@ class TestBruteForce:
             )
             assert worst <= 1e-8
 
+    def test_pair_coupling_equals_ladder_products(self):
+        # the kron construction is entry-for-entry the A+ At+ - A At product
+        A, At = pair_ladders(12)
+        want = (1j * 0.7 * (A.getH() @ At.getH() - A @ At)).tocsr()
+        got = pair_coupling(0.7, 12).matrix
+        want.sort_indices()
+        got.sort_indices()
+        assert np.array_equal(got.indptr, want.indptr)
+        assert np.array_equal(got.indices, want.indices)
+        assert np.array_equal(got.data, want.data)
+
+    @pytest.mark.parametrize("gamma_t", [0.3, 1.0, 1.5])
+    def test_block_bitwise_equals_full_space(self, gamma_t):
+        # the paired-sector restriction reproduces the full (cutoff+1)^2
+        # evolution bit for bit, and the full evolution conserves pairing
+        # exactly: every off-pair amplitude is 0
+        gamma, t = 0.5, gamma_t / 0.5
+        n = default_cutoff(gamma_t)
+        gen, vac = pair_coupling(gamma, n), vacuum_state(n)
+        full = expm_apply(-1j * t * gen.matrix, vac.full_vector())
+        grid = full.reshape(n + 1, n + 1)
+        assert np.count_nonzero(grid - np.diag(np.diag(grid))) == 0
+        out = brute_force_evolve(gen, t, vac)
+        assert np.array_equal(np.array(out.coeffs, dtype=complex), np.diag(grid))
+        # and agrees with scipy's action-of-exponential on the full space
+        ref = expm_multiply(-1j * t * gen.matrix.tocsc(), vac.full_vector())
+        assert np.abs(full - ref).max() <= 1e-12
+
+    def test_guard_fires_where_full_space_union_does(self):
+        # the top-two-level mass on the block equals the union over either
+        # mode's top two rows and columns of the full joint grid; the grid
+        # straddles the 1e-8 threshold finely enough that some t has the
+        # top level alone below it and the top two together above it
+        n, gamma = 30, 0.5
+        gen, vac = pair_coupling(gamma, n), vacuum_state(n)
+        fired = []
+        for t in np.linspace(1.8, 1.95, 31):
+            grid = expm_apply(-1j * t * gen.matrix, vac.full_vector())
+            mass = np.abs(grid.reshape(n + 1, n + 1)) ** 2
+            top = (
+                mass[n - 1 :, :].sum()
+                + mass[:, n - 1 :].sum()
+                - mass[n - 1 :, n - 1 :].sum()
+            )
+            try:
+                brute_force_evolve(gen, float(t), vac)
+                raised = False
+            except CutoffTooSmall:
+                raised = True
+            assert raised == (top > 1e-8)
+            fired.append(raised)
+        assert any(fired) and not all(fired)
+
     def test_cutoff_guard(self):
         # gamma t = 1.5 leaks 2.8e-5 into the top levels at cutoff 48
         _, _, hi2 = build_hamiltonians(P, MODE, 0.0, cutoff=48)
@@ -527,10 +600,13 @@ class TestBruteForce:
             brute_force_evolve(hi2, 3.0, vacuum_state(48))
 
     def test_unpaired_flow_rejected(self):
-        # HI1 couples each mode to itself, driving |0> off the paired axis
+        # HI1 and K2 couple each mode to itself, driving |0> off the paired
+        # axis; the generator is rejected on structure, even at t = 0
         _, hi1, _ = build_hamiltonians(P, MODE, 0.0, cutoff=16)
-        with pytest.raises(ValueError):
-            brute_force_evolve(hi1, 0.5, vacuum_state(16))
+        for gen in (hi1, k2_generator(16)):
+            for t in (0.0, 0.5):
+                with pytest.raises(ValueError, match="left the paired subspace"):
+                    brute_force_evolve(gen, t, vacuum_state(16))
 
     def test_init_must_fit(self):
         _, _, hi2 = build_hamiltonians(P, MODE, 0.0, cutoff=8)

@@ -12,6 +12,7 @@ from memdomain.errors import ModeDead, NeverRecordable
 from memdomain.lifetime import (
     FIGURE_NAMES,
     FigureSpec,
+    LifetimeProfile,
     curve_table,
     default_figure_spec,
     domain_size,
@@ -200,6 +201,19 @@ class TestProfile:
     def test_degenerate_window_rejected(self):
         with pytest.raises(NeverRecordable):
             lifetime_profile(P, ModeIndex(k=0.5, n=1))
+
+    def test_constructor_rejects_unordered_samples(self):
+        mode = ModeIndex(k=2.0, n=1)
+        LifetimeProfile(mode, 1.0, (0.0, 0.5), (0.1, 0.1))
+        LifetimeProfile(mode, 1.0, (), ())
+        for times in ((0.0, 0.5, 0.5), (0.0, 0.6, 0.4), (math.inf, math.inf)):
+            with pytest.raises(ValueError, match="times must be strictly increasing"):
+                LifetimeProfile(mode, 1.0, times, (0.0,) * len(times))
+        for lambdas in ((0.1, 0.3, 0.2), (math.inf, 1.0)):
+            with pytest.raises(ValueError, match="lambdas must be non-decreasing"):
+                LifetimeProfile(mode, 1.0, (0.0, 0.5, 0.7)[: len(lambdas)], lambdas)
+        with pytest.raises(ValueError, match="equal length"):
+            LifetimeProfile(mode, 1.0, (0.0, 0.5), (0.1,))
 
 
 class TestFigures:
