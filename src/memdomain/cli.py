@@ -438,7 +438,7 @@ def _consistent_momentum(omega0, k, c) -> float:
 
 def _load_spectrum(run: _Run, path: str) -> StimulusSpectrum:
     data = run.read_input(Path(path))
-    return StimulusSpectrum.from_json_dict(json.loads(data.decode("utf-8")))
+    return StimulusSpectrum.loads(data.decode("utf-8"))
 
 
 # ---------------------------------------------------------------------------
@@ -525,6 +525,18 @@ def _run_evolve(resolved: dict) -> int:
                 np.max(np.abs(closed.r - ode.r)),
             )
         )
+        # each line's deviation as a fraction of that line's size: u, v and
+        # r differ by many orders of magnitude
+        run.results["max_rel_deviation"] = {
+            name: float(np.max(np.abs(c - o)) / np.max(np.abs(c)))
+            for name, c, o in (
+                ("u", closed.u, ode.u),
+                ("v", closed.v, ode.v),
+                ("r", closed.r, ode.r),
+            )
+        }
+    if ode is not None:
+        run.results["ode"] = ode.meta
     run.manifest(out.with_name(out.name + ".manifest.json"))
     return 0
 

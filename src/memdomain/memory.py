@@ -44,9 +44,21 @@ MATCH_THRESHOLD = 0.5
 def _require_finite(name: str, val) -> float:
     if not isinstance(val, (int, float)) or isinstance(val, bool):
         raise ValueError(f"{name} must be a number, got {val!r}")
-    if not math.isfinite(val):
+    try:
+        out = float(val)
+    except OverflowError:  # an int beyond the float range
+        out = math.inf
+    if not math.isfinite(out):
         raise ValueError(f"{name} must be finite, got {val!r}")
-    return float(val)
+    return out
+
+
+def _parse_json(text: str):
+    """json.loads with nesting too deep to parse reported as ValueError."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ValueError("JSON nested too deeply") from None
 
 
 @dataclass(frozen=True)
@@ -92,6 +104,8 @@ class StimulusSpectrum:
                 "spectrum document must be an object with the single "
                 "key 'components'"
             )
+        if not isinstance(doc["components"], list):
+            raise ValueError("spectrum 'components' must be a list")
         comps = []
         for i, entry in enumerate(doc["components"]):
             if not isinstance(entry, dict) or set(entry) != {"k", "n", "intensity"}:
@@ -102,6 +116,10 @@ class StimulusSpectrum:
                 StimulusComponent(entry["k"], entry["n"], entry["intensity"])
             )
         return cls(tuple(comps))
+
+    @classmethod
+    def loads(cls, text: str) -> "StimulusSpectrum":
+        return cls.from_json_dict(_parse_json(text))
 
     def to_json_dict(self) -> dict:
         return {
@@ -224,6 +242,8 @@ class MemoryRegistry:
         next_id = doc["next_id"]
         if isinstance(next_id, bool) or not isinstance(next_id, int) or next_id < 1:
             raise ValueError(f"next_id must be a positive integer, got {next_id!r}")
+        if not isinstance(doc["codes"], dict):
+            raise ValueError("registry 'codes' must be an object")
         codes: dict = {}
         for cid, body in doc["codes"].items():
             if not isinstance(cid, str) or not cid:
@@ -231,12 +251,14 @@ class MemoryRegistry:
             if not isinstance(body, dict) or set(body) != {"status", "entries"}:
                 raise ValueError(f"code {cid} must have keys status, entries")
             status = CodeStatus(body["status"])
+            if not isinstance(body["entries"], dict):
+                raise ValueError(f"code {cid} entries must be an object")
             entries: dict = {}
             for kstr, ent in body["entries"].items():
                 k = _require_finite(f"{cid} entry key", float(kstr))
                 if k <= 0:
                     raise ValueError(f"{cid} entry key must be positive")
-                if set(ent) != {"weight", "n", "t_rec"}:
+                if not isinstance(ent, dict) or set(ent) != {"weight", "n", "t_rec"}:
                     raise ValueError(
                         f"{cid} entry {kstr} must have keys weight, n, t_rec"
                     )
@@ -265,7 +287,7 @@ class MemoryRegistry:
 
     @classmethod
     def loads(cls, text: str) -> "MemoryRegistry":
-        return cls.from_json_dict(json.loads(text))
+        return cls.from_json_dict(_parse_json(text))
 
     def save(self, path) -> None:
         # temp + rename so readers never observe a half-written registry

@@ -29,7 +29,7 @@ import numpy as np
 
 from .bessel import BesselKind, sph_deriv, sph_j, sph_j_array, sph_y, sph_y_array
 from .errors import GridTooCoarse, RealityViolation, UnsupportedBranch
-from .ode import integrate_to_grid
+from .ode import integrate_oscillator
 
 __all__ = [
     "SystemParams",
@@ -249,14 +249,14 @@ def integrate_damped_oscillator(
     """Integrate q'' + damping q' + omega_sq(t) q = 0 on a grid.
 
     Returns an array of shape (len(t_grid), 2) holding (q, dq/dt). This is
-    the reusable core behind integrate_pair; damping may be negative, which
-    gives the amplified line.
+    the reusable form of the stepper behind integrate_pair; damping may be
+    negative, which gives the amplified line.
     """
-
-    def rhs(t, y):
-        return np.array([y[1], -damping * y[1] - omega_sq(t) * y[0]])
-
-    return integrate_to_grid(rhs, t_grid, np.asarray(init, dtype=float), rel_tol, abs_tol)
+    init = np.asarray(init, dtype=float)
+    if init.shape != (2,):
+        raise ValueError(f"init must be (q, dq/dt), got shape {init.shape}")
+    q, p, _ = integrate_oscillator(omega_sq, damping, *init.tolist(), t_grid, rel_tol, abs_tol)
+    return np.column_stack((q, p))
 
 
 def integrate_pair(
@@ -269,27 +269,36 @@ def integrate_pair(
     """Adaptive-RK oracle for the pair: init = (u, du, v, dv) at t_grid[0].
 
     r is reconstructed from the damped line, r = sqrt(2) u exp(+Lt/2).
+    meta holds rel_tol and, under "u" and "v", each line's step statistics
+    (see memdomain.ode.integrate_oscillator).
     """
     init = tuple(float(q) for q in init)
     if len(init) != 4:
         raise ValueError("init must be (u, du, v, dv)")
 
+    # omega_mode with its constants hoisted; the same operations in the
+    # same order, so the same rounding
+    w0 = params.omega0(mode.k)
+    neg_l = -params.L
+    order = 2 * mode.n + 1
+    exp = math.exp
+
     def w2(t):
-        w = omega_mode(params, mode, t)
+        w = w0 * exp(neg_l * t / order)
         return w * w
 
     t_grid = np.asarray(t_grid, dtype=float)
-    u_line = integrate_damped_oscillator(w2, +params.L, init[:2], t_grid, rel_tol)
-    v_line = integrate_damped_oscillator(w2, -params.L, init[2:], t_grid, rel_tol)
-    r = math.sqrt(2.0) * u_line[:, 0] * np.exp(params.L * t_grid / 2)
+    u, _, u_stats = integrate_oscillator(w2, +params.L, *init[:2], t_grid, rel_tol)
+    v, _, v_stats = integrate_oscillator(w2, -params.L, *init[2:], t_grid, rel_tol)
+    r = math.sqrt(2.0) * u * np.exp(params.L * t_grid / 2)
     return Trajectory(
         t_grid,
-        u_line[:, 0],
-        v_line[:, 0],
+        u,
+        v,
         r,
         mode,
         TrajectoryMethod.INTEGRATED,
-        meta={"rel_tol": rel_tol},
+        meta={"rel_tol": rel_tol, "u": u_stats, "v": v_stats},
     )
 
 

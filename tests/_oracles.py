@@ -1,9 +1,12 @@
-"""Independent reference implementations used only by the test suite.
+"""Reference implementations used only by the test suite.
 
-These deliberately avoid the algorithms used inside the package (downward
-recurrence, adaptive stepping, the action of a matrix exponential on one
-vector) so that agreement is evidence, not tautology. High-precision
-arithmetic comes from mpmath.
+Most of these deliberately avoid the algorithms used inside the package
+(downward recurrence, the action of a matrix exponential on one vector) so
+that agreement is evidence, not tautology; high-precision arithmetic comes
+from mpmath. Two are bit-identity references for a faster package kernel
+instead: `expm_dense`, and `integrate_to_grid`, the generic numpy-vector
+form of the package's Dormand-Prince stepper (same tableau, same controller,
+arrays instead of floats).
 """
 
 import math
@@ -11,6 +14,20 @@ import math
 import mpmath as mp
 import numpy as np
 from scipy import sparse
+
+from memdomain.errors import StepSizeUnderflow
+from memdomain.ode import (
+    _A,
+    _ALPHA,
+    _B4,
+    _B5,
+    _BETA,
+    _C,
+    _MAX_FACTOR,
+    _MIN_FACTOR,
+    _REJECT_BACKOFF,
+    _SAFETY,
+)
 
 
 def series_sph_j(n, z, dps=50):
@@ -121,3 +138,83 @@ def expm_dense(m) -> np.ndarray:
     for _ in range(s):
         result = result @ result
     return result
+
+
+def _initial_step(f, t0, y0, rtol, atol, span):
+    sc = atol + rtol * np.abs(y0)
+    f0 = f(t0, y0)
+    d0 = math.sqrt(float(np.mean((y0 / sc) ** 2)))
+    d1 = math.sqrt(float(np.mean((f0 / sc) ** 2)))
+    if d0 < 1e-5 or d1 < 1e-5:
+        h = 1e-6 * span
+    else:
+        h = 0.01 * d0 / d1
+    return min(h, 0.1 * span), f0
+
+
+def integrate_to_grid(f, t_grid, y0, rel_tol, abs_tol=None):
+    """Integrate y' = f(t, y) and return the states at each grid time.
+
+    The grid must be strictly increasing; integration starts at t_grid[0]
+    with state y0. Steps are chosen adaptively and clipped so every grid
+    point is hit exactly. Raises StepSizeUnderflow if the controller drives
+    the step below 1e-14 * max(1, |t|).
+    """
+    t_grid = np.asarray(t_grid, dtype=float)
+    if t_grid.ndim != 1 or t_grid.size < 2:
+        raise ValueError("t_grid must contain at least two times")
+    if not np.all(np.diff(t_grid) > 0):
+        raise ValueError("t_grid must be strictly increasing")
+    if not 1e-13 <= rel_tol <= 1e-3:
+        raise ValueError(f"rel_tol must lie in [1e-13, 1e-3], got {rel_tol!r}")
+    atol = rel_tol if abs_tol is None else abs_tol
+
+    y = np.array(y0, dtype=float)
+    out = np.empty((t_grid.size, y.size))
+    out[0] = y
+    t = float(t_grid[0])
+    span = float(t_grid[-1] - t_grid[0])
+    h, k1 = _initial_step(f, t, y, rel_tol, atol, span)
+    err_prev = 1.0
+    k = [None] * 7
+    k[0] = k1
+
+    for idx in range(1, t_grid.size):
+        target = float(t_grid[idx])
+        while t < target:
+            lands = h >= target - t
+            clipped = target - t if lands else h
+            if clipped < 1e-14 * max(1.0, abs(t)):
+                raise StepSizeUnderflow(
+                    f"step {clipped:.3e} below resolution floor at t = {t:.6g}"
+                )
+            for i in range(1, 7):
+                yi = y + clipped * sum(a * k[j] for j, a in enumerate(_A[i]) if a)
+                k[i] = f(t + _C[i] * clipped, yi)
+            y5 = y + clipped * sum(b * k[i] for i, b in enumerate(_B5) if b)
+            y4 = y + clipped * sum(b * k[i] for i, b in enumerate(_B4) if b)
+            sc = atol + rel_tol * np.maximum(np.abs(y), np.abs(y5))
+            err = math.sqrt(float(np.mean(((y5 - y4) / sc) ** 2)))
+            if err <= 1.0:
+                # t + (target - t) can fall one ulp short of target, which
+                # would leave a step below the resolution floor
+                t = target if lands else t + clipped
+                y = y5
+                k[0] = k[6]  # first-same-as-last
+                factor = _SAFETY * (err + 1e-300) ** -_ALPHA * err_prev**_BETA
+                h = clipped * min(_MAX_FACTOR, max(_MIN_FACTOR, factor))
+                err_prev = max(err, 1e-4)
+            else:
+                h = clipped * _REJECT_BACKOFF
+        out[idx] = y
+    return out
+
+
+def vector_damped_oscillator(omega_sq, damping, init, t_grid, rel_tol=1e-10, abs_tol=None):
+    """q'' + damping q' + omega_sq(t) q = 0 through integrate_to_grid:
+    the (len(t_grid), 2) array of (q, dq/dt)."""
+
+    def rhs(t, y):
+        return np.array([y[1], -damping * y[1] - omega_sq(t) * y[0]])
+
+    return integrate_to_grid(rhs, t_grid, np.asarray(init, dtype=float), rel_tol, abs_tol)

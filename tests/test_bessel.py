@@ -199,8 +199,8 @@ class TestDomain:
 
 def _array_grid():
     """Log grid over [1e-3, 1.2e3] with the awkward cases mixed in: points
-    out of order, repeated points, and deep-decay points whose downward pass
-    must rescale."""
+    out of order, repeated points, and points below the series threshold
+    (z < 0.08) interleaved with points of the downward pass."""
     z = np.geomspace(1e-3, 1.2e3, 241)
     extra = np.array([1e-8, 0.3, 2.0, 5.0, 5.0, 1045.0, 1e-3])
     z = np.concatenate([z, extra, z[::7]])
@@ -210,13 +210,17 @@ def _array_grid():
 class TestArrayKernel:
     Z = _array_grid()
 
-    @pytest.mark.parametrize("n", [*range(13), 30, 40])
+    # from n ~ 60 on, the downward pass rescales at z >= 0.08
+    @pytest.mark.parametrize("n", [*range(13), 30, 40, 100, 150])
     def test_first_kind_bitwise_equals_scalar(self, n):
         z = np.concatenate([self.Z, [0.0, 0.0]])
         ref = np.array([sph_j(n, float(x)) for x in z])
         assert np.array_equal(sph_j_array(n, z), ref)
 
-    # z where the downward pass rescales on the very step that yields j_n
+    # z at which the downward pass would rescale on the very step that
+    # yields j_n. They lie below 0.08, so they pin the series branch's
+    # scalar/array tie; at z >= 0.08 the pass cannot reach the rescale level
+    # within the 40 orders between its seed and n.
     @pytest.mark.parametrize("n,z0", [(2, 2.6829164714990188e-06),
                                       (5, 3.1522790535124164e-06),
                                       (9, 3.73803325566539e-06),
@@ -227,10 +231,11 @@ class TestArrayKernel:
         assert np.array_equal(sph_j_array(n, z), ref)
 
     def test_overflowed_column_leaves_others_exact(self):
-        # j_5(1e-100) overflows to nan on both paths; the other columns must
-        # still rescale exactly where the scalar loop does
+        # j_5(1e-100) would overflow the downward pass; the series branch
+        # takes it (and underflows to 0), and the downward-pass columns
+        # beside it must still match the scalar loop
         z = np.concatenate([[1e-100], self.Z])
-        for n in (5, 12, 30):
+        for n in (5, 12, 30, 150):
             ref = np.array([sph_j(n, float(x)) for x in z])
             assert np.array_equal(sph_j_array(n, z), ref, equal_nan=True)
 
@@ -248,11 +253,31 @@ class TestArrayKernel:
                           (sph_y_array(n, z), spherical_yn(n, z))):
             assert np.max(np.abs(ours - ref)) <= 1e-12 * np.max(np.abs(ref)), n
 
-    @pytest.mark.xfail(strict=True, reason="the closed form sin z/z^2 - cos z/z "
-                       "cancels for z << 1; j_1(1e-8) comes out negative")
     def test_first_order_small_z(self):
+        # the closed form sin z/z^2 - cos z/z cancels here, to a negative
+        # j_1(1e-8)
         for z in (1e-8, 1e-6, 1e-4):
             assert sph_j(1, z) == pytest.approx(spherical_jn(1, z), rel=1e-12)
+        assert sph_j(1, 1e-300) == pytest.approx(1e-300 / 3, rel=1e-15)
+        assert sph_j(2, 1e-30) == pytest.approx(1e-60 / 15, rel=1e-15)
+
+    @pytest.mark.parametrize("n", [*range(13), 30])
+    def test_small_z_against_references(self, n):
+        # the series branch below z = 0.08 and the closed forms and downward
+        # pass just above it, down to z = 1e-300
+        z = np.concatenate([np.geomspace(1e-300, 0.5, 151), [0.08 * (1 - 2**-52), 0.08]])
+        ours = sph_j_array(n, z)
+        assert np.array_equal(ours, [sph_j(n, float(x)) for x in z])
+        ref = np.array([float(series_sph_j(n, float(x), dps=30)) for x in z])
+        # below the normal float range both sides are subnormal or 0
+        normal = np.abs(ref) >= 1e-290
+        assert np.all(np.abs(ours - ref)[normal] <= 1e-12 * np.abs(ref)[normal])
+        assert np.all(np.abs(ours[~normal]) <= 1e-290)
+        # scipy.special.spherical_jn itself returns 0 once j_n drops below
+        # about 1e-200 (j_1(1e-250) = 0), so it is compared above that only
+        sc = spherical_jn(n, z)
+        big = np.abs(ref) >= 1e-200
+        assert np.all(np.abs(ours - sc)[big] <= 1e-12 * np.abs(sc)[big])
 
     def test_shapes(self):
         z = np.array([[0.5, 1.0], [2.0, 40.0]])

@@ -4,13 +4,21 @@ import hashlib
 import json
 import math
 
+import numpy as np
 import pytest
 
 from memdomain.bessel import sph_j, sph_y
 from memdomain.cli import main
 from memdomain.lifetime import recording_window
 from memdomain.memory import MemoryRegistry
-from memdomain.oscillator import ModeIndex, SystemParams, closed_form_pair
+from memdomain.oscillator import (
+    ModeIndex,
+    SystemParams,
+    closed_form_pair,
+    closed_form_state,
+    closed_form_trajectory,
+    integrate_pair,
+)
 
 P = SystemParams(L=1.0, c=1.0)
 
@@ -54,6 +62,12 @@ class TestBessel:
         manifest = json.loads((tmp_path / "j.csv.manifest.json").read_text())
         assert manifest["command"] == "bessel"
         assert manifest["config"]["order"] == 0
+
+    def test_tiny_argument(self, capsys):
+        # z * z underflows to 0 here
+        assert main(["bessel", "--kind", "j", "--order", "1", "--z", "1e-300"]) == 0
+        value = float(capsys.readouterr().out)
+        assert value == pytest.approx(1e-300 / 3, rel=1e-15)
 
     def test_singular_point_is_validation_error(self, capsys):
         assert main(["bessel", "--kind", "y", "--order", "0", "--z", "0.0"]) == 2
@@ -109,6 +123,25 @@ class TestEvolve:
         manifest = json.loads((tmp_path / "traj.csv.manifest.json").read_text())
         assert manifest["results"]["max_abs_deviation"] < 1e-8
         assert sorted(manifest["outputs"]) == ["traj.csv", "traj.ode.csv"]
+
+    def test_both_reports_line_deviations_and_solver_stats(self, tmp_path):
+        assert self._run(tmp_path, "--method", "both")[0] == 0
+        results = json.loads((tmp_path / "traj.csv.manifest.json").read_text())["results"]
+        mode = ModeIndex(k=2.0, n=1)
+        grid = np.linspace(0.0, 3.0, 60)
+        closed = closed_form_trajectory(P, mode, grid)
+        ode = integrate_pair(P, mode, closed_form_state(P, mode, 0.0), grid, 1e-10)
+        rel = {
+            name: float(np.max(np.abs(getattr(closed, name) - getattr(ode, name)))
+                        / np.max(np.abs(getattr(closed, name))))
+            for name in ("u", "v", "r")
+        }
+        assert results["max_rel_deviation"] == rel
+        assert results["ode"] == ode.meta
+        for line in ("u", "v"):
+            stats = results["ode"][line]
+            assert stats["nfev"] == 1 + 6 * (stats["accepted"] + stats["rejected"])
+            assert 0 < stats["h_min"] <= stats["h_max"] <= 3.0
 
     def test_ode_method_alone(self, tmp_path):
         code, out = self._run(tmp_path, "--method", "ode")
@@ -473,6 +506,29 @@ class TestRegistryFlow:
         bad.write_text(json.dumps({"components": [{"k": 1.0}]}))
         assert main(["record", "--registry", str(reg), "--spectrum", str(bad),
                      "--t", "1", "--L", "1"]) == 2
+
+
+    def test_spectrum_components_not_a_list(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"components": 5}))
+        assert main(["record", "--registry", str(tmp_path / "reg.json"),
+                     "--spectrum", str(bad), "--t", "1", "--L", "1"]) == 2
+        assert "components" in capsys.readouterr().err
+
+    # valid JSON of the wrong shape, one level down each
+    @pytest.mark.parametrize("codes", [
+        [],
+        {"code000001": {"status": "Intact", "entries": {"2.0": 5}}},
+        {"code000001": {"status": "Intact", "entries": []}},
+    ])
+    def test_malformed_registry(self, tmp_path, capsys, codes):
+        reg = tmp_path / "reg.json"
+        reg.write_text(json.dumps(
+            {"schema": 1, "last_decay_t": 0.0, "next_id": 2, "codes": codes}))
+        spec = write_spectrum(tmp_path / "stim.json", (2.0, 1, 1.0))
+        assert main(["recall", "--registry", str(reg), "--signal", str(spec),
+                     "--t", "1", "--L", "1", "--energy", "5"]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
 
 class TestConfig:

@@ -5,6 +5,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from memdomain.lifetime import (
     domain_size,
@@ -617,3 +619,77 @@ class TestLaws:
                     assert rank[code.status] >= rank[seen_status[cid]]
                 seen_status[cid] = code.status
         assert MemoryRegistry.loads(reg.dumps()).dumps() == reg.dumps()
+
+
+# JSON-shaped values, and registry / spectrum documents whose every part may
+# be replaced by one; ints beyond the float range included
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6)
+    | st.sampled_from([10**400, -(10**400)]),
+    lambda kids: st.lists(kids, max_size=3) | st.dictionaries(st.text(max_size=6), kids, max_size=3),
+    max_leaves=10,
+)
+_NUMBER = st.integers() | st.floats() | st.sampled_from([10**400, 1e300, -0.0])
+
+
+def _or_json(strategy):
+    return strategy | _JSON
+
+
+_ENTRY = _or_json(st.fixed_dictionaries(
+    {"weight": _or_json(_NUMBER), "n": _or_json(st.integers()), "t_rec": _or_json(_NUMBER)}
+))
+_ENTRY_KEY = st.text(max_size=6) | st.floats().map(repr) | st.sampled_from(["2.0", "1e400", "-1"])
+_CODE = _or_json(st.fixed_dictionaries({
+    "status": _or_json(st.sampled_from([s.value for s in CodeStatus])),
+    "entries": _or_json(st.dictionaries(_ENTRY_KEY, _ENTRY, max_size=3)),
+}))
+_REGISTRY = _or_json(st.fixed_dictionaries({
+    "schema": _or_json(st.just(1)),
+    "last_decay_t": _or_json(_NUMBER),
+    "next_id": _or_json(st.integers()),
+    "codes": _or_json(st.dictionaries(st.text(max_size=6), _CODE, max_size=3)),
+}))
+_SPECTRUM = _or_json(st.fixed_dictionaries({
+    "components": _or_json(st.lists(_or_json(st.fixed_dictionaries(
+        {"k": _or_json(_NUMBER), "n": _or_json(st.integers()), "intensity": _or_json(_NUMBER)}
+    )), max_size=3)),
+}))
+_FUZZ = settings(max_examples=300, deadline=None, derandomize=True, database=None)
+
+
+class TestParsersOnArbitraryJson:
+    """Both document parsers return a value or raise ValueError, nothing else,
+    and whatever the registry parser accepts survives a dumps/loads round trip."""
+
+    @_FUZZ
+    @given(_REGISTRY)
+    def test_registry(self, doc):
+        try:
+            reg = MemoryRegistry.from_json_dict(doc)
+        except ValueError:
+            return
+        assert MemoryRegistry.loads(reg.dumps()) == reg
+
+    @_FUZZ
+    @given(_SPECTRUM)
+    def test_spectrum(self, doc):
+        try:
+            spec = StimulusSpectrum.from_json_dict(doc)
+        except ValueError:
+            return
+        assert StimulusSpectrum.from_json_dict(spec.to_json_dict()) == spec
+
+    def test_reported_repros(self):
+        base = {"schema": 1, "last_decay_t": 0.0, "next_id": 1}
+        for codes in ([], {"c": {"status": "Intact", "entries": {"2.0": 5}}},
+                      {"c": {"status": "Intact", "entries": []}}):
+            with pytest.raises(ValueError):
+                MemoryRegistry.from_json_dict({**base, "codes": codes})
+        with pytest.raises(ValueError, match="components"):
+            StimulusSpectrum.from_json_dict({"components": 5})
+        with pytest.raises(ValueError, match="finite"):
+            StimulusSpectrum.from_json_dict(
+                {"components": [{"k": 10**400, "n": 1, "intensity": 1.0}]})
+        with pytest.raises(ValueError, match="nested"):
+            MemoryRegistry.loads("[" * 100_000)

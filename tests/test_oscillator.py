@@ -1,7 +1,9 @@
 """Oscillator pair: closed form vs adaptive oracle, identities, guards."""
 
 import math
+import random
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -28,6 +30,9 @@ from memdomain.oscillator import (
     residual,
     substitution,
 )
+from memdomain.ode import _A, _B4, _B5, _C
+
+from _oracles import vector_damped_oscillator
 
 PARAMS = SystemParams(L=1.0)
 MODE2 = ModeIndex(k=2.0, n=1)  # omega0 = 2, window T = 3 ln 4
@@ -377,3 +382,175 @@ class TestTrajectoryType:
         lhs = traj.u * traj.v
         rhs = traj.r**2 / 2
         assert np.allclose(lhs, rhs, rtol=1e-8, atol=1e-15)
+
+
+def _mode_w2(params, mode):
+    """omega_mode squared as integrate_pair squares it (w * w, which can
+    differ from w ** 2 in the last bit)."""
+
+    def w2(t):
+        w = omega_mode(params, mode, t)
+        return w * w
+
+    return w2
+
+
+def _crosscheck_modes(seed):
+    """40 modes shaped like the benchmark's ODE checks: for each n = 0..3,
+    ten momenta log-stratified over [0.6, 8] with a seeded jitter."""
+    rng = random.Random(seed)
+    lo, hi = math.log(0.6), math.log(8.0)
+    width = (hi - lo) / 10
+    return [(math.exp(lo + (i + 0.5 + 0.2 * (rng.random() - 0.5)) * width), n)
+            for n in range(4) for i in range(10)]
+
+
+def _assert_bitwise(got, ref):
+    assert np.array_equal(got, ref)
+    assert np.array_equal(np.signbit(got), np.signbit(ref))
+
+
+class TestStepperAgainstVectorForm:
+    """The float stepper against the numpy-vector Dormand-Prince integrator
+    kept in _oracles: the same steps and roundings, so equal bit for bit."""
+
+    def test_tableau_pattern_the_stepper_assumes(self):
+        # zero entries are skipped, the last stage row is the 5th-order
+        # weight row (first same as last) and the last two stages sit at t + h
+        assert [i for i, a in enumerate(_A[6]) if not a] == [1]
+        assert _B5 == _A[6] + (0.0,)
+        assert [i for i, b in enumerate(_B4) if not b] == [1]
+        assert all(all(row) for row in _A[1:6])
+        assert _C[5] == _C[6] == 1.0
+
+    @pytest.mark.parametrize("n", range(4))
+    def test_crosscheck_modes(self, n):
+        params = SystemParams(L=1.0)
+        for k, order in _crosscheck_modes(1):
+            if order != n:
+                continue
+            mode = ModeIndex(k=k, n=n)
+            grid = np.linspace(0.0, 0.9 * (2 * n + 1) * math.log(2 * k), 500)
+            init = closed_form_state(params, mode, 0.0)
+            traj = integrate_pair(params, mode, init, grid)
+            w2 = _mode_w2(params, mode)
+            for damping, line, got in ((params.L, init[:2], traj.u),
+                                       (-params.L, init[2:], traj.v)):
+                ref = vector_damped_oscillator(w2, damping, line, grid)
+                _assert_bitwise(got, ref[:, 0])
+                _assert_bitwise(integrate_damped_oscillator(w2, damping, line, grid), ref)
+
+    def test_zero_data(self):
+        grid = np.linspace(0.0, 2.0, 51)
+        w2 = _mode_w2(PARAMS, MODE2)
+        for init in ((0.0, 0.0), (-0.0, 0.0), (0.0, -0.0), (-0.0, -0.0)):
+            for damping in (PARAMS.L, -PARAMS.L):
+                ref = vector_damped_oscillator(w2, damping, init, grid)
+                _assert_bitwise(integrate_damped_oscillator(w2, damping, init, grid), ref)
+
+    def test_time_reversal_case(self):
+        T0 = 2.5
+        grid = np.linspace(0.0, T0, 301)
+        _, _, vT, dvT = closed_form_state(PARAMS, MODE2, T0)
+
+        def w2_rev(t):
+            return omega_mode(PARAMS, MODE2, T0 - t) ** 2
+
+        ref = vector_damped_oscillator(w2_rev, +PARAMS.L, (vT, -dvT), grid)
+        _assert_bitwise(integrate_damped_oscillator(w2_rev, +PARAMS.L, (vT, -dvT), grid), ref)
+
+    def test_grid_landing_repro_and_abs_tol(self):
+        params = SystemParams(L=1.0)
+        mode = ModeIndex(k=3.148719109108496, n=1)
+        grid = np.linspace(0.0, 4.968385880412281, 500)
+        init = closed_form_state(params, mode, 0.0)
+        w2 = _mode_w2(params, mode)
+        traj = integrate_pair(params, mode, init, grid)
+        _assert_bitwise(traj.u, vector_damped_oscillator(w2, params.L, init[:2], grid)[:, 0])
+        _assert_bitwise(traj.v, vector_damped_oscillator(w2, -params.L, init[2:], grid)[:, 0])
+        for abs_tol in (0.0, 1e-14, 1e-6):
+            ref = vector_damped_oscillator(w2, params.L, init[:2], grid, 1e-8, abs_tol)
+            got = integrate_damped_oscillator(w2, params.L, init[:2], grid, 1e-8, abs_tol)
+            _assert_bitwise(got, ref)
+
+    @staticmethod
+    def _outcome(fn, *args):
+        with np.errstate(all="ignore"):
+            try:
+                return fn(*args)
+            except StepSizeUnderflow as exc:
+                return str(exc)
+
+    def test_singular_coefficient_underflows_on_both(self):
+        def w2(t):
+            return 1.0 / abs(1.5 - t)
+
+        args = (w2, 1.0, (1.0, 0.0), np.array([0.0, 3.0]), 1e-10)
+        ours = self._outcome(integrate_damped_oscillator, *args)
+        assert isinstance(ours, str) and ours.startswith("step ")
+        assert ours == self._outcome(vector_damped_oscillator, *args)
+
+    @pytest.mark.parametrize("blowup", ["inf", "nan"])
+    def test_overflowing_frequency_fails_alike(self, blowup):
+        big = 1e300
+
+        def w2(t):
+            if t < 0.5:
+                return 4.0
+            return big * big if blowup == "inf" else big * big - big * big
+
+        args = (w2, 1.0, (1.0, 0.0), np.linspace(0.0, 1.0, 11), 1e-10)
+        ours = self._outcome(integrate_damped_oscillator, *args)
+        assert isinstance(ours, str) and ours.endswith("at t = 0.5")
+        assert ours == self._outcome(vector_damped_oscillator, *args)
+
+    def test_non_finite_start_raises_instead_of_looping(self):
+        # the vector form never returns here: its first step is nan
+        grid = np.linspace(0.0, 1.0, 11)
+        with pytest.raises(StepSizeUnderflow, match="step nan"):
+            integrate_damped_oscillator(lambda t: 1.0, 1.0, (math.nan, 0.0), grid)
+        with pytest.raises(StepSizeUnderflow, match="step nan"):
+            integrate_damped_oscillator(lambda t: math.nan, 1.0, (1.0, 0.0), grid)
+        # abs_tol = 0 and a zero component: the first step's error scale is 0
+        with pytest.raises(StepSizeUnderflow, match="step nan"):
+            integrate_damped_oscillator(lambda t: 1.0, 1.0, (1.0, 0.0), grid, 1e-10, 0.0)
+
+    def test_init_must_be_a_pair(self):
+        grid = np.linspace(0.0, 1.0, 11)
+        for init in ((1.0,), (1.0, 0.0, 0.0)):
+            with pytest.raises(ValueError, match="init must be"):
+                integrate_damped_oscillator(lambda t: 1.0, 1.0, init, grid)
+
+
+class TestIntegratorAccuracy:
+    def test_large_mode_against_mpmath(self):
+        """k = 55, n = 9 on 500 points up to t = 30 against mpmath's Bessel
+        function. rel_tol = 1e-10 bounds each step's local error, with the
+        same 1e-10 as an absolute floor on lines of size 1e-3 (u) and 1e2
+        (v); over the 6 000 (u) and 26 000 (v) steps the global error
+        reaches 7.1e-8 (u) and 5.0e-8 (v) of each line's largest value.
+        The bound leaves a factor of 14; the closed form stays within 1e-12."""
+        params = SystemParams(L=1.0)
+        mode = ModeIndex(k=55.0, n=9)
+        grid = np.linspace(0.0, 30.0, 500)
+        traj = integrate_pair(params, mode, closed_form_state(params, mode, 0.0), grid)
+        closed = closed_form_trajectory(params, mode, grid)
+        sub = substitution(params, mode)
+        ref_u, ref_v = [], []
+        with mp.workdps(30):
+            alpha, eps = mp.mpf(sub.alpha), mp.mpf(sub.epsilon)
+            for t in grid.tolist():
+                x = mp.exp(-mp.mpf(t) / alpha)
+                z = eps * x
+                m = mp.sqrt(mp.pi / (2 * z)) * mp.besselj(mp.mpf(mode.n) + 0.5, z)
+                ref_u.append(float(m * x ** (mode.n + 1)))
+                ref_v.append(float(m * x ** (-mode.n)))
+        for ref, ode, cf in ((ref_u, traj.u, closed.u), (ref_v, traj.v, closed.v)):
+            ref = np.array(ref)
+            size = np.max(np.abs(ref))
+            assert np.max(np.abs(ode - ref)) <= 1e-6 * size
+            assert np.max(np.abs(cf - ref)) <= 1e-12 * size
+        for line in ("u", "v"):
+            stats = traj.meta[line]
+            assert stats["nfev"] == 1 + 6 * (stats["accepted"] + stats["rejected"])
+            assert 0 < stats["h_min"] <= stats["h_max"] <= 30.0
