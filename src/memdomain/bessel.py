@@ -10,7 +10,11 @@ Evaluation is recurrence-based and self-contained:
   the closed form j_1 = sin z/z^2 - cos z/z cancels as z -> 0, and the
   downward pass overflows once z is far below n.
 * second kind y_n: upward recurrence seeded with the closed forms of y_0
-  and y_1; y is the dominant solution so upward is stable.
+  and y_1; y is the dominant solution so upward is stable. y_n(z) is
+  negative and grows in size with n for z < n, and goes to -inf as z -> 0;
+  where it passes the float range the result is -inf: y_1 once z*z
+  underflows to 0, and y_n once the recurrence overflows (which would
+  otherwise go on to inf - inf = nan two orders later).
 
 Derivatives use f_n' = f_{n-1} - ((n+1)/z) f_n (and f_0' = -f_1).
 
@@ -175,7 +179,9 @@ def sph_j(n: int, z: float) -> float:
 def _seeds_y(z):
     """(y_0, y_1) at z > 0 from their closed forms."""
     s, c = math.sin(z), math.cos(z)
-    return -c / z, -c / (z * z) - s / z
+    zz = z * z
+    # zz == 0 below z ~ 1e-162, where -cos z/z^2 is far below -1e308
+    return -c / z, (-c / zz if zz else -math.inf) - s / z
 
 
 def sph_y(n: int, z: float) -> float:
@@ -190,7 +196,8 @@ def sph_y(n: int, z: float) -> float:
     prev, cur = y0, y1
     for m in range(1, n):
         prev, cur = cur, (2 * m + 1) / z * cur - prev
-    return cur
+    # nan only from -inf - (-inf) after the recurrence overflowed
+    return -math.inf if math.isnan(cur) else cur
 
 
 def _seed_columns(seeds, z):
@@ -304,6 +311,7 @@ def sph_y_array(n: int, z) -> np.ndarray:
     with np.errstate(over="ignore", invalid="ignore"):
         for m in range(1, n):
             prev, cur = cur, (2 * m + 1) / flat * cur - prev
+    cur[np.isnan(cur)] = -np.inf
     return cur.reshape(z.shape)
 
 

@@ -15,20 +15,28 @@ overrides [memdomain].  Unknown sections or keys are rejected.
 
 Numbers in CSV output are written with 17 significant digits, comma
 separated, LF terminated, header row first.  All files are written via a
-temp file and an atomic rename.
+temp file, synced to disk, and an atomic rename.
 
 Exit status: 0 on success; 2 when the request itself is wrong (bad flags
 or config, inconsistent or out-of-range parameters, never-recordable or
 dead modes, missing input files); 1 when a computation fails.
 
 MEMDOMAIN_THREADS caps BLAS/OpenMP parallelism for the numeric kernels
-(0 or unset = automatic); the resolved value is echoed in the manifest.
+(0 or unset = automatic); the resolved value is echoed in the manifest.  The
+cap is exported as OMP_NUM_THREADS, OPENBLAS_NUM_THREADS and friends before
+numpy is first imported, which is when OpenBLAS reads it; in a process that
+has already loaded numpy (say, a caller of main()) it comes too late.
+
+record and forget-sweep hold the registry's lock file from load through save
+(see memdomain.memory.registry_lock), so concurrent writers queue instead of
+losing each other's updates.
 """
 
 from __future__ import annotations
 
 import argparse
 import configparser
+import contextlib
 import dataclasses
 import hashlib
 import json
@@ -39,48 +47,20 @@ import sys
 from datetime import datetime, timezone
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from .errors import (
     GridTooCoarse,
     MemdomainError,
     StepSizeUnderflow,
 )
-from .fock import (
-    brute_force_evolve,
-    default_cutoff,
-    expected_pair_number,
-    pair_coupling,
-    squeezed_vacuum,
-    vacuum_state,
-)
-from .lifetime import (
-    FIGURE_NAMES,
-    curve_table,
-    default_figure_spec,
-    domain_size,
-    lambda_lifetime,
-    momentum_threshold,
-    recording_window,
-)
-from .memory import (
-    MemoryRegistry,
-    StimulusSpectrum,
-    decay_codes,
-    recall,
-    record,
-)
-from .bessel import sph_j, sph_y
-from .oscillator import (
-    ModeIndex,
-    SystemParams,
-    closed_form_state,
-    closed_form_trajectory,
-    common_frequency,
-    integrate_pair,
-    omega_mode,
-)
+
+# The numeric modules (numpy, and scipy through memdomain.fock) are imported
+# inside each runner, after _Run has applied MEMDOMAIN_THREADS: OpenBLAS reads
+# its thread count once, when numpy loads it.
+
+# lifetime.FIGURE_NAMES, spelled out so that parsing the command line loads
+# no numeric module; a test ties the two together
+_FIGURES = ("fig1", "fig2", "fig3", "fig4")
 
 
 class _ValidationError(Exception):
@@ -145,7 +125,7 @@ _COMMANDS = {
     ),
     "figures": (
         _Opt("which", multi=True, required=True,
-             choices=FIGURE_NAMES + ("all",)),
+             choices=_FIGURES + ("all",)),
         _Opt("out", required=True, help="output directory"),
         _Opt("L", conv=float, default=1.0),
         _Opt("c", conv=float, default=1.0),
@@ -344,6 +324,9 @@ def _write_atomic(path: Path, data: bytes) -> None:
     tmp = path.with_name(f"{path.name}.tmp.{os.getpid()}")
     with open(tmp, "wb") as fh:
         fh.write(data)
+        fh.flush()
+        # on disk before the rename, so a crash leaves the old file or the new
+        os.fsync(fh.fileno())
     os.replace(tmp, path)
 
 
@@ -416,6 +399,8 @@ class _Run:
 
 
 def _system_params(resolved: dict) -> SystemParams:
+    from .oscillator import SystemParams
+
     return SystemParams(L=resolved["L"], c=resolved["c"])
 
 
@@ -437,6 +422,8 @@ def _consistent_momentum(omega0, k, c) -> float:
 
 
 def _load_spectrum(run: _Run, path: str) -> StimulusSpectrum:
+    from .memory import StimulusSpectrum
+
     data = run.read_input(Path(path))
     return StimulusSpectrum.loads(data.decode("utf-8"))
 
@@ -447,6 +434,8 @@ def _load_spectrum(run: _Run, path: str) -> StimulusSpectrum:
 
 def _run_bessel(resolved: dict) -> int:
     run = _Run("bessel", resolved)
+    from .bessel import sph_j, sph_y
+
     fn = sph_j if resolved["kind"] == "j" else sph_y
     values = [fn(resolved["order"], z) for z in resolved["z"]]
     if resolved["out"] is None:
@@ -461,6 +450,8 @@ def _run_bessel(resolved: dict) -> int:
 
 
 def _evolve_rows(params, mode, grid, traj):
+    from .oscillator import common_frequency, omega_mode
+
     rows = []
     for i, t in enumerate(grid):
         rows.append((
@@ -476,6 +467,16 @@ def _evolve_rows(params, mode, grid, traj):
 
 def _run_evolve(resolved: dict) -> int:
     run = _Run("evolve", resolved)
+    import numpy as np
+
+    from .lifetime import recording_window
+    from .oscillator import (
+        ModeIndex,
+        closed_form_state,
+        closed_form_trajectory,
+        integrate_pair,
+    )
+
     params = _system_params(resolved)
     k = _consistent_momentum(resolved["omega0"], resolved["k"], params.c)
     resolved["k"] = k
@@ -543,6 +544,14 @@ def _run_evolve(resolved: dict) -> int:
 
 def _run_lifetimes(resolved: dict) -> int:
     run = _Run("lifetimes", resolved)
+    from .lifetime import (
+        domain_size,
+        lambda_lifetime,
+        momentum_threshold,
+        recording_window,
+    )
+    from .oscillator import ModeIndex
+
     params = _system_params(resolved)
     omega0s, ks = resolved["omega0"], resolved["k"]
     if omega0s is None and ks is None:
@@ -598,9 +607,11 @@ def _figure_spec_doc(spec) -> dict:
 
 def _run_figures(resolved: dict) -> int:
     run = _Run("figures", resolved)
+    from .lifetime import curve_table, default_figure_spec
+
     which = resolved["which"]
-    names = list(FIGURE_NAMES) if "all" in which else [
-        name for name in FIGURE_NAMES if name in which
+    names = list(_FIGURES) if "all" in which else [
+        name for name in _FIGURES if name in which
     ]
     out_dir = Path(resolved["out"])
     if out_dir.exists() and not out_dir.is_dir():
@@ -633,6 +644,15 @@ def _run_figures(resolved: dict) -> int:
 
 def _run_squeeze(resolved: dict) -> int:
     run = _Run("squeeze", resolved)
+    from .fock import (
+        brute_force_evolve,
+        default_cutoff,
+        expected_pair_number,
+        pair_coupling,
+        squeezed_vacuum,
+        vacuum_state,
+    )
+
     gamma, t = resolved["gamma"], resolved["t"]
     if not math.isfinite(gamma):
         raise _ValidationError(f"--gamma must be finite, got {gamma!r}")
@@ -668,6 +688,8 @@ def _run_squeeze(resolved: dict) -> int:
 
 
 def _load_registry(run: _Run, path: str, must_exist: bool) -> MemoryRegistry:
+    from .memory import MemoryRegistry
+
     p = Path(path)
     if not p.exists():
         if must_exist:
@@ -677,19 +699,35 @@ def _load_registry(run: _Run, path: str, must_exist: bool) -> MemoryRegistry:
     return MemoryRegistry.loads(data.decode("utf-8"))
 
 
-def _save_registry(run: _Run, path: str, registry: MemoryRegistry) -> None:
+@contextlib.contextmanager
+def _registry_update(run: _Run, path: str, must_exist: bool):
+    """Yield the registry at path, loaded under its lock, and save it after.
+
+    The lock is held from load through save, so a concurrent writer waits
+    and then loads this one's result instead of overwriting it.  Nothing is
+    saved when the body raises.
+    """
+    from .memory import registry_lock
+
     out = Path(path)
-    run.write_output(out, registry.dumps().encode("utf-8"))
-    run.manifest(out.with_name(out.name + ".manifest.json"))
+    if must_exist and not out.exists():
+        raise _ValidationError(f"registry file not found: {path}")
+    out.parent.mkdir(parents=True, exist_ok=True)
+    with registry_lock(out):
+        registry = _load_registry(run, path, must_exist)
+        yield registry
+        run.write_output(out, registry.dumps().encode("utf-8"))
+        run.manifest(out.with_name(out.name + ".manifest.json"))
 
 
 def _run_record(resolved: dict) -> int:
     run = _Run("record", resolved)
+    from .memory import record
+
     params = _system_params(resolved)
-    registry = _load_registry(run, resolved["registry"], must_exist=False)
-    stimulus = _load_spectrum(run, resolved["spectrum"])
-    code, rejections = record(registry, stimulus, resolved["t"], params)
-    _save_registry(run, resolved["registry"], registry)
+    with _registry_update(run, resolved["registry"], must_exist=False) as registry:
+        stimulus = _load_spectrum(run, resolved["spectrum"])
+        code, rejections = record(registry, stimulus, resolved["t"], params)
     report = {
         "code": None if code is None else code.id,
         "rejections": [
@@ -709,6 +747,8 @@ def _run_record(resolved: dict) -> int:
 
 def _run_recall(resolved: dict) -> int:
     run = _Run("recall", resolved)
+    from .memory import decay_codes, recall
+
     params = _system_params(resolved)
     registry = _load_registry(run, resolved["registry"], must_exist=True)
     signal = _load_spectrum(run, resolved["signal"])
@@ -738,10 +778,11 @@ def _run_recall(resolved: dict) -> int:
 
 def _run_forget_sweep(resolved: dict) -> int:
     run = _Run("forget-sweep", resolved)
+    from .memory import decay_codes
+
     params = _system_params(resolved)
-    registry = _load_registry(run, resolved["registry"], must_exist=True)
-    decay_codes(registry, resolved["t"], params)
-    _save_registry(run, resolved["registry"], registry)
+    with _registry_update(run, resolved["registry"], must_exist=True) as registry:
+        decay_codes(registry, resolved["t"], params)
     statuses = [code.status.value for code in registry.codes.values()]
     report = {
         "t": resolved["t"],

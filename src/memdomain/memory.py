@@ -12,7 +12,10 @@ the effective-mass scale c * k_tilde(n_min, t).
 The registry follows a single-writer / many-reader contract: ``record`` and
 ``decay_codes`` mutate it and must be serialized by the caller, while
 ``recall``, ``similarity`` and ``is_forgotten`` are read-only and safe to run
-concurrently.
+concurrently.  Between processes sharing a registry file, a writer holds
+``registry_lock(path)`` from load through save, as the CLI's ``record`` and
+``forget-sweep`` do; ``save`` syncs the new file to disk and renames it into
+place, so readers need no lock and never see a half-written registry.
 
 Model choices documented here rather than hidden in code:
 
@@ -28,11 +31,13 @@ Model choices documented here rather than hidden in code:
 
 from __future__ import annotations
 
+import contextlib
 import enum
 import json
 import math
 import os
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii as _json_str
 
 from .lifetime import mode_alive, momentum_threshold, recording_window
 from .oscillator import ModeIndex, SystemParams
@@ -59,6 +64,40 @@ def _parse_json(text: str):
         return json.loads(text)
     except RecursionError:
         raise ValueError("JSON nested too deeply") from None
+
+
+# MemoryRegistry.dumps templates: the json.dumps(..., sort_keys=True,
+# indent=2) layout of the registry, a code and an entry, members sorted
+_REGISTRY = (
+    '{\n  "codes": %s,\n  "last_decay_t": %r,\n  "next_id": %r,'
+    '\n  "schema": %r\n}\n'
+)
+_CODE = '\n    %s: {\n      "entries": %s,\n      "status": %s\n    }'
+_ENTRY = (
+    '\n        %s: {\n          "n": %r,\n          "t_rec": %r,'
+    '\n          "weight": %r\n        }'
+)
+
+
+def _json_object(body: str, indent: int) -> str:
+    """A JSON object from its comma-joined members, closed at indent."""
+    return "{" + body + "\n" + " " * indent + "}" if body else "{}"
+
+
+@contextlib.contextmanager
+def registry_lock(path):
+    """Hold the exclusive lock of the registry file at path.
+
+    The lock is ``fcntl.flock`` on the sidecar file ``<path>.lock``, which is
+    created on first use and never removed: a writer still waiting on a
+    removed lock file would go on to lock a file that newcomers no longer
+    see.  The lock is released when the block exits.
+    """
+    import fcntl  # POSIX only; imported here so the rest works without it
+
+    with open(f"{path}.lock", "ab") as fh:
+        fcntl.flock(fh.fileno(), fcntl.LOCK_EX)
+        yield
 
 
 @dataclass(frozen=True)
@@ -280,21 +319,45 @@ class MemoryRegistry:
     def dumps(self) -> str:
         """Canonical serialization: sorted keys, two-space indent, final LF.
 
-        Float values round-trip exactly (shortest-repr JSON floats), so
-        load -> dumps is byte-identical.
+        The text is json.dumps(self.to_json_dict(), sort_keys=True, indent=2)
+        + "\n", written directly for this fixed schema: given an indent,
+        json.dumps runs its pure-Python encoder, several times slower.  Keys
+        sort as strings, as json.dumps sorts them.  Numbers are spelled by
+        repr(), which is json.dumps's spelling for the plain ints and finite
+        floats a registry holds.  Float values round-trip exactly
+        (shortest-repr JSON floats), so load -> dumps is byte-identical.
         """
-        return json.dumps(self.to_json_dict(), sort_keys=True, indent=2) + "\n"
+        codes = []
+        for cid in sorted(self.codes):
+            code = self.codes[cid]
+            entries = {repr(k): e for k, e in code.entries.items()}
+            body = ",".join([
+                _ENTRY % (_json_str(key), e.n, e.t_rec, e.weight)
+                for key, e in sorted(entries.items())
+            ])
+            codes.append(_CODE % (
+                _json_str(cid), _json_object(body, 6), _json_str(code.status.value)
+            ))
+        return _REGISTRY % (
+            _json_object(",".join(codes), 2),
+            self.last_decay_t,
+            self.next_id,
+            SCHEMA_VERSION,
+        )
 
     @classmethod
     def loads(cls, text: str) -> "MemoryRegistry":
         return cls.from_json_dict(_parse_json(text))
 
     def save(self, path) -> None:
-        # temp + rename so readers never observe a half-written registry
+        # temp + rename so readers never observe a half-written registry;
+        # the sync first, so a crash leaves the old registry or the new one
         data = self.dumps().encode("utf-8")
         tmp = f"{path}.tmp.{os.getpid()}"
         with open(tmp, "wb") as fh:
             fh.write(data)
+            fh.flush()
+            os.fsync(fh.fileno())
         os.replace(tmp, path)
 
     @classmethod

@@ -4,11 +4,13 @@ Most of these deliberately avoid the algorithms used inside the package
 (downward recurrence, the action of a matrix exponential on one vector) so
 that agreement is evidence, not tautology; high-precision arithmetic comes
 from mpmath. Two are bit-identity references for a faster package kernel
-instead: `expm_dense`, and `integrate_to_grid`, the generic numpy-vector
+instead: `expm_dense`, `integrate_to_grid`, the generic numpy-vector
 form of the package's Dormand-Prince stepper (same tableau, same controller,
-arrays instead of floats).
+arrays instead of floats), and `registry_json`, the json.dumps spelling of
+the registry's canonical text.
 """
 
+import json
 import math
 
 import mpmath as mp
@@ -218,3 +220,10 @@ def vector_damped_oscillator(omega_sq, damping, init, t_grid, rel_tol=1e-10, abs
         return np.array([y[1], -damping * y[1] - omega_sq(t) * y[0]])
 
     return integrate_to_grid(rhs, t_grid, np.asarray(init, dtype=float), rel_tol, abs_tol)
+
+
+def registry_json(registry) -> str:
+    """The canonical registry text as json.dumps spells the registry's
+    document: the reference for MemoryRegistry.dumps, which writes the same
+    bytes directly."""
+    return json.dumps(registry.to_json_dict(), sort_keys=True, indent=2) + "\n"

@@ -196,6 +196,24 @@ class TestDomain:
     def test_second_kind_blows_up_toward_zero(self):
         assert abs(sph_y(4, 1e-3)) > 1e12
 
+    @pytest.mark.parametrize("n,z", [(1, 1e-300), (1, 5e-324), (0, 5e-324),
+                                     (3, 1e-120), (4, 1e-120), (300, 1.0)])
+    def test_second_kind_past_the_float_range_is_minus_inf(self, n, z):
+        # y_1 once z*z underflows to 0 (it divided by zero), y_n once the
+        # upward recurrence overflows (two orders on it gave inf - inf = nan)
+        assert sph_y(n, z) == -math.inf
+        assert sph_y_array(n, [z, 2.0]).tolist() == [-math.inf, sph_y(n, 2.0)]
+
+    def test_second_kind_tiny_z_bitwise_ties(self):
+        # from where z*z is still normal down to the smallest subnormal; y_0
+        # stays finite down to z ~ 1e-308
+        z = np.concatenate([np.geomspace(5e-324, 1e-150, 97), [1e-300]])
+        for n in (0, 1, 2, 3, 12, 40):
+            ref = np.array([sph_y(n, float(x)) for x in z])
+            assert np.array_equal(sph_y_array(n, z), ref)
+            assert not np.any(np.isnan(ref)) and np.all(ref < 0)
+        assert sph_y(0, 1e-300) == -math.cos(1e-300) / 1e-300
+
 
 def _array_grid():
     """Log grid over [1e-3, 1.2e3] with the awkward cases mixed in: points
@@ -241,9 +259,9 @@ class TestArrayKernel:
 
     @pytest.mark.parametrize("n", [*range(13), 30, 40])
     def test_second_kind_bitwise_equals_scalar(self, n):
-        # y_40 overflows to inf / nan near z = 1e-8 on both paths
+        # y_40 overflows to -inf near z = 1e-8 on both paths
         ref = np.array([sph_y(n, float(x)) for x in self.Z])
-        assert np.array_equal(sph_y_array(n, self.Z), ref, equal_nan=True)
+        assert np.array_equal(sph_y_array(n, self.Z), ref)
 
     @pytest.mark.parametrize("n", range(13))
     def test_against_scipy(self, n):

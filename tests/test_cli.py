@@ -3,14 +3,19 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import memdomain
 from memdomain.bessel import sph_j, sph_y
-from memdomain.cli import main
-from memdomain.lifetime import recording_window
-from memdomain.memory import MemoryRegistry
+from memdomain.cli import _FIGURES, main
+from memdomain.lifetime import FIGURE_NAMES, recording_window
+from memdomain.memory import CodeEntry, MemoryCode, MemoryRegistry
 from memdomain.oscillator import (
     ModeIndex,
     SystemParams,
@@ -68,6 +73,15 @@ class TestBessel:
         assert main(["bessel", "--kind", "j", "--order", "1", "--z", "1e-300"]) == 0
         value = float(capsys.readouterr().out)
         assert value == pytest.approx(1e-300 / 3, rel=1e-15)
+
+    def test_second_kind_past_the_float_range(self, capsys):
+        # y_1(1e-300) is about -1e600: z * z underflows to 0 and the value
+        # passes the float range, which prints as -inf, not a crash (exit 1)
+        assert main(["bessel", "--kind", "y", "--order", "1",
+                     "--z", "1e-300"]) == 0
+        assert main(["bessel", "--kind", "y", "--order", "4",
+                     "--z", "1e-120"]) == 0
+        assert capsys.readouterr().out.split() == ["-inf", "-inf"]
 
     def test_singular_point_is_validation_error(self, capsys):
         assert main(["bessel", "--kind", "y", "--order", "0", "--z", "0.0"]) == 2
@@ -295,6 +309,9 @@ class TestFigures:
         for cid, k in modes.items():
             window = recording_window(P, ModeIndex(k=k, n=1))
             assert window * (1 - 2 / points) <= last_t[cid] < window
+
+    def test_figure_names_match_the_library(self):
+        assert _FIGURES == FIGURE_NAMES
 
     def test_all_expands(self, tmp_path):
         out = tmp_path / "figs"
@@ -658,3 +675,114 @@ class TestEnvironmentAndManifest:
         assert b"\r" not in data
         lam = float(data.decode().splitlines()[1].split(",")[3])
         assert f"{lam:.17g}".encode() in data
+
+
+# A child interpreter that imports memdomain from this tree: the process
+# start is what these tests measure, and in this process numpy is loaded.
+_SRC = str(Path(memdomain.__file__).resolve().parents[1])
+
+# The thread count read back from the OpenBLAS numpy loaded (None for another
+# BLAS), as source for a child interpreter.
+_BLAS_THREADS = """
+import ctypes
+
+def blas_threads():
+    with open("/proc/self/maps") as fh:
+        paths = {line.split()[-1] for line in fh if "openblas" in line.lower()}
+    for path in sorted(paths):
+        lib = ctypes.CDLL(path)
+        for sym in ("scipy_openblas_get_num_threads64_",
+                    "openblas_get_num_threads64_", "openblas_get_num_threads"):
+            fn = getattr(lib, sym, None)
+            if fn is not None:
+                fn.argtypes = []
+                fn.restype = ctypes.c_int
+                return int(fn())
+    return None
+"""
+
+
+def _child_env(**overrides):
+    env = dict(os.environ, **overrides)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (_SRC, os.environ.get("PYTHONPATH")) if p
+    )
+    return env
+
+
+def _child(code, env=None):
+    """Last stdout line of code run in a fresh interpreter."""
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env or _child_env(),
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()[-1]
+
+
+class TestFreshProcess:
+    def test_import_loads_no_numeric_module(self):
+        assert _child(
+            "import sys, memdomain.cli; "
+            "print(sorted(m for m in ('numpy', 'scipy') if m in sys.modules))"
+        ) == "[]"
+
+    def test_record_loads_no_scipy(self, tmp_path):
+        spec = write_spectrum(tmp_path / "stim.json", (2.0, 1, 1.0))
+        argv = ["record", "--registry", str(tmp_path / "reg.json"),
+                "--spectrum", str(spec), "--t", "1", "--L", "1"]
+        assert _child(
+            f"import sys; from memdomain.cli import main; rc = main({argv!r}); "
+            "print(rc, 'scipy' in sys.modules)"
+        ) == "0 False"
+
+    def test_thread_cap_reaches_openblas(self, tmp_path):
+        env = _child_env(MEMDOMAIN_THREADS="1")
+        for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+            env.pop(var, None)
+        argv = ["lifetimes", "--L", "1", "--k", "2", "--n", "1",
+                "--out", str(tmp_path / "l.csv")]
+        threads = _child(
+            _BLAS_THREADS + "from memdomain.cli import main\n"
+            f"rc = main({argv!r})\nprint(rc, blas_threads())\n",
+            env,
+        )
+        if threads == "0 None":
+            pytest.skip("numpy is not linked against OpenBLAS")
+        assert threads == "0 1"
+
+    def test_concurrent_records_all_land(self, tmp_path):
+        # each writer loads, records into and rewrites a few-hundred-code
+        # file; without the lock, writers that overlap lose each other's code
+        reg = tmp_path / "reg.json"
+        MemoryRegistry(
+            codes={
+                f"code{i:06d}": MemoryCode(id=f"code{i:06d}", entries={
+                    0.6 + j: CodeEntry(weight=1.0 + i, n=1, t_rec=0.0)
+                    for j in range(8)
+                })
+                for i in range(1, 301)
+            },
+            next_id=301,
+        ).save(reg)
+        procs = [
+            subprocess.Popen(
+                [sys.executable, "-m", "memdomain.cli", "record",
+                 "--registry", str(reg), "--t", "0", "--L", "1",
+                 "--spectrum", str(write_spectrum(
+                     tmp_path / f"stim{i}.json", (2.0 + i, 1, 1.0)))],
+                env=_child_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            )
+            for i in range(8)
+        ]
+        try:
+            outs = [proc.communicate(timeout=120) for proc in procs]
+        finally:
+            for proc in procs:
+                proc.kill()
+                proc.wait()
+        assert [proc.returncode for proc in procs] == [0] * 8, outs
+        new = {json.loads(out)["code"] for out, _ in outs}
+        codes = MemoryRegistry.load(reg).codes
+        assert len(new) == 8 and new <= set(codes) and len(codes) == 308
+        assert (tmp_path / "reg.json.lock").exists()

@@ -33,6 +33,8 @@ from memdomain.memory import (
 )
 from memdomain.oscillator import ModeIndex, SystemParams
 
+from _oracles import registry_json
+
 P = SystemParams(L=1.0, c=1.0)
 
 # single-mode windows at n=1, L=c=1: T = 3 ln(2k)
@@ -693,3 +695,79 @@ class TestParsersOnArbitraryJson:
                 {"components": [{"k": 10**400, "n": 1, "intensity": 1.0}]})
         with pytest.raises(ValueError, match="nested"):
             MemoryRegistry.loads("[" * 100_000)
+
+
+# registries that from_json_dict accepts, with the cases a hand-written
+# writer could get wrong: escaped and non-ASCII code ids, entry keys whose
+# string order differs from their numeric order, int, subnormal and -0.0
+# numbers, Forgotten codes and codes without entries
+_POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+_NONNEG = (st.floats(min_value=0.0, allow_infinity=False) | st.integers(0, 10**20)
+           | st.sampled_from([-0.0, 5e-324, 2.5e-310]))
+_VALID_CODE = st.fixed_dictionaries({
+    "status": st.just("Forgotten"), "entries": st.just({}),
+}) | st.fixed_dictionaries({
+    "status": st.sampled_from(["Intact", "Degraded"]),
+    "entries": st.dictionaries(
+        _POSITIVE.map(repr) | st.integers(1, 10**6).map(str)
+        | st.sampled_from(["10.5", "2.0", "9", "1e2", "100", "1_0", " 3.5"]),
+        st.fixed_dictionaries({"weight": _NONNEG, "n": st.integers(0, 10**20),
+                               "t_rec": _NONNEG}),
+        max_size=4),
+})
+_VALID_REGISTRY = st.fixed_dictionaries({
+    "schema": st.just(1),
+    "last_decay_t": _NONNEG,
+    "next_id": st.integers(1, 10**20),
+    "codes": st.dictionaries(
+        st.text(min_size=1, max_size=6)
+        | st.sampled_from(['code"1', "c\\d", "cödé", "☃", "\ud800", "a\nb"]),
+        _VALID_CODE, max_size=4),
+})
+
+
+class TestCanonicalWriter:
+    """dumps writes json.dumps(to_json_dict(), sort_keys=True, indent=2) + LF
+    directly; json.dumps itself is the reference."""
+
+    @_FUZZ
+    @given(_VALID_REGISTRY)
+    def test_matches_json_dumps(self, doc):
+        reg = MemoryRegistry.from_json_dict(doc)
+        assert reg.dumps() == registry_json(reg)
+        # the same document held without the parser's float conversion, so
+        # int weights, times and clocks reach the writer as ints
+        raw = MemoryRegistry(
+            codes={
+                cid: MemoryCode(
+                    id=cid,
+                    entries={float(k): CodeEntry(**e) for k, e in body["entries"].items()},
+                    status=CodeStatus(body["status"]),
+                )
+                for cid, body in doc["codes"].items()
+            },
+            last_decay_t=doc["last_decay_t"],
+            next_id=doc["next_id"],
+        )
+        assert raw.dumps() == registry_json(raw)
+
+    def test_layout(self):
+        reg = MemoryRegistry(
+            codes={
+                "b": MemoryCode(id="b", entries={}, status=CodeStatus.FORGOTTEN),
+                "a": MemoryCode(id="a", entries={
+                    10.5: CodeEntry(weight=3, n=2, t_rec=-0.0),
+                    2.0: CodeEntry(weight=5e-324, n=0, t_rec=1.5),
+                }),
+            },
+            next_id=3,
+        )
+        assert reg.dumps() == registry_json(reg)
+        assert reg.dumps().splitlines()[3:6] == [
+            '      "entries": {',
+            '        "10.5": {',
+            '          "n": 2,',
+        ]
+        assert MemoryRegistry().dumps() == (
+            '{\n  "codes": {},\n  "last_decay_t": 0.0,\n  "next_id": 1,\n  "schema": 1\n}\n'
+        )
