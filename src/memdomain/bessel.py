@@ -16,7 +16,9 @@ Evaluation is recurrence-based and self-contained:
   underflows to 0, and y_n once the recurrence overflows (which would
   otherwise go on to inf - inf = nan two orders later).
 
-Derivatives use f_n' = f_{n-1} - ((n+1)/z) f_n (and f_0' = -f_1).
+Derivatives use f_n' = f_{n-1} - ((n+1)/z) f_n (and f_0' = -f_1); below
+z = 0.08, j_n'' comes from the series values of j_{n-2}, j_n, j_{n+2} instead.
+Past the float range y_n' is +inf and y_n'' is -inf.
 
 sph_j_array / sph_y_array evaluate one order over a whole array of z with a
 single vectorised recurrence. They perform the same IEEE operations per
@@ -334,24 +336,38 @@ def sph_deriv(kind: BesselKind, n: int, z: float) -> float:
     _check_n(n)
     _check_z(z, positive_only=True)
     if n == 0:
-        if kind is BesselKind.FIRST:
-            return -sph_j(1, z)
-        return -sph_y(1, z)
-    return _value(kind, n - 1, z) - (n + 1) / z * _value(kind, n, z)
+        return -_value(kind, 1, z)
+    d = _value(kind, n - 1, z) - (n + 1) / z * _value(kind, n, z)
+    # nan only from -inf + inf once y_{n-1} and y_n have both overflowed
+    return math.inf if math.isnan(d) else d
 
 
 def sph_second_deriv(kind: BesselKind, n: int, z: float) -> float:
     """d^2/dz^2 via the derivative recurrence applied twice.
 
     f_n'' = f_{n-1}' - ((n+1)/z) f_n' + ((n+1)/z^2) f_n for n >= 1 and
-    f_0'' = -f_1'. Independent of the defining differential equation, so it
-    can be used to verify that equation.
+    f_0'' = -f_1'; j_n'' below z = 0.08 comes from series values instead.
+    Independent of the defining differential equation, so it can be used to
+    verify that equation. y_n'' is -inf past the float range.
     """
     _check_n(n)
     _check_z(z, positive_only=True)
+    if kind is BesselKind.FIRST and z < _SERIES_BELOW:
+        # the recurrence's 1/z terms cancel here; two steps of
+        # (2n+1) f_n' = n f_{n-1} - (n+1) f_{n+1} give j_n'' from the series
+        # values j_{n-2}, j_n, j_{n+2}, where j_{n-2} (n >= 2) or j_n dominates
+        jm = n * (n - 1) / (2 * n - 1) * _series_j(n - 2, z) if n > 1 else 0.0
+        j = (n * n / (2 * n - 1) + (n + 1) ** 2 / (2 * n + 3)) * _series_j(n, z)
+        jp = (n + 1) * (n + 2) / (2 * n + 3) * _series_j(n + 2, z)
+        return (jm - j + jp) / (2 * n + 1)
     if n == 0:
         return -sph_deriv(kind, 1, z)
+    zz = z * z
+    if not zz:
+        return -math.inf
     fp_nm1 = sph_deriv(kind, n - 1, z)
     fp_n = sph_deriv(kind, n, z)
     f_n = _value(kind, n, z)
-    return fp_nm1 - (n + 1) / z * fp_n + (n + 1) / (z * z) * f_n
+    d = fp_nm1 - (n + 1) / z * fp_n + (n + 1) / zz * f_n
+    # nan only from inf - inf once the second-kind terms have overflowed
+    return -math.inf if math.isnan(d) else d

@@ -53,14 +53,25 @@ from .errors import (
     MemdomainError,
     StepSizeUnderflow,
 )
+from .lifetime import (
+    FIGURE_NAMES,
+    ModeIndex,
+    SystemParams,
+    common_frequency,
+    curve_table,
+    default_figure_spec,
+    domain_size,
+    lambda_lifetime,
+    momentum_threshold,
+    omega_mode,
+    recording_window,
+)
 
-# The numeric modules (numpy, and scipy through memdomain.fock) are imported
-# inside each runner, after _Run has applied MEMDOMAIN_THREADS: OpenBLAS reads
-# its thread count once, when numpy loads it.
-
-# lifetime.FIGURE_NAMES, spelled out so that parsing the command line loads
-# no numeric module; a test ties the two together
-_FIGURES = ("fig1", "fig2", "fig3", "fig4")
+# lifetime (the scalar model) and memory load no numpy, so the registry and
+# lifetimes commands never do. The numeric modules (bessel, oscillator, ode;
+# scipy through fock) are imported inside the runners that use them, after
+# _Run has applied MEMDOMAIN_THREADS: OpenBLAS reads its thread count once,
+# when numpy loads it.
 
 
 class _ValidationError(Exception):
@@ -125,7 +136,7 @@ _COMMANDS = {
     ),
     "figures": (
         _Opt("which", multi=True, required=True,
-             choices=_FIGURES + ("all",)),
+             choices=FIGURE_NAMES + ("all",)),
         _Opt("out", required=True, help="output directory"),
         _Opt("L", conv=float, default=1.0),
         _Opt("c", conv=float, default=1.0),
@@ -398,12 +409,6 @@ class _Run:
 # shared parameter plumbing
 
 
-def _system_params(resolved: dict) -> SystemParams:
-    from .oscillator import SystemParams
-
-    return SystemParams(L=resolved["L"], c=resolved["c"])
-
-
 def _consistent_momentum(omega0, k, c) -> float:
     """Resolve the (omega0, k) pair, enforcing omega0 = c*k when both given."""
     if omega0 is None and k is None:
@@ -450,8 +455,6 @@ def _run_bessel(resolved: dict) -> int:
 
 
 def _evolve_rows(params, mode, grid, traj):
-    from .oscillator import common_frequency, omega_mode
-
     rows = []
     for i, t in enumerate(grid):
         rows.append((
@@ -469,15 +472,9 @@ def _run_evolve(resolved: dict) -> int:
     run = _Run("evolve", resolved)
     import numpy as np
 
-    from .lifetime import recording_window
-    from .oscillator import (
-        ModeIndex,
-        closed_form_state,
-        closed_form_trajectory,
-        integrate_pair,
-    )
+    from .oscillator import closed_form_state, closed_form_trajectory, integrate_pair
 
-    params = _system_params(resolved)
+    params = SystemParams(L=resolved["L"], c=resolved["c"])
     k = _consistent_momentum(resolved["omega0"], resolved["k"], params.c)
     resolved["k"] = k
     resolved["omega0"] = params.omega0(k)
@@ -544,15 +541,7 @@ def _run_evolve(resolved: dict) -> int:
 
 def _run_lifetimes(resolved: dict) -> int:
     run = _Run("lifetimes", resolved)
-    from .lifetime import (
-        domain_size,
-        lambda_lifetime,
-        momentum_threshold,
-        recording_window,
-    )
-    from .oscillator import ModeIndex
-
-    params = _system_params(resolved)
+    params = SystemParams(L=resolved["L"], c=resolved["c"])
     omega0s, ks = resolved["omega0"], resolved["k"]
     if omega0s is None and ks is None:
         raise _ValidationError("one of --omega0 or --k is required")
@@ -607,11 +596,9 @@ def _figure_spec_doc(spec) -> dict:
 
 def _run_figures(resolved: dict) -> int:
     run = _Run("figures", resolved)
-    from .lifetime import curve_table, default_figure_spec
-
     which = resolved["which"]
-    names = list(_FIGURES) if "all" in which else [
-        name for name in _FIGURES if name in which
+    names = list(FIGURE_NAMES) if "all" in which else [
+        name for name in FIGURE_NAMES if name in which
     ]
     out_dir = Path(resolved["out"])
     if out_dir.exists() and not out_dir.is_dir():
@@ -724,7 +711,7 @@ def _run_record(resolved: dict) -> int:
     run = _Run("record", resolved)
     from .memory import record
 
-    params = _system_params(resolved)
+    params = SystemParams(L=resolved["L"], c=resolved["c"])
     with _registry_update(run, resolved["registry"], must_exist=False) as registry:
         stimulus = _load_spectrum(run, resolved["spectrum"])
         code, rejections = record(registry, stimulus, resolved["t"], params)
@@ -749,7 +736,7 @@ def _run_recall(resolved: dict) -> int:
     run = _Run("recall", resolved)
     from .memory import decay_codes, recall
 
-    params = _system_params(resolved)
+    params = SystemParams(L=resolved["L"], c=resolved["c"])
     registry = _load_registry(run, resolved["registry"], must_exist=True)
     signal = _load_spectrum(run, resolved["signal"])
     t = resolved["t"]
@@ -780,7 +767,7 @@ def _run_forget_sweep(resolved: dict) -> int:
     run = _Run("forget-sweep", resolved)
     from .memory import decay_codes
 
-    params = _system_params(resolved)
+    params = SystemParams(L=resolved["L"], c=resolved["c"])
     with _registry_update(run, resolved["registry"], must_exist=True) as registry:
         decay_codes(registry, resolved["t"], params)
     statuses = [code.status.value for code in registry.codes.values()]

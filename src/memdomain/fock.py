@@ -34,8 +34,7 @@ import numpy as np
 from scipy import sparse
 
 from .errors import CutoffTooSmall, ModeDead
-from .lifetime import recording_window
-from .oscillator import ModeIndex, SystemParams, common_frequency
+from .lifetime import ModeIndex, SystemParams, common_frequency, recording_window
 
 __all__ = [
     "TAIL_BOUND",

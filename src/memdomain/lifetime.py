@@ -1,9 +1,12 @@
-"""Recording windows, momentum thresholds, and domain lifetimes.
+"""The scalar mode model: modes, frequencies, windows, thresholds, lifetimes.
 
-A mode (k, n) can hold a recording while its frequency stays above L/2,
-which lasts
+The base of the package: it imports only the standard library and
+memdomain.errors, so the registry runs without numpy. A mode (k, n) has the
+frequency w(t) = omega0 exp(-L t / (2n+1)), omega0 = c k, and the common
+frequency Omega(t) = sqrt(w^2 - L^2/4). It can hold a recording while its
+frequency stays above L/2, which lasts
 
-    T = ((2n+1)/L) * ln(2 omega0 / L),        omega0 = c k.
+    T = ((2n+1)/L) * ln(2 omega0 / L).
 
 Equivalently, the momentum threshold k_thr(n, t) = k0 * exp(L t / (2n+1))
 with k0 = L/(2c) sweeps upward and kills the mode when it passes k. The
@@ -22,12 +25,13 @@ import dataclasses
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from .errors import ModeDead, NeverRecordable
-from .oscillator import ModeIndex, SystemParams, common_frequency
+from .errors import ModeDead, NeverRecordable, RealityViolation, UnsupportedBranch
 
 __all__ = [
+    "SystemParams",
+    "ModeIndex",
+    "omega_mode",
+    "common_frequency",
     "recording_window",
     "momentum_threshold",
     "domain_size",
@@ -43,6 +47,84 @@ __all__ = [
     "curve_table",
     "FIGURE_NAMES",
 ]
+
+
+# Relative slack when deciding whether w^2 - L^2/4 is a rounded zero at the
+# window boundary rather than a genuine reality violation.
+_BOUNDARY_SLACK = 1e-12
+
+
+@dataclass(frozen=True)
+class SystemParams:
+    """Global medium parameters: damping L and propagation speed c.
+
+    The reference frequency of momentum k is omega0 = c * k, and the initial
+    momentum threshold is k0 = L / (2c).
+    """
+
+    L: float
+    c: float = 1.0
+
+    def __post_init__(self):
+        for name in ("L", "c"):
+            val = getattr(self, name)
+            if not isinstance(val, (int, float)) or isinstance(val, bool):
+                raise ValueError(f"{name} must be a number, got {val!r}")
+            if not math.isfinite(val) or val <= 0:
+                raise ValueError(f"{name} must be positive and finite, got {val!r}")
+
+    @property
+    def k0(self) -> float:
+        return self.L / (2 * self.c)
+
+    def omega0(self, k: float) -> float:
+        return self.c * k
+
+
+@dataclass(frozen=True)
+class ModeIndex:
+    """A single mode: momentum k > 0 and non-negative integer index n."""
+
+    k: float
+    n: int
+
+    def __post_init__(self):
+        if isinstance(self.n, bool) or not isinstance(self.n, int):
+            raise ValueError(f"n must be an integer, got {self.n!r}")
+        if self.n < 0:
+            raise UnsupportedBranch(
+                "negative n selects the growing-frequency branch n -> -(n+1), "
+                "which is not implemented"
+            )
+        if not isinstance(self.k, (int, float)) or isinstance(self.k, bool):
+            raise ValueError(f"k must be a number, got {self.k!r}")
+        if not math.isfinite(self.k) or self.k <= 0:
+            raise ValueError(f"k must be positive and finite, got {self.k!r}")
+
+
+def omega_mode(params: SystemParams, mode: ModeIndex, t: float) -> float:
+    """Mode frequency w(t) = omega0 * exp(-L t / (2n+1))."""
+    return params.omega0(mode.k) * math.exp(-params.L * t / (2 * mode.n + 1))
+
+
+def common_frequency(params: SystemParams, mode: ModeIndex, t: float) -> float:
+    """Omega(t) = sqrt(w(t)^2 - L^2/4), real inside the reality window.
+
+    A rounded-to-negative value within 1e-12 of zero (relative to L^2/4) is
+    clamped to 0 so the window endpoint itself evaluates cleanly; anything
+    below that raises RealityViolation.
+    """
+    w = omega_mode(params, mode, t)
+    quarter = params.L * params.L / 4
+    val = w * w - quarter
+    if val < 0:
+        if val >= -_BOUNDARY_SLACK * quarter:
+            return 0.0
+        raise RealityViolation(
+            f"w(t)^2 = {w * w:.6g} below L^2/4 = {quarter:.6g} at t = {t:.6g}: "
+            "mode is over-damped here"
+        )
+    return math.sqrt(val)
 
 
 def recording_window(params: SystemParams, mode: ModeIndex) -> float:
@@ -119,6 +201,8 @@ class LifetimeProfile:
     def __post_init__(self):
         if len(self.times) != len(self.lambdas):
             raise ValueError("times and lambdas must have equal length")
+        import numpy as np  # here only, so that importing the model loads no numpy
+
         # neighbour comparisons, not np.diff: inf - inf would hide a repeat
         ts = np.fromiter(self.times, float, len(self.times))
         ls = np.fromiter(self.lambdas, float, len(self.lambdas))

@@ -39,8 +39,7 @@ import os
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii as _json_str
 
-from .lifetime import mode_alive, momentum_threshold, recording_window
-from .oscillator import ModeIndex, SystemParams
+from .lifetime import ModeIndex, SystemParams, mode_alive, momentum_threshold, recording_window
 
 SCHEMA_VERSION = 1
 MATCH_THRESHOLD = 0.5

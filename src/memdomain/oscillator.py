@@ -19,6 +19,8 @@ u = r/sqrt(2) * exp(-Lt/2), v = r/sqrt(2) * exp(+Lt/2); Omega is real only
 while the frequency stays above L/2 (the reality window).
 
 The mirrored branch n -> -(n+1) (growing frequency) is excluded by design.
+SystemParams, ModeIndex, omega_mode and common_frequency belong to the
+numpy-free scalar model in memdomain.lifetime and are re-exported here.
 """
 
 import enum
@@ -28,7 +30,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bessel import BesselKind, sph_deriv, sph_j, sph_j_array, sph_y, sph_y_array
-from .errors import GridTooCoarse, RealityViolation, UnsupportedBranch
+from .errors import GridTooCoarse
+from .lifetime import ModeIndex, SystemParams, common_frequency, omega_mode
 from .ode import integrate_oscillator
 
 __all__ = [
@@ -48,58 +51,6 @@ __all__ = [
     "integrate_damped_oscillator",
     "residual",
 ]
-
-# Relative slack when deciding whether w^2 - L^2/4 is a rounded zero at the
-# window boundary rather than a genuine reality violation.
-_BOUNDARY_SLACK = 1e-12
-
-
-@dataclass(frozen=True)
-class SystemParams:
-    """Global medium parameters: damping L and propagation speed c.
-
-    The reference frequency of momentum k is omega0 = c * k, and the initial
-    momentum threshold is k0 = L / (2c).
-    """
-
-    L: float
-    c: float = 1.0
-
-    def __post_init__(self):
-        for name in ("L", "c"):
-            val = getattr(self, name)
-            if not isinstance(val, (int, float)) or isinstance(val, bool):
-                raise ValueError(f"{name} must be a number, got {val!r}")
-            if not math.isfinite(val) or val <= 0:
-                raise ValueError(f"{name} must be positive and finite, got {val!r}")
-
-    @property
-    def k0(self) -> float:
-        return self.L / (2 * self.c)
-
-    def omega0(self, k: float) -> float:
-        return self.c * k
-
-
-@dataclass(frozen=True)
-class ModeIndex:
-    """A single mode: momentum k > 0 and non-negative integer index n."""
-
-    k: float
-    n: int
-
-    def __post_init__(self):
-        if isinstance(self.n, bool) or not isinstance(self.n, int):
-            raise ValueError(f"n must be an integer, got {self.n!r}")
-        if self.n < 0:
-            raise UnsupportedBranch(
-                "negative n selects the growing-frequency branch n -> -(n+1), "
-                "which is not implemented"
-            )
-        if not isinstance(self.k, (int, float)) or isinstance(self.k, bool):
-            raise ValueError(f"k must be a number, got {self.k!r}")
-        if not math.isfinite(self.k) or self.k <= 0:
-            raise ValueError(f"k must be positive and finite, got {self.k!r}")
 
 
 @dataclass(frozen=True)
@@ -149,31 +100,6 @@ class Trajectory:
 def substitution(params: SystemParams, mode: ModeIndex) -> SubstitutionParams:
     alpha = (2 * mode.n + 1) / params.L
     return SubstitutionParams(alpha=alpha, epsilon=params.omega0(mode.k) * alpha, n=mode.n)
-
-
-def omega_mode(params: SystemParams, mode: ModeIndex, t: float) -> float:
-    """Mode frequency w(t) = omega0 * exp(-L t / (2n+1))."""
-    return params.omega0(mode.k) * math.exp(-params.L * t / (2 * mode.n + 1))
-
-
-def common_frequency(params: SystemParams, mode: ModeIndex, t: float) -> float:
-    """Omega(t) = sqrt(w(t)^2 - L^2/4), real inside the reality window.
-
-    A rounded-to-negative value within 1e-12 of zero (relative to L^2/4) is
-    clamped to 0 so the window endpoint itself evaluates cleanly; anything
-    below that raises RealityViolation.
-    """
-    w = omega_mode(params, mode, t)
-    quarter = params.L * params.L / 4
-    val = w * w - quarter
-    if val < 0:
-        if val >= -_BOUNDARY_SLACK * quarter:
-            return 0.0
-        raise RealityViolation(
-            f"w(t)^2 = {w * w:.6g} below L^2/4 = {quarter:.6g} at t = {t:.6g}: "
-            "mode is over-damped here"
-        )
-    return math.sqrt(val)
 
 
 def _combination(j, y, mode_n: int, z, coeffs):
@@ -244,7 +170,7 @@ def closed_form_trajectory(
 
 
 def integrate_damped_oscillator(
-    omega_sq, damping: float, init, t_grid, rel_tol: float = 1e-10, abs_tol=None
+    omega_sq, damping: float, init, t_grid, rel_tol: float = 1e-10
 ) -> np.ndarray:
     """Integrate q'' + damping q' + omega_sq(t) q = 0 on a grid.
 
@@ -255,7 +181,7 @@ def integrate_damped_oscillator(
     init = np.asarray(init, dtype=float)
     if init.shape != (2,):
         raise ValueError(f"init must be (q, dq/dt), got shape {init.shape}")
-    q, p, _ = integrate_oscillator(omega_sq, damping, *init.tolist(), t_grid, rel_tol, abs_tol)
+    q, p, _ = integrate_oscillator(omega_sq, damping, *init.tolist(), t_grid, rel_tol)
     return np.column_stack((q, p))
 
 

@@ -22,7 +22,7 @@ from memdomain.bessel import (
 )
 from memdomain.errors import DomainError
 
-from _oracles import oracle_deriv, series_sph_j, upward_sph_y
+from _oracles import bessel_deriv, oracle_deriv, series_sph_j, upward_sph_y
 
 GRID_Z = [0.1, 0.5, 1.0, 2.0, 5.0, 10.0]
 GRID_N = range(0, 13)
@@ -172,6 +172,21 @@ class TestDerivatives:
                     ) / (12 * h)
                     d = sph_deriv(kind, n, z)
                     assert abs(d - fd) <= 1e-10 * max(1.0, abs(d)), (kind, n, z)
+
+    @pytest.mark.parametrize("kind", list(BesselKind))
+    @pytest.mark.parametrize("z", [1e-300, 1e-8, 1e-4, 0.05])
+    def test_small_z_against_mpmath(self, kind, z):
+        # the recurrence's 1/z terms swamp j_n'' at small z, and z*z
+        # underflows at 1e-300; y_n' and y_n'' past the float range are +inf
+        # and -inf
+        for n in range(6):
+            for order, fn in ((1, sph_deriv), (2, sph_second_deriv)):
+                got = fn(kind, n, z)
+                ref = bessel_deriv(kind.value, n, z, order)
+                if abs(ref) > 1.7e308:
+                    assert got == math.copysign(math.inf, ref), (n, order)
+                else:
+                    assert got == pytest.approx(float(ref), rel=1e-12, abs=1e-300), (n, order)
 
 
 class TestDomain:

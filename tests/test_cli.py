@@ -13,8 +13,8 @@ import pytest
 
 import memdomain
 from memdomain.bessel import sph_j, sph_y
-from memdomain.cli import _FIGURES, main
-from memdomain.lifetime import FIGURE_NAMES, recording_window
+from memdomain.cli import main
+from memdomain.lifetime import recording_window
 from memdomain.memory import CodeEntry, MemoryCode, MemoryRegistry
 from memdomain.oscillator import (
     ModeIndex,
@@ -309,9 +309,6 @@ class TestFigures:
         for cid, k in modes.items():
             window = recording_window(P, ModeIndex(k=k, n=1))
             assert window * (1 - 2 / points) <= last_t[cid] < window
-
-    def test_figure_names_match_the_library(self):
-        assert _FIGURES == FIGURE_NAMES
 
     def test_all_expands(self, tmp_path):
         out = tmp_path / "figs"
@@ -736,12 +733,41 @@ class TestFreshProcess:
             "print(rc, 'scipy' in sys.modules)"
         ) == "0 False"
 
+    @pytest.mark.parametrize("module", ["memdomain.lifetime", "memdomain.memory"])
+    def test_scalar_model_loads_no_numeric_module(self, module):
+        assert _child(
+            f"import sys, {module}; "
+            "print(sorted(m for m in ('numpy', 'scipy') if m in sys.modules))"
+        ) == "[]"
+
+    @pytest.mark.parametrize("command", ["record", "recall", "forget-sweep", "lifetimes"])
+    def test_scalar_command_loads_no_numeric_module(self, tmp_path, command):
+        reg = tmp_path / "reg.json"
+        spec = write_spectrum(tmp_path / "stim.json", (2.0, 1, 1.0))
+        assert main(["record", "--registry", str(reg), "--spectrum", str(spec),
+                     "--t", "0", "--L", "1", "--no-timestamp"]) == 0
+        argv = {
+            "record": ["record", "--registry", str(reg), "--spectrum", str(spec),
+                       "--t", "1", "--L", "1"],
+            "recall": ["recall", "--registry", str(reg), "--signal", str(spec),
+                       "--energy", "10", "--t", "1", "--L", "1",
+                       "--out", str(tmp_path / "recall.json")],
+            "forget-sweep": ["forget-sweep", "--registry", str(reg), "--t", "1",
+                             "--L", "1"],
+            "lifetimes": ["lifetimes", "--L", "1", "--k", "2", "--n", "1",
+                          "--out", str(tmp_path / "l.csv")],
+        }[command]
+        assert _child(
+            f"import sys; from memdomain.cli import main; rc = main({argv!r}); "
+            "print(rc, sorted(m for m in ('numpy', 'scipy') if m in sys.modules))"
+        ) == "0 []"
+
     def test_thread_cap_reaches_openblas(self, tmp_path):
         env = _child_env(MEMDOMAIN_THREADS="1")
         for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
             env.pop(var, None)
-        argv = ["lifetimes", "--L", "1", "--k", "2", "--n", "1",
-                "--out", str(tmp_path / "l.csv")]
+        argv = ["evolve", "--L", "1", "--k", "2", "--n", "1", "--t-max", "1",
+                "--points", "20", "--out", str(tmp_path / "e.csv")]
         threads = _child(
             _BLAS_THREADS + "from memdomain.cli import main\n"
             f"rc = main({argv!r})\nprint(rc, blas_threads())\n",

@@ -4,10 +4,15 @@ The window length is cross-checked against a bisection root of the
 common-frequency expression, which never sees the log formula.
 """
 
+import ast
 import math
+import sys
+from pathlib import Path
 
 import pytest
 
+import memdomain.lifetime
+import memdomain.oscillator
 from memdomain.errors import ModeDead, NeverRecordable
 from memdomain.lifetime import (
     FIGURE_NAMES,
@@ -293,3 +298,56 @@ class TestSnapshot:
     def test_at_start_everything_above_k0_lives(self):
         snap = domain_snapshot(P, 3, 0.0, query_ks=(0.49, 0.5, 0.51, 5.0))
         assert snap.alive == (0.51, 5.0)
+
+
+def _module_level_imports(name: str) -> set:
+    """What memdomain.<name> imports when it loads: top-level package names
+    for absolute imports, memdomain.<module> for the package's own modules.
+    Imports inside functions (the lazy ones) are left out."""
+    path = Path(memdomain.lifetime.__file__).with_name(f"{name}.py")
+    found = set()
+
+    def visit(node):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            if isinstance(child, ast.Import):
+                found.update(alias.name.partition(".")[0] for alias in child.names)
+            elif isinstance(child, ast.ImportFrom) and child.level:
+                found.update(
+                    [f"memdomain.{child.module}"] if child.module
+                    else (f"memdomain.{alias.name}" for alias in child.names)
+                )
+            elif isinstance(child, ast.ImportFrom):
+                found.add(child.module.partition(".")[0])
+            visit(child)
+
+    visit(ast.parse(path.read_text(encoding="utf-8")))
+    return found
+
+
+def _non_stdlib(imports: set) -> set:
+    return {m for m in imports if m not in sys.stdlib_module_names}
+
+
+class TestImportGraph:
+    """lifetime is the stdlib-only base that memory (and so the registry
+    commands) stands on; the numeric stack stays out of it."""
+
+    def test_lifetime_is_stdlib_only(self):
+        assert _non_stdlib(_module_level_imports("lifetime")) <= {"memdomain.errors"}
+
+    def test_memory_rests_on_lifetime_only(self):
+        imports = _non_stdlib(_module_level_imports("memory"))
+        assert "memdomain.lifetime" in imports
+        assert imports <= {"memdomain.errors", "memdomain.lifetime"}
+
+    def test_fock_skips_the_trajectory_stack(self):
+        imports = _module_level_imports("fock")
+        assert "memdomain.lifetime" in imports
+        assert not imports & {"memdomain.oscillator", "memdomain.bessel", "memdomain.ode"}
+
+    def test_oscillator_reexports_the_scalar_model(self):
+        for name in ("SystemParams", "ModeIndex", "omega_mode", "common_frequency"):
+            assert name in memdomain.oscillator.__all__
+            assert getattr(memdomain.oscillator, name) is getattr(memdomain.lifetime, name)
