@@ -16,9 +16,10 @@ Evaluation is recurrence-based and self-contained:
   underflows to 0, and y_n once the recurrence overflows (which would
   otherwise go on to inf - inf = nan two orders later).
 
-Derivatives use f_n' = f_{n-1} - ((n+1)/z) f_n (and f_0' = -f_1); below
-z = 0.08, j_n'' comes from the series values of j_{n-2}, j_n, j_{n+2} instead.
-Past the float range y_n' is +inf and y_n'' is -inf.
+Derivatives use f_n' = f_{n-1} - ((n+1)/z) f_n (and f_0' = -f_1), and y_n''
+that recurrence applied twice; j_n'' comes from the values of j_{n-2}, j_n,
+j_{n+2}, which do not cancel at small z. Past the float range y_n' is +inf
+and y_n'' is -inf.
 
 sph_j_array / sph_y_array evaluate one order over a whole array of z with a
 single vectorised recurrence. They perform the same IEEE operations per
@@ -343,22 +344,30 @@ def sph_deriv(kind: BesselKind, n: int, z: float) -> float:
 
 
 def sph_second_deriv(kind: BesselKind, n: int, z: float) -> float:
-    """d^2/dz^2 via the derivative recurrence applied twice.
+    """d^2/dz^2 from the values of the chosen kind, never from the
+    defining differential equation, so it can be used to verify that
+    equation.
 
-    f_n'' = f_{n-1}' - ((n+1)/z) f_n' + ((n+1)/z^2) f_n for n >= 1 and
-    f_0'' = -f_1'; j_n'' below z = 0.08 comes from series values instead.
-    Independent of the defining differential equation, so it can be used to
-    verify that equation. y_n'' is -inf past the float range.
+    j_n'' comes from two steps of (2n+1) f_n' = n f_{n-1} - (n+1) f_{n+1}:
+
+        (2n+1) j_n'' = n(n-1)/(2n-1) j_{n-2}
+                       - (n^2/(2n-1) + (n+1)^2/(2n+3)) j_n
+                       + (n+1)(n+2)/(2n+3) j_{n+2},
+
+    where the first term is absent for n <= 1. Nothing cancels there. The
+    derivative recurrence below, applied to j, cancels its 1/z terms at
+    small z: against mpmath it loses 7e-11 relative accuracy at z = 0.08
+    and 4e-13 at z = 0.3, and over 0.08 <= z <= 1e3 it is nowhere more
+    accurate than the combination, which also needs three values, not five.
+    y_n'' uses f_n'' = f_{n-1}' - ((n+1)/z) f_n' + ((n+1)/z^2) f_n for
+    n >= 1 and f_0'' = -f_1'; it is -inf past the float range.
     """
     _check_n(n)
     _check_z(z, positive_only=True)
-    if kind is BesselKind.FIRST and z < _SERIES_BELOW:
-        # the recurrence's 1/z terms cancel here; two steps of
-        # (2n+1) f_n' = n f_{n-1} - (n+1) f_{n+1} give j_n'' from the series
-        # values j_{n-2}, j_n, j_{n+2}, where j_{n-2} (n >= 2) or j_n dominates
-        jm = n * (n - 1) / (2 * n - 1) * _series_j(n - 2, z) if n > 1 else 0.0
-        j = (n * n / (2 * n - 1) + (n + 1) ** 2 / (2 * n + 3)) * _series_j(n, z)
-        jp = (n + 1) * (n + 2) / (2 * n + 3) * _series_j(n + 2, z)
+    if kind is BesselKind.FIRST:
+        jm = n * (n - 1) / (2 * n - 1) * sph_j(n - 2, z) if n > 1 else 0.0
+        j = (n * n / (2 * n - 1) + (n + 1) ** 2 / (2 * n + 3)) * sph_j(n, z)
+        jp = (n + 1) * (n + 2) / (2 * n + 3) * sph_j(n + 2, z)
         return (jm - j + jp) / (2 * n + 1)
     if n == 0:
         return -sph_deriv(kind, 1, z)

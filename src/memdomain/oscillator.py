@@ -18,6 +18,11 @@ r'' + Omega(t)^2 r = 0 with Omega = sqrt(w^2 - L^2/4) via
 u = r/sqrt(2) * exp(-Lt/2), v = r/sqrt(2) * exp(+Lt/2); Omega is real only
 while the frequency stays above L/2 (the reality window).
 
+The adaptive oracle `integrate_pair` uses the same structure: it integrates
+the amplified line v and derives u = exp(-Lt) v and r = sqrt(2) v exp(-Lt/2)
+from it. It integrates the damped line as well only for a start whose u half
+is not the image of its v half, which no closed-form start is.
+
 The mirrored branch n -> -(n+1) (growing frequency) is excluded by design.
 SystemParams, ModeIndex, omega_mode and common_frequency belong to the
 numpy-free scalar model in memdomain.lifetime and are re-exported here.
@@ -76,7 +81,8 @@ class TrajectoryMethod(enum.Enum):
 @dataclass
 class Trajectory:
     """Sampled pair solution. r is the parametric-oscillator radius, which
-    satisfies u * v = r^2 / 2 identically."""
+    satisfies u * v = r^2 / 2 whenever u and v share one undamped solution,
+    as every closed-form pair does."""
 
     times: np.ndarray
     u: np.ndarray
@@ -194,9 +200,15 @@ def integrate_pair(
 ) -> Trajectory:
     """Adaptive-RK oracle for the pair: init = (u, du, v, dv) at t_grid[0].
 
-    r is reconstructed from the damped line, r = sqrt(2) u exp(+Lt/2).
-    meta holds rel_tol and, under "u" and "v", each line's step statistics
-    (see memdomain.ode.integrate_oscillator).
+    The amplified line v is integrated. u and v share one undamped solution
+    w (u = exp(-Lt/2) w, v = exp(+Lt/2) w), so u = exp(-Lt) v and
+    r = sqrt(2) v exp(-Lt/2) follow from it. The damped line u is integrated
+    too only when its start is not the image of v's start,
+    (exp(-L t0) v0, exp(-L t0) (dv0 - L v0)), to within the stepper's own
+    error scale rel_tol (1 + |image|); closed_form_state starts always are.
+    r comes from v in either case. meta holds rel_tol and, under "v" and
+    "u", each integrated line's step statistics (see
+    memdomain.ode.integrate_oscillator); "u" is None when u was derived.
     """
     init = tuple(float(q) for q in init)
     if len(init) != 4:
@@ -214,9 +226,17 @@ def integrate_pair(
         return w * w
 
     t_grid = np.asarray(t_grid, dtype=float)
-    u, _, u_stats = integrate_oscillator(w2, +params.L, *init[:2], t_grid, rel_tol)
-    v, _, v_stats = integrate_oscillator(w2, -params.L, *init[2:], t_grid, rel_tol)
-    r = math.sqrt(2.0) * u * np.exp(params.L * t_grid / 2)
+    u0, du0, v0, dv0 = init
+    v, _, v_stats = integrate_oscillator(w2, neg_l, v0, dv0, t_grid, rel_tol)
+    shift = exp(neg_l * float(t_grid[0]))
+    image = (shift * v0, shift * (dv0 - params.L * v0))
+    # written so that a nan start takes the integrating branch and fails there
+    if all(abs(q - q_img) <= rel_tol * (1.0 + abs(q_img))
+           for q, q_img in zip((u0, du0), image)):
+        u, u_stats = v * np.exp(neg_l * t_grid), None
+    else:
+        u, _, u_stats = integrate_oscillator(w2, params.L, u0, du0, t_grid, rel_tol)
+    r = math.sqrt(2.0) * v * np.exp(neg_l * t_grid / 2)
     return Trajectory(
         t_grid,
         u,
@@ -224,7 +244,7 @@ def integrate_pair(
         r,
         mode,
         TrajectoryMethod.INTEGRATED,
-        meta={"rel_tol": rel_tol, "u": u_stats, "v": v_stats},
+        meta={"rel_tol": rel_tol, "v": v_stats, "u": u_stats},
     )
 
 

@@ -188,6 +188,16 @@ class TestDerivatives:
                 else:
                     assert got == pytest.approx(float(ref), rel=1e-12, abs=1e-300), (n, order)
 
+    @pytest.mark.parametrize("z", [0.08, 0.1, 0.3])
+    def test_first_kind_second_derivative_above_series_range(self, z):
+        # the derivative recurrence read 7.2e-11 (n = 1, z = 0.08) and
+        # 4.9e-11 (n = 1, z = 0.1) here; the closed-form j_1 limits the
+        # value combination to about 5e-14
+        for n in range(6):
+            ref = float(bessel_deriv("j", n, z, 2, dps=60))
+            got = sph_second_deriv(BesselKind.FIRST, n, z)
+            assert abs(got - ref) <= 1e-13 * abs(ref), n
+
 
 class TestDomain:
     def test_rejects_bad_arguments(self):

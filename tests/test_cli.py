@@ -152,10 +152,21 @@ class TestEvolve:
         }
         assert results["max_rel_deviation"] == rel
         assert results["ode"] == ode.meta
-        for line in ("u", "v"):
-            stats = results["ode"][line]
-            assert stats["nfev"] == 1 + 6 * (stats["accepted"] + stats["rejected"])
-            assert 0 < stats["h_min"] <= stats["h_max"] <= 3.0
+        # a closed-form start: only v is integrated, u is derived from it
+        assert sorted(results["ode"]) == ["rel_tol", "u", "v"]
+        assert results["ode"]["u"] is None
+        stats = results["ode"]["v"]
+        assert stats["nfev"] == 1 + 6 * (stats["accepted"] + stats["rejected"])
+        assert 0 < stats["h_min"] <= stats["h_max"] <= 3.0
+
+    def test_both_large_mode_radius_deviation(self, tmp_path):
+        # r taken from an integrated damped line deviated by 1.2e-3 here
+        out = tmp_path / "big.csv"
+        assert main(["evolve", "--L", "1", "--k", "55", "--n", "9", "--t-max", "30",
+                     "--points", "500", "--method", "both", "--out", str(out),
+                     "--no-timestamp"]) == 0
+        results = json.loads((tmp_path / "big.csv.manifest.json").read_text())["results"]
+        assert results["max_rel_deviation"]["r"] <= 1e-6
 
     def test_ode_method_alone(self, tmp_path):
         code, out = self._run(tmp_path, "--method", "ode")

@@ -30,6 +30,7 @@ from memdomain.oscillator import (
     residual,
     substitution,
 )
+from memdomain.lifetime import recording_window
 from memdomain.ode import _A, _B4, _B5, _C
 
 from _oracles import vector_damped_oscillator
@@ -292,6 +293,85 @@ class TestIntegration:
         grid = np.linspace(0.0, 2.0, 51)
         traj = integrate_pair(PARAMS, MODE2, (0.0, 0.0, 0.0, 0.0), grid)
         assert np.all(traj.u == 0.0) and np.all(traj.v == 0.0)
+        assert np.all(traj.r == 0.0)
+        assert traj.meta["u"] is None
+
+    def test_closed_form_start_integrates_v_only(self):
+        # u = exp(-Lt) v and r = sqrt(2) v exp(-Lt/2) at absolute t, also
+        # for a grid that starts after t = 0
+        for t0 in (0.0, 0.75):
+            grid = np.linspace(t0, 3.0, 201)
+            init = closed_form_state(PARAMS, MODE2, t0)
+            traj = integrate_pair(PARAMS, MODE2, init, grid)
+            assert traj.meta["u"] is None
+            assert traj.meta["v"]["accepted"] > 0
+            assert np.array_equal(traj.u, traj.v * np.exp(-PARAMS.L * grid))
+            assert traj.u[0] == pytest.approx(init[0], rel=1e-15)
+            ref = closed_form_trajectory(PARAMS, MODE2, grid)
+            for line in ("u", "v", "r"):
+                assert np.max(np.abs(getattr(traj, line) - getattr(ref, line))) <= 1e-8
+
+    def test_closed_form_starts_take_the_single_line_branch(self):
+        # the two halves of a closed-form start agree to about 1 ulp, far
+        # inside the tightest rel_tol, for either kind and any start time
+        rng = random.Random(4)
+        for _ in range(300):
+            params = SystemParams(L=rng.uniform(0.1, 5.0), c=rng.uniform(0.5, 2.0))
+            k = math.exp(rng.uniform(0.01, 4.5)) * params.L / (2 * params.c)
+            mode = ModeIndex(k=k, n=rng.randrange(13))
+            t0 = rng.uniform(0.0, 0.95) * recording_window(params, mode)
+            coeffs = rng.choice([(1.0, 0.0), (0.0, 1.0), (0.7, -0.4)])
+            init = closed_form_state(params, mode, t0, coeffs)
+            traj = integrate_pair(params, mode, init, [t0, t0 + 1e-3], rel_tol=1e-13)
+            assert traj.meta["u"] is None, (params, mode, t0, coeffs)
+
+    @staticmethod
+    def _damped_line(mode, init, grid, rel_tol=1e-10):
+        return vector_damped_oscillator(_mode_w2(PARAMS, mode), PARAMS.L, init, grid, rel_tol)
+
+    def test_mismatched_start_integrates_both_lines(self):
+        grid = np.linspace(0.0, 3.0, 121)
+        init = (1.0, 0.0, 0.0, 1.0)
+        traj = integrate_pair(PARAMS, MODE2, init, grid)
+        assert traj.meta["u"] is not None
+        _assert_bitwise(traj.u, self._damped_line(MODE2, init[:2], grid)[:, 0])
+        v_ref = vector_damped_oscillator(_mode_w2(PARAMS, MODE2), -PARAMS.L, init[2:], grid)
+        _assert_bitwise(traj.v, v_ref[:, 0])
+        _assert_bitwise(traj.r, math.sqrt(2.0) * traj.v * np.exp(-PARAMS.L * grid / 2))
+
+    def test_perturbed_closed_form_start_integrates_both_lines(self):
+        grid = np.linspace(0.0, 3.0, 121)
+        u0, du0, v0, dv0 = closed_form_state(PARAMS, MODE2, 0.0)
+        for init in ((u0 + 1e-6, du0, v0, dv0), (u0, du0 - 1e-6, v0, dv0)):
+            traj = integrate_pair(PARAMS, MODE2, init, grid)
+            assert traj.meta["u"] is not None
+            _assert_bitwise(traj.u, self._damped_line(MODE2, init[:2], grid)[:, 0])
+
+    @pytest.mark.parametrize("rel_tol", [1e-10, 1e-6])
+    def test_branch_follows_the_rel_tol_scale(self, rel_tol):
+        # the image of v's start, then u and u' moved to just inside and
+        # just outside rel_tol (1 + |image|)
+        grid = np.linspace(1.0, 3.0, 81)
+        v0, dv0 = 0.3, -0.7
+        shift = math.exp(-PARAMS.L * 1.0)
+        image = (shift * v0, shift * (dv0 - PARAMS.L * v0))
+        for which in (0, 1):
+            for factor, integrates_u in ((0.99, False), (1.01, True)):
+                start = list(image)
+                start[which] += factor * rel_tol * (1.0 + abs(image[which]))
+                traj = integrate_pair(PARAMS, MODE2, (*start, v0, dv0), grid, rel_tol)
+                assert (traj.meta["u"] is not None) == integrates_u, (which, factor)
+                if integrates_u:
+                    ref = self._damped_line(MODE2, start, grid, rel_tol)
+                    _assert_bitwise(traj.u, ref[:, 0])
+                else:
+                    assert np.array_equal(traj.u, traj.v * np.exp(-PARAMS.L * grid))
+
+    def test_non_finite_u_start_is_not_dropped(self):
+        grid = np.linspace(0.0, 1.0, 11)
+        _, du0, v0, dv0 = closed_form_state(PARAMS, MODE2, 0.0)
+        with pytest.raises(StepSizeUnderflow, match="step nan"):
+            integrate_pair(PARAMS, MODE2, (math.nan, du0, v0, dv0), grid)
 
     def test_time_reversal_maps_lines(self):
         # v integrated forward equals the damped line driven by the
@@ -434,11 +514,15 @@ class TestStepperAgainstVectorForm:
             init = closed_form_state(params, mode, 0.0)
             traj = integrate_pair(params, mode, init, grid)
             w2 = _mode_w2(params, mode)
-            for damping, line, got in ((params.L, init[:2], traj.u),
-                                       (-params.L, init[2:], traj.v)):
+            v_ref = vector_damped_oscillator(w2, -params.L, init[2:], grid)
+            _assert_bitwise(traj.v, v_ref[:, 0])
+            for damping, line in ((params.L, init[:2]), (-params.L, init[2:])):
                 ref = vector_damped_oscillator(w2, damping, line, grid)
-                _assert_bitwise(got, ref[:, 0])
                 _assert_bitwise(integrate_damped_oscillator(w2, damping, line, grid), ref)
+            # u is derived from v, not integrated
+            assert traj.meta["u"] is None
+            closed = closed_form_trajectory(params, mode, grid)
+            assert np.max(np.abs(traj.u - closed.u)) <= 1e-6
 
     def test_zero_data(self):
         grid = np.linspace(0.0, 2.0, 51)
@@ -466,8 +550,10 @@ class TestStepperAgainstVectorForm:
         init = closed_form_state(params, mode, 0.0)
         w2 = _mode_w2(params, mode)
         traj = integrate_pair(params, mode, init, grid)
-        _assert_bitwise(traj.u, vector_damped_oscillator(w2, params.L, init[:2], grid)[:, 0])
         _assert_bitwise(traj.v, vector_damped_oscillator(w2, -params.L, init[2:], grid)[:, 0])
+        u_ref = vector_damped_oscillator(w2, params.L, init[:2], grid)
+        _assert_bitwise(integrate_damped_oscillator(w2, params.L, init[:2], grid), u_ref)
+        assert np.max(np.abs(traj.u - closed_form_trajectory(params, mode, grid).u)) <= 1e-6
         ref = vector_damped_oscillator(w2, params.L, init[:2], grid, 1e-8)
         _assert_bitwise(integrate_damped_oscillator(w2, params.L, init[:2], grid, 1e-8), ref)
 
@@ -521,31 +607,37 @@ class TestIntegratorAccuracy:
     def test_large_mode_against_mpmath(self):
         """k = 55, n = 9 on 500 points up to t = 30 against mpmath's Bessel
         function. rel_tol = 1e-10 bounds each step's local error, with the
-        same 1e-10 as an absolute floor on lines of size 1e-3 (u) and 1e2
-        (v); over the 6 000 (u) and 26 000 (v) steps the global error
-        reaches 7.1e-8 (u) and 5.0e-8 (v) of each line's largest value.
-        The bound leaves a factor of 14; the closed form stays within 1e-12."""
+        same 1e-10 as an absolute floor on the amplified line v, of size
+        1e2; over its 26 000 steps the global error reaches 5.0e-8 of the
+        line's largest value. u = exp(-Lt) v and r = sqrt(2) v exp(-Lt/2)
+        carry v's relative error, and read 2.0e-8 (u) and 4.8e-8 (r). r
+        taken from an integrated damped line, of size 1e-3 under the same
+        absolute floor, read 1.2e-3. The bound leaves a factor of 20; the
+        closed form stays within 1e-12."""
         params = SystemParams(L=1.0)
         mode = ModeIndex(k=55.0, n=9)
         grid = np.linspace(0.0, 30.0, 500)
         traj = integrate_pair(params, mode, closed_form_state(params, mode, 0.0), grid)
         closed = closed_form_trajectory(params, mode, grid)
         sub = substitution(params, mode)
-        ref_u, ref_v = [], []
+        ref_u, ref_v, ref_r = [], [], []
         with mp.workdps(30):
             alpha, eps = mp.mpf(sub.alpha), mp.mpf(sub.epsilon)
             for t in grid.tolist():
                 x = mp.exp(-mp.mpf(t) / alpha)
                 z = eps * x
                 m = mp.sqrt(mp.pi / (2 * z)) * mp.besselj(mp.mpf(mode.n) + 0.5, z)
-                ref_u.append(float(m * x ** (mode.n + 1)))
+                u = m * x ** (mode.n + 1)
+                ref_u.append(float(u))
                 ref_v.append(float(m * x ** (-mode.n)))
-        for ref, ode, cf in ((ref_u, traj.u, closed.u), (ref_v, traj.v, closed.v)):
+                ref_r.append(float(mp.sqrt(2) * u * mp.exp(params.L * mp.mpf(t) / 2)))
+        for ref, ode, cf in ((ref_u, traj.u, closed.u), (ref_v, traj.v, closed.v),
+                             (ref_r, traj.r, closed.r)):
             ref = np.array(ref)
             size = np.max(np.abs(ref))
             assert np.max(np.abs(ode - ref)) <= 1e-6 * size
             assert np.max(np.abs(cf - ref)) <= 1e-12 * size
-        for line in ("u", "v"):
-            stats = traj.meta[line]
-            assert stats["nfev"] == 1 + 6 * (stats["accepted"] + stats["rejected"])
-            assert 0 < stats["h_min"] <= stats["h_max"] <= 30.0
+        assert traj.meta["u"] is None
+        stats = traj.meta["v"]
+        assert stats["nfev"] == 1 + 6 * (stats["accepted"] + stats["rejected"])
+        assert 0 < stats["h_min"] <= stats["h_max"] <= 30.0
