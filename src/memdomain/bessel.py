@@ -6,8 +6,8 @@ Evaluation is recurrence-based and self-contained:
 * first kind j_n: downward (Miller) recurrence from a padded start order,
   normalised against the closed forms of j_0 and j_1. Upward recurrence is
   unstable for j_n once n exceeds z, downward is stable everywhere. Below
-  z = 0.08 the ascending power series is used instead, for every order:
-  the closed form j_1 = sin z/z^2 - cos z/z cancels as z -> 0, and the
+  z = 1 the ascending power series is used instead, for every order: the
+  closed form j_1 = sin z/z^2 - cos z/z cancels as z -> 0, and the
   downward pass overflows once z is far below n.
 * second kind y_n: upward recurrence seeded with the closed forms of y_0
   and y_1; y is the dominant solution so upward is stable. y_n(z) is
@@ -16,16 +16,17 @@ Evaluation is recurrence-based and self-contained:
   underflows to 0, and y_n once the recurrence overflows (which would
   otherwise go on to inf - inf = nan two orders later).
 
-Derivatives use f_n' = f_{n-1} - ((n+1)/z) f_n (and f_0' = -f_1), and y_n''
-that recurrence applied twice; j_n'' comes from the values of j_{n-2}, j_n,
-j_{n+2}, which do not cancel at small z. Past the float range y_n' is +inf
-and y_n'' is -inf.
+Derivatives use f_n' = f_{n-1} - ((n+1)/z) f_n (and f_0' = -f_1); f_n''
+comes, for both kinds, from the values of f_{n-2}, f_n and f_{n+2}, which
+do not cancel at small z. Past the float range y_n' is +inf and y_n'' is
+-inf.
 
 sph_j_array / sph_y_array evaluate one order over a whole array of z with a
 single vectorised recurrence. They perform the same IEEE operations per
-element as the scalar functions, so their results are bitwise equal; the
-scalar functions keep their own loop because a one-point call through the
-array path costs tens of times more.
+element as the scalar functions, so their results are bitwise equal. The
+series and the upward recurrence are one function each, serving a float or
+an array z; the scalar j_n keeps its own downward loop because a one-point
+call through the array path costs tens of times more.
 """
 
 import enum
@@ -55,11 +56,15 @@ _CHECK_AT = _RESCALE_AT / 16
 # Unnormalised value seeded at the start order of the downward pass.
 _SEED = 1e-30
 # j_n(z) comes from its ascending series for 0 < z < _SERIES_BELOW. There
-# z^2/2 < 0.0032, so the terms after the fifth are below 1e-22 of the sum
-# for every n; at the threshold the closed-form j_1 still holds about
-# 5e-14 relative accuracy.
-_SERIES_BELOW = 0.08
-_SERIES_TERMS = 5
+# z^2/2 < 0.5, so the first omitted term, the tenth, is below 1e-19 of the
+# sum for every n. Above the threshold the closed-form j_1 =
+# sin z/z^2 - cos z/z, which normalises the downward pass, no longer
+# cancels. Worst relative error of j_1 on 300 log-spaced z in [0.05, 1.5)
+# against the 40-digit series: 7.5e-14 with the series below 0.08 (5
+# terms), 4.1e-15 below 0.3 (6 terms), 3.0e-15 below 0.5 (7 terms) and
+# 5.3e-16 below 1 (9 terms), where every order n <= 12 is within 8.4e-16.
+_SERIES_BELOW = 1.0
+_SERIES_TERMS = 9
 
 
 class BesselKind(enum.Enum):
@@ -108,7 +113,7 @@ def _start_order(n: int, z: float) -> int:
     Miller's algorithm: seed a tiny value above the padded start order and
     recur down; the minimal solution j dominates the descent. The pad must
     clear the turning point m ~ z with room to spare. 20 extra orders on top
-    of 1.5 z are enough over n <= 12 and 0.08 <= z <= 1.2e3: the tests hold
+    of 1.5 z are enough over n <= 12 and 1 <= z <= 1.2e3: the tests hold
     each order within 1e-12 of its largest value against scipy.special
     there (below 2e-14 for n >= 2), and an mpmath probe found 2e-14 relative
     error at z = 1045, which large-momentum modes reach at t = 0.
@@ -187,20 +192,28 @@ def _seeds_y(z):
     return -c / z, (-c / zz if zz else -math.inf) - s / z
 
 
+def _upward_y(n, z, y0, y1):
+    """y_n from y_0 and y_1 by the upward recurrence.
+
+    The same +, *, / sequence serves a float or an array z, so sph_y and
+    sph_y_array agree bit for bit. An overflowed recurrence is left as it
+    ends, -inf or nan; the callers map nan to -inf.
+    """
+    if n == 0:
+        return y0
+    prev, cur = y0, y1
+    for m in range(1, n):
+        prev, cur = cur, (2 * m + 1) / z * cur - prev
+    return cur
+
+
 def sph_y(n: int, z: float) -> float:
     """Second-kind spherical Bessel y_n(z) for n >= 0, z > 0."""
     _check_n(n)
     _check_z(z, positive_only=True)
-    y0, y1 = _seeds_y(z)
-    if n == 0:
-        return y0
-    if n == 1:
-        return y1
-    prev, cur = y0, y1
-    for m in range(1, n):
-        prev, cur = cur, (2 * m + 1) / z * cur - prev
+    y = _upward_y(n, z, *_seeds_y(z))
     # nan only from -inf - (-inf) after the recurrence overflowed
-    return -math.inf if math.isnan(cur) else cur
+    return -math.inf if math.isnan(y) else y
 
 
 def _seed_columns(seeds, z):
@@ -307,15 +320,11 @@ def sph_y_array(n: int, z) -> np.ndarray:
     _check_n(n)
     z = _check_z_array(z, positive_only=True)
     flat = z.ravel()
-    prev, cur = _seed_columns(_seeds_y, flat)
-    if n == 0:
-        return prev.reshape(z.shape)
     # overflow to inf / nan stays silent, as in float arithmetic
     with np.errstate(over="ignore", invalid="ignore"):
-        for m in range(1, n):
-            prev, cur = cur, (2 * m + 1) / flat * cur - prev
-    cur[np.isnan(cur)] = -np.inf
-    return cur.reshape(z.shape)
+        y = _upward_y(n, flat, *_seed_columns(_seeds_y, flat))
+    y[np.isnan(y)] = -np.inf
+    return y.reshape(z.shape)
 
 
 def _value(kind: BesselKind, n: int, z: float) -> float:
@@ -348,35 +357,27 @@ def sph_second_deriv(kind: BesselKind, n: int, z: float) -> float:
     defining differential equation, so it can be used to verify that
     equation.
 
-    j_n'' comes from two steps of (2n+1) f_n' = n f_{n-1} - (n+1) f_{n+1}:
+    Two steps of (2n+1) f_n' = n f_{n-1} - (n+1) f_{n+1}, which both kinds
+    obey (NIST DLMF 10.51), give
 
-        (2n+1) j_n'' = n(n-1)/(2n-1) j_{n-2}
-                       - (n^2/(2n-1) + (n+1)^2/(2n+3)) j_n
-                       + (n+1)(n+2)/(2n+3) j_{n+2},
+        (2n+1) f_n'' = n(n-1)/(2n-1) f_{n-2}
+                       - (n^2/(2n-1) + (n+1)^2/(2n+3)) f_n
+                       + (n+1)(n+2)/(2n+3) f_{n+2},
 
-    where the first term is absent for n <= 1. Nothing cancels there. The
-    derivative recurrence below, applied to j, cancels its 1/z terms at
-    small z: against mpmath it loses 7e-11 relative accuracy at z = 0.08
-    and 4e-13 at z = 0.3, and over 0.08 <= z <= 1e3 it is nowhere more
-    accurate than the combination, which also needs three values, not five.
-    y_n'' uses f_n'' = f_{n-1}' - ((n+1)/z) f_n' + ((n+1)/z^2) f_n for
-    n >= 1 and f_0'' = -f_1'; it is -inf past the float range.
+    where the first term is absent for n <= 1. Nothing cancels in it at
+    small z, unlike the derivative recurrence applied twice, whose 1/z terms
+    cost j_n'' 7e-11 relative accuracy at z = 0.08. For y_n'' the two are
+    alike: against mpmath over n <= 12 and 40 log-spaced z in [0.08, 1.2e3],
+    the error as a fraction of the largest term of the Bessel equation is at
+    most 1.8e-15, against 1.5e-15 for the recurrence applied twice. y_n'' is
+    -inf past the float range, and also just inside it, from |y_n''| of
+    about 2e307 on, where y_{n+2}, up to 4 times larger, has overflowed.
     """
     _check_n(n)
     _check_z(z, positive_only=True)
-    if kind is BesselKind.FIRST:
-        jm = n * (n - 1) / (2 * n - 1) * sph_j(n - 2, z) if n > 1 else 0.0
-        j = (n * n / (2 * n - 1) + (n + 1) ** 2 / (2 * n + 3)) * sph_j(n, z)
-        jp = (n + 1) * (n + 2) / (2 * n + 3) * sph_j(n + 2, z)
-        return (jm - j + jp) / (2 * n + 1)
-    if n == 0:
-        return -sph_deriv(kind, 1, z)
-    zz = z * z
-    if not zz:
-        return -math.inf
-    fp_nm1 = sph_deriv(kind, n - 1, z)
-    fp_n = sph_deriv(kind, n, z)
-    f_n = _value(kind, n, z)
-    d = fp_nm1 - (n + 1) / z * fp_n + (n + 1) / zz * f_n
-    # nan only from inf - inf once the second-kind terms have overflowed
+    fm = n * (n - 1) / (2 * n - 1) * _value(kind, n - 2, z) if n > 1 else 0.0
+    f = (n * n / (2 * n - 1) + (n + 1) ** 2 / (2 * n + 3)) * _value(kind, n, z)
+    fp = (n + 1) * (n + 2) / (2 * n + 3) * _value(kind, n + 2, z)
+    d = (fm - f + fp) / (2 * n + 1)
+    # nan only from inf - inf once the second-kind values have overflowed
     return -math.inf if math.isnan(d) else d

@@ -67,11 +67,11 @@ from .lifetime import (
     recording_window,
 )
 
-# lifetime (the scalar model) and memory load no numpy, so the registry and
-# lifetimes commands never do. The numeric modules (bessel, oscillator, ode;
-# scipy through fock) are imported inside the runners that use them, after
-# _Run has applied MEMDOMAIN_THREADS: OpenBLAS reads its thread count once,
-# when numpy loads it.
+# lifetime (the scalar model) and memory load no numpy, so the registry,
+# lifetimes and figures commands never do. The numeric modules (bessel,
+# oscillator, ode; scipy through fock) are imported inside the runners that
+# use them, after _Run has applied MEMDOMAIN_THREADS: OpenBLAS reads its
+# thread count once, when numpy loads it.
 
 
 class _ValidationError(Exception):
@@ -491,9 +491,7 @@ def _run_evolve(resolved: dict) -> int:
     points = resolved["points"]
     if points < 2:
         raise _ValidationError(f"--points must be >= 2, got {points}")
-    if resolved["rel_tol"] is not None and not (
-        1e-13 <= resolved["rel_tol"] <= 1e-3
-    ):
+    if not 1e-13 <= resolved["rel_tol"] <= 1e-3:
         raise _ValidationError(
             f"--rel-tol must lie in [1e-13, 1e-3], got {resolved['rel_tol']!r}"
         )
@@ -582,18 +580,6 @@ def _run_lifetimes(resolved: dict) -> int:
     return 0
 
 
-def _figure_spec_doc(spec) -> dict:
-    return {
-        "figure": spec.figure,
-        "L": spec.L,
-        "c": spec.c,
-        "modes": [[k, n] for k, n in spec.modes],
-        "ceiling": spec.ceiling,
-        "points": spec.points,
-        "ordinate_scale": spec.ordinate_scale,
-    }
-
-
 def _run_figures(resolved: dict) -> int:
     run = _Run("figures", resolved)
     which = resolved["which"]
@@ -622,7 +608,7 @@ def _run_figures(resolved: dict) -> int:
         )
         run.write_output(
             out_dir / f"{name}.spec.json",
-            _json_bytes(_figure_spec_doc(spec)),
+            _json_bytes(dataclasses.asdict(spec)),
             anchor=out_dir,
         )
     run.manifest(out_dir / "manifest.json")

@@ -23,6 +23,7 @@ exactly, which the tests exploit as a consistency identity.
 
 import dataclasses
 import math
+import operator
 from dataclasses import dataclass
 
 from .errors import ModeDead, NeverRecordable, RealityViolation, UnsupportedBranch
@@ -201,14 +202,12 @@ class LifetimeProfile:
     def __post_init__(self):
         if len(self.times) != len(self.lambdas):
             raise ValueError("times and lambdas must have equal length")
-        import numpy as np  # here only, so that importing the model loads no numpy
-
-        # neighbour comparisons, not np.diff: inf - inf would hide a repeat
-        ts = np.fromiter(self.times, float, len(self.times))
-        ls = np.fromiter(self.lambdas, float, len(self.lambdas))
-        if (ts[1:] <= ts[:-1]).any():
+        # neighbour comparisons, not differences: inf - inf would hide a
+        # repeat; a nan compares false either way and passes
+        ts, ls = self.times, self.lambdas
+        if any(map(operator.ge, ts, ts[1:])):
             raise ValueError("times must be strictly increasing")
-        if (ls[1:] < ls[:-1]).any():
+        if any(map(operator.gt, ls, ls[1:])):
             raise ValueError("lambdas must be non-decreasing")
 
 

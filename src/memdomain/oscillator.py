@@ -13,6 +13,10 @@ so the pair has the closed form
     u = M_n(z) * x^(n+1),    v = M_n(z) * x^(-n),
     M_n = a * j_n + b * y_n.
 
+`closed_form_trajectory` samples (u, v, r) on a time grid with one Bessel
+pass per line; `closed_form_state` gives (u, u', v, v') at one time, the
+start an integration needs.
+
 Both lines also collapse onto a single parametric oscillator
 r'' + Omega(t)^2 r = 0 with Omega = sqrt(w^2 - L^2/4) via
 u = r/sqrt(2) * exp(-Lt/2), v = r/sqrt(2) * exp(+Lt/2); Omega is real only
@@ -28,7 +32,6 @@ SystemParams, ModeIndex, omega_mode and common_frequency belong to the
 numpy-free scalar model in memdomain.lifetime and are re-exported here.
 """
 
-import enum
 import math
 from dataclasses import dataclass, field
 
@@ -43,17 +46,13 @@ __all__ = [
     "SystemParams",
     "ModeIndex",
     "SubstitutionParams",
-    "TrajectoryMethod",
     "Trajectory",
     "omega_mode",
     "common_frequency",
     "substitution",
-    "closed_form_pair",
     "closed_form_state",
     "closed_form_trajectory",
-    "parametric_radius",
     "integrate_pair",
-    "integrate_damped_oscillator",
     "residual",
 ]
 
@@ -73,23 +72,17 @@ class SubstitutionParams:
         return self.epsilon * self.x(t)
 
 
-class TrajectoryMethod(enum.Enum):
-    CLOSED_FORM = "closed"
-    INTEGRATED = "integrated"
-
-
 @dataclass
 class Trajectory:
     """Sampled pair solution. r is the parametric-oscillator radius, which
     satisfies u * v = r^2 / 2 whenever u and v share one undamped solution,
-    as every closed-form pair does."""
+    as every closed-form pair does. meta is empty for the closed form and
+    holds the solver statistics of an integrated pair."""
 
     times: np.ndarray
     u: np.ndarray
     v: np.ndarray
     r: np.ndarray
-    mode: ModeIndex
-    method: TrajectoryMethod
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -117,16 +110,6 @@ def _combination(j, y, mode_n: int, z, coeffs):
     return m
 
 
-def closed_form_pair(
-    params: SystemParams, mode: ModeIndex, t: float, coeffs=(1.0, 0.0)
-) -> tuple[float, float]:
-    """(u(t), v(t)) from the Bessel closed form."""
-    sub = substitution(params, mode)
-    x = sub.x(t)
-    m = _combination(sph_j, sph_y, mode.n, sub.z(t), coeffs)
-    return m * x ** (mode.n + 1), m * x ** (-mode.n)
-
-
 def closed_form_state(
     params: SystemParams, mode: ModeIndex, t: float, coeffs=(1.0, 0.0)
 ) -> tuple[float, float, float, float]:
@@ -148,19 +131,13 @@ def closed_form_state(
     return u, du, v, dv
 
 
-def parametric_radius(params: SystemParams, mode: ModeIndex, t: float, coeffs=(1.0, 0.0)) -> float:
-    """r(t) = sqrt(2) u(t) exp(+Lt/2); solves r'' + Omega(t)^2 r = 0."""
-    u, _ = closed_form_pair(params, mode, t, coeffs)
-    return math.sqrt(2.0) * u * math.exp(params.L * t / 2)
-
-
 def closed_form_trajectory(
     params: SystemParams, mode: ModeIndex, t_grid, coeffs=(1.0, 0.0)
 ) -> Trajectory:
     """Closed-form (u, v, r) on a time grid, one Bessel pass per line.
 
-    The per-point factors use `math` so each sample equals closed_form_pair
-    and parametric_radius at that time bit for bit.
+    The per-point factors use `math` so each u and v sample equals
+    closed_form_state's at that time bit for bit.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     sub = substitution(params, mode)
@@ -172,23 +149,7 @@ def closed_form_trajectory(
     u = m * np.array([xi ** (n + 1) for xi in x])
     v = m * np.array([xi ** (-n) for xi in x])
     r = math.sqrt(2.0) * u * np.array([math.exp(params.L * t / 2) for t in times])
-    return Trajectory(t_grid, u, v, r, mode, TrajectoryMethod.CLOSED_FORM)
-
-
-def integrate_damped_oscillator(
-    omega_sq, damping: float, init, t_grid, rel_tol: float = 1e-10
-) -> np.ndarray:
-    """Integrate q'' + damping q' + omega_sq(t) q = 0 on a grid.
-
-    Returns an array of shape (len(t_grid), 2) holding (q, dq/dt). This is
-    the reusable form of the stepper behind integrate_pair; damping may be
-    negative, which gives the amplified line.
-    """
-    init = np.asarray(init, dtype=float)
-    if init.shape != (2,):
-        raise ValueError(f"init must be (q, dq/dt), got shape {init.shape}")
-    q, p, _ = integrate_oscillator(omega_sq, damping, *init.tolist(), t_grid, rel_tol)
-    return np.column_stack((q, p))
+    return Trajectory(t_grid, u, v, r)
 
 
 def integrate_pair(
@@ -237,15 +198,7 @@ def integrate_pair(
     else:
         u, _, u_stats = integrate_oscillator(w2, params.L, u0, du0, t_grid, rel_tol)
     r = math.sqrt(2.0) * v * np.exp(neg_l * t_grid / 2)
-    return Trajectory(
-        t_grid,
-        u,
-        v,
-        r,
-        mode,
-        TrajectoryMethod.INTEGRATED,
-        meta={"rel_tol": rel_tol, "v": v_stats, "u": u_stats},
-    )
+    return Trajectory(t_grid, u, v, r, meta={"rel_tol": rel_tol, "v": v_stats, "u": u_stats})
 
 
 def residual(params: SystemParams, mode: ModeIndex, trajectory: Trajectory):

@@ -102,6 +102,13 @@ class TestOracleGrid:
             ref = float(series_sph_j(n, z))
             assert sph_j(n, z) == pytest.approx(ref, rel=1e-12), (n, z)
 
+    @pytest.mark.parametrize("z", [0.08, 0.1, 0.2, 0.3, 0.6, 0.99])
+    def test_first_order_below_one_is_cancellation_free(self, z):
+        # the closed form sin z/z^2 - cos z/z read 4.6e-14 at z = 0.08 and
+        # 1.7e-15 at 0.3; the series below z = 1 holds j_1 to round-off
+        ref = float(series_sph_j(1, z))
+        assert abs(sph_j(1, z) - ref) <= 4e-16 * abs(ref)
+
 
 class TestIdentities:
     def test_wronskian(self):
@@ -191,12 +198,13 @@ class TestDerivatives:
     @pytest.mark.parametrize("z", [0.08, 0.1, 0.3])
     def test_first_kind_second_derivative_above_series_range(self, z):
         # the derivative recurrence read 7.2e-11 (n = 1, z = 0.08) and
-        # 4.9e-11 (n = 1, z = 0.1) here; the closed-form j_1 limits the
-        # value combination to about 5e-14
+        # 4.9e-11 (n = 1, z = 0.1) here, and the value combination 4.9e-14
+        # while j_1 came from its cancelling closed form; with j_1 from the
+        # series it reads 2.2e-16
         for n in range(6):
             ref = float(bessel_deriv("j", n, z, 2, dps=60))
             got = sph_second_deriv(BesselKind.FIRST, n, z)
-            assert abs(got - ref) <= 1e-13 * abs(ref), n
+            assert abs(got - ref) <= 1e-15 * abs(ref), n
 
 
 class TestDomain:
@@ -243,7 +251,7 @@ class TestDomain:
 def _array_grid():
     """Log grid over [1e-3, 1.2e3] with the awkward cases mixed in: points
     out of order, repeated points, and points below the series threshold
-    (z < 0.08) interleaved with points of the downward pass."""
+    (z < 1) interleaved with points of the downward pass."""
     z = np.geomspace(1e-3, 1.2e3, 241)
     extra = np.array([1e-8, 0.3, 2.0, 5.0, 5.0, 1045.0, 1e-3])
     z = np.concatenate([z, extra, z[::7]])
@@ -253,7 +261,7 @@ def _array_grid():
 class TestArrayKernel:
     Z = _array_grid()
 
-    # from n ~ 60 on, the downward pass rescales at z >= 0.08
+    # from n ~ 100 on, the downward pass rescales at z >= 1
     @pytest.mark.parametrize("n", [*range(13), 30, 40, 100, 150])
     def test_first_kind_bitwise_equals_scalar(self, n):
         z = np.concatenate([self.Z, [0.0, 0.0]])
@@ -261,8 +269,8 @@ class TestArrayKernel:
         assert np.array_equal(sph_j_array(n, z), ref)
 
     # z at which the downward pass would rescale on the very step that
-    # yields j_n. They lie below 0.08, so they pin the series branch's
-    # scalar/array tie; at z >= 0.08 the pass cannot reach the rescale level
+    # yields j_n. They lie below 1, so they pin the series branch's
+    # scalar/array tie; at z >= 1 the pass cannot reach the rescale level
     # within the 40 orders between its seed and n.
     @pytest.mark.parametrize("n,z0", [(2, 2.6829164714990188e-06),
                                       (5, 3.1522790535124164e-06),
@@ -306,9 +314,10 @@ class TestArrayKernel:
 
     @pytest.mark.parametrize("n", [*range(13), 30])
     def test_small_z_against_references(self, n):
-        # the series branch below z = 0.08 and the closed forms and downward
+        # the series branch below z = 1 and the closed forms and downward
         # pass just above it, down to z = 1e-300
-        z = np.concatenate([np.geomspace(1e-300, 0.5, 151), [0.08 * (1 - 2**-52), 0.08]])
+        z = np.concatenate([np.geomspace(1e-300, 0.5, 151),
+                            [0.08 * (1 - 2**-52), 0.08, 1 - 2**-53, 1.0]])
         ours = sph_j_array(n, z)
         assert np.array_equal(ours, [sph_j(n, float(x)) for x in z])
         ref = np.array([float(series_sph_j(n, float(x), dps=30)) for x in z])

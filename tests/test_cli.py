@@ -19,7 +19,6 @@ from memdomain.memory import CodeEntry, MemoryCode, MemoryRegistry
 from memdomain.oscillator import (
     ModeIndex,
     SystemParams,
-    closed_form_pair,
     closed_form_state,
     closed_form_trajectory,
     integrate_pair,
@@ -116,7 +115,7 @@ class TestEvolve:
         assert len(rows) == 60
         assert float(rows[0][0]) == 0.0
         assert float(rows[-1][0]) == 3.0
-        u0, v0 = closed_form_pair(P, ModeIndex(k=2.0, n=1), 0.0)
+        u0, _, v0, _ = closed_form_state(P, ModeIndex(k=2.0, n=1), 0.0)
         assert float(rows[0][1]) == pytest.approx(u0, rel=1e-15)
         assert float(rows[0][2]) == pytest.approx(v0, rel=1e-15)
         assert float(rows[0][4]) == 2.0
@@ -751,7 +750,8 @@ class TestFreshProcess:
             "print(sorted(m for m in ('numpy', 'scipy') if m in sys.modules))"
         ) == "[]"
 
-    @pytest.mark.parametrize("command", ["record", "recall", "forget-sweep", "lifetimes"])
+    @pytest.mark.parametrize("command", ["record", "recall", "forget-sweep", "lifetimes",
+                                         "figures"])
     def test_scalar_command_loads_no_numeric_module(self, tmp_path, command):
         reg = tmp_path / "reg.json"
         spec = write_spectrum(tmp_path / "stim.json", (2.0, 1, 1.0))
@@ -767,6 +767,7 @@ class TestFreshProcess:
                              "--L", "1"],
             "lifetimes": ["lifetimes", "--L", "1", "--k", "2", "--n", "1",
                           "--out", str(tmp_path / "l.csv")],
+            "figures": ["figures", "--which", "fig1", "--out", str(tmp_path / "figs")],
         }[command]
         assert _child(
             f"import sys; from memdomain.cli import main; rc = main({argv!r}); "

@@ -18,25 +18,28 @@ from memdomain.oscillator import (
     ModeIndex,
     SystemParams,
     Trajectory,
-    TrajectoryMethod,
-    closed_form_pair,
     closed_form_state,
     closed_form_trajectory,
     common_frequency,
-    integrate_damped_oscillator,
     integrate_pair,
     omega_mode,
-    parametric_radius,
     residual,
     substitution,
 )
 from memdomain.lifetime import recording_window
-from memdomain.ode import _A, _B4, _B5, _C
+from memdomain.ode import _A, _B4, _B5, _C, integrate_oscillator
 
 from _oracles import vector_damped_oscillator
 
 PARAMS = SystemParams(L=1.0)
 MODE2 = ModeIndex(k=2.0, n=1)  # omega0 = 2, window T = 3 ln 4
+
+
+def integrate_line(omega_sq, damping, init, grid, rel_tol=1e-10):
+    """One line of the stepper as an array of (q, dq/dt) rows, the shape
+    the vector reference in _oracles returns."""
+    q, p, _ = integrate_oscillator(omega_sq, damping, *init, grid, rel_tol)
+    return np.column_stack((q, p))
 
 
 def analytic_residuals(params, mode, t, coeffs=(1.0, 0.0)):
@@ -131,23 +134,23 @@ class TestClosedForm:
         for n in [0, 1, 4]:
             mode = ModeIndex(k=2.0, n=n)
             eps = substitution(PARAMS, mode).epsilon
-            u, v = closed_form_pair(PARAMS, mode, 0.0)
-            assert u == pytest.approx(sph_j(n, eps), rel=1e-14)
-            assert v == pytest.approx(sph_j(n, eps), rel=1e-14)
+            traj = closed_form_trajectory(PARAMS, mode, [0.0])
+            assert traj.u[0] == pytest.approx(sph_j(n, eps), rel=1e-14)
+            assert traj.v[0] == pytest.approx(sph_j(n, eps), rel=1e-14)
 
     def test_n0_elementary_form(self):
         mode = ModeIndex(k=2.0, n=0)
-        for t in [0.0, 0.4, 1.3, 2.8]:
+        traj = closed_form_trajectory(PARAMS, mode, [0.0, 0.4, 1.3, 2.8])
+        for t, u, v in zip(traj.times.tolist(), traj.u, traj.v):
             x = math.exp(-t)
             z = 2 * x
-            u, v = closed_form_pair(PARAMS, mode, t)
             assert u == pytest.approx(math.sin(z) / z * x, rel=1e-13)
             assert v == pytest.approx(math.sin(z) / z, rel=1e-13)
 
     def test_linearity_in_coeffs(self):
-        u1, v1 = closed_form_pair(PARAMS, MODE2, 1.1, coeffs=(1.0, 0.5))
-        u2, v2 = closed_form_pair(PARAMS, MODE2, 1.1, coeffs=(2.0, 1.0))
-        assert u2 == 2 * u1 and v2 == 2 * v1
+        one = closed_form_trajectory(PARAMS, MODE2, [1.1], coeffs=(1.0, 0.5))
+        two = closed_form_trajectory(PARAMS, MODE2, [1.1], coeffs=(2.0, 1.0))
+        assert two.u[0] == 2 * one.u[0] and two.v[0] == 2 * one.v[0]
 
     def test_product_identity(self):
         # u * v = r^2 / 2 for every mode and any coefficients
@@ -157,8 +160,8 @@ class TestClosedForm:
             mode = ModeIndex(k=2.0, n=n)
             t = float(rng.uniform(0.0, 3.0))
             coeffs = (float(rng.uniform(-2, 2)), float(rng.uniform(-2, 2)))
-            u, v = closed_form_pair(PARAMS, mode, t, coeffs)
-            r = parametric_radius(PARAMS, mode, t, coeffs)
+            traj = closed_form_trajectory(PARAMS, mode, [t], coeffs)
+            u, v, r = traj.u[0], traj.v[0], traj.r[0]
             assert u * v == pytest.approx(r * r / 2, rel=1e-10, abs=1e-14)
 
     def test_analytic_residuals_vanish(self):
@@ -179,10 +182,9 @@ class TestClosedForm:
             mode = ModeIndex(k=2.0, n=n)
             for t in [0.3, 1.7]:
                 _, du, _, dv = closed_form_state(PARAMS, mode, t)
-                up, vp = closed_form_pair(PARAMS, mode, t + h)
-                um, vm = closed_form_pair(PARAMS, mode, t - h)
-                assert du == pytest.approx((up - um) / (2 * h), abs=1e-8)
-                assert dv == pytest.approx((vp - vm) / (2 * h), abs=1e-8)
+                near = closed_form_trajectory(PARAMS, mode, [t - h, t + h])
+                assert du == pytest.approx((near.u[1] - near.u[0]) / (2 * h), abs=1e-8)
+                assert dv == pytest.approx((near.v[1] - near.v[0]) / (2 * h), abs=1e-8)
 
 
 def per_point_trajectory(params, mode, grid, coeffs):
@@ -217,19 +219,11 @@ class TestTrajectoryArrayPath:
         assert np.array_equal(traj.v, v)
         assert np.array_equal(traj.r, r)
 
-    def test_matches_scalar_entry_points(self):
-        grid = np.linspace(0.0, 3.0, 31)
-        traj = closed_form_trajectory(PARAMS, MODE2, grid, (0.4, 1.2))
-        for i, t in enumerate(grid.tolist()):
-            assert (traj.u[i], traj.v[i]) == closed_form_pair(PARAMS, MODE2, t, (0.4, 1.2))
-            assert traj.r[i] == parametric_radius(PARAMS, MODE2, t, (0.4, 1.2))
-
 
 class TestRadius:
     def test_consistent_from_both_lines(self):
-        for t in [0.0, 0.9, 2.2]:
-            u, v = closed_form_pair(PARAMS, MODE2, t)
-            r = parametric_radius(PARAMS, MODE2, t)
+        traj = closed_form_trajectory(PARAMS, MODE2, [0.0, 0.9, 2.2])
+        for t, u, v, r in zip(traj.times.tolist(), traj.u, traj.v, traj.r):
             assert r == pytest.approx(math.sqrt(2) * u * math.exp(PARAMS.L * t / 2), rel=1e-14)
             assert r == pytest.approx(math.sqrt(2) * v * math.exp(-PARAMS.L * t / 2), rel=1e-12)
 
@@ -240,7 +234,7 @@ class TestRadius:
         T = 3 * math.log(4)
         for _ in range(100):
             t = float(rng.uniform(5 * h, T - 5 * h))
-            rs = [parametric_radius(PARAMS, MODE2, t + i * h) for i in (-2, -1, 0, 1, 2)]
+            rs = closed_form_trajectory(PARAMS, MODE2, [t + i * h for i in (-2, -1, 0, 1, 2)]).r
             ddr = (-rs[4] + 16 * rs[3] - 30 * rs[2] + 16 * rs[1] - rs[0]) / (12 * h * h)
             om = common_frequency(PARAMS, MODE2, t)
             assert abs(ddr + om * om * rs[2]) <= 1e-8, t
@@ -383,13 +377,13 @@ class TestIntegration:
         def w2(t):
             return omega_mode(PARAMS, MODE2, t) ** 2
 
-        fwd = integrate_damped_oscillator(w2, -PARAMS.L, (v0, dv0), grid, 1e-10)
+        fwd = integrate_line(w2, -PARAMS.L, (v0, dv0), grid, 1e-10)
         _, _, vT, dvT = closed_form_state(PARAMS, MODE2, T0)
 
         def w2_rev(t):
             return omega_mode(PARAMS, MODE2, T0 - t) ** 2
 
-        back = integrate_damped_oscillator(w2_rev, +PARAMS.L, (vT, -dvT), grid, 1e-10)
+        back = integrate_line(w2_rev, +PARAMS.L, (vT, -dvT), grid, 1e-10)
         assert np.max(np.abs(back[:, 0] - fwd[::-1, 0])) <= 1e-6
 
     def test_rejects_bad_tolerance(self):
@@ -405,7 +399,7 @@ class TestIntegration:
 
         grid = np.array([0.0, 3.0])
         with pytest.raises(StepSizeUnderflow):
-            integrate_damped_oscillator(w2, 1.0, (1.0, 0.0), grid, 1e-10)
+            integrate_line(w2, 1.0, (1.0, 0.0), grid, 1e-10)
 
 
 class TestResidualCheck:
@@ -419,7 +413,7 @@ class TestResidualCheck:
     def test_zero_trajectory_zero_residual(self):
         grid = np.linspace(0.0, 1.0, 101)
         z = np.zeros_like(grid)
-        traj = Trajectory(grid, z, z, z, MODE2, TrajectoryMethod.INTEGRATED)
+        traj = Trajectory(grid, z, z, z)
         _, res_u, res_v = residual(PARAMS, MODE2, traj)
         assert np.all(res_u == 0.0) and np.all(res_v == 0.0)
 
@@ -450,11 +444,11 @@ class TestTrajectoryType:
     def test_validation(self):
         t = np.linspace(0, 1, 5)
         with pytest.raises(ValueError):
-            Trajectory(t, np.zeros(4), np.zeros(5), np.zeros(5), MODE2, TrajectoryMethod.CLOSED_FORM)
+            Trajectory(t, np.zeros(4), np.zeros(5), np.zeros(5))
         bad = t.copy()
         bad[3] = bad[1]
         with pytest.raises(ValueError):
-            Trajectory(bad, np.zeros(5), np.zeros(5), np.zeros(5), MODE2, TrajectoryMethod.CLOSED_FORM)
+            Trajectory(bad, np.zeros(5), np.zeros(5), np.zeros(5))
 
     def test_product_invariant_on_sampled_data(self):
         grid = np.linspace(0.0, 2.0, 101)
@@ -518,7 +512,7 @@ class TestStepperAgainstVectorForm:
             _assert_bitwise(traj.v, v_ref[:, 0])
             for damping, line in ((params.L, init[:2]), (-params.L, init[2:])):
                 ref = vector_damped_oscillator(w2, damping, line, grid)
-                _assert_bitwise(integrate_damped_oscillator(w2, damping, line, grid), ref)
+                _assert_bitwise(integrate_line(w2, damping, line, grid), ref)
             # u is derived from v, not integrated
             assert traj.meta["u"] is None
             closed = closed_form_trajectory(params, mode, grid)
@@ -530,7 +524,7 @@ class TestStepperAgainstVectorForm:
         for init in ((0.0, 0.0), (-0.0, 0.0), (0.0, -0.0), (-0.0, -0.0)):
             for damping in (PARAMS.L, -PARAMS.L):
                 ref = vector_damped_oscillator(w2, damping, init, grid)
-                _assert_bitwise(integrate_damped_oscillator(w2, damping, init, grid), ref)
+                _assert_bitwise(integrate_line(w2, damping, init, grid), ref)
 
     def test_time_reversal_case(self):
         T0 = 2.5
@@ -541,7 +535,7 @@ class TestStepperAgainstVectorForm:
             return omega_mode(PARAMS, MODE2, T0 - t) ** 2
 
         ref = vector_damped_oscillator(w2_rev, +PARAMS.L, (vT, -dvT), grid)
-        _assert_bitwise(integrate_damped_oscillator(w2_rev, +PARAMS.L, (vT, -dvT), grid), ref)
+        _assert_bitwise(integrate_line(w2_rev, +PARAMS.L, (vT, -dvT), grid), ref)
 
     def test_grid_landing_repro(self):
         params = SystemParams(L=1.0)
@@ -552,10 +546,10 @@ class TestStepperAgainstVectorForm:
         traj = integrate_pair(params, mode, init, grid)
         _assert_bitwise(traj.v, vector_damped_oscillator(w2, -params.L, init[2:], grid)[:, 0])
         u_ref = vector_damped_oscillator(w2, params.L, init[:2], grid)
-        _assert_bitwise(integrate_damped_oscillator(w2, params.L, init[:2], grid), u_ref)
+        _assert_bitwise(integrate_line(w2, params.L, init[:2], grid), u_ref)
         assert np.max(np.abs(traj.u - closed_form_trajectory(params, mode, grid).u)) <= 1e-6
         ref = vector_damped_oscillator(w2, params.L, init[:2], grid, 1e-8)
-        _assert_bitwise(integrate_damped_oscillator(w2, params.L, init[:2], grid, 1e-8), ref)
+        _assert_bitwise(integrate_line(w2, params.L, init[:2], grid, 1e-8), ref)
 
     @staticmethod
     def _outcome(fn, *args):
@@ -570,7 +564,7 @@ class TestStepperAgainstVectorForm:
             return 1.0 / abs(1.5 - t)
 
         args = (w2, 1.0, (1.0, 0.0), np.array([0.0, 3.0]), 1e-10)
-        ours = self._outcome(integrate_damped_oscillator, *args)
+        ours = self._outcome(integrate_line, *args)
         assert isinstance(ours, str) and ours.startswith("step ")
         assert ours == self._outcome(vector_damped_oscillator, *args)
 
@@ -584,7 +578,7 @@ class TestStepperAgainstVectorForm:
             return big * big if blowup == "inf" else big * big - big * big
 
         args = (w2, 1.0, (1.0, 0.0), np.linspace(0.0, 1.0, 11), 1e-10)
-        ours = self._outcome(integrate_damped_oscillator, *args)
+        ours = self._outcome(integrate_line, *args)
         assert isinstance(ours, str) and ours.endswith("at t = 0.5")
         assert ours == self._outcome(vector_damped_oscillator, *args)
 
@@ -592,15 +586,16 @@ class TestStepperAgainstVectorForm:
         # the vector form never returns here: its first step is nan
         grid = np.linspace(0.0, 1.0, 11)
         with pytest.raises(StepSizeUnderflow, match="step nan"):
-            integrate_damped_oscillator(lambda t: 1.0, 1.0, (math.nan, 0.0), grid)
+            integrate_line(lambda t: 1.0, 1.0, (math.nan, 0.0), grid)
         with pytest.raises(StepSizeUnderflow, match="step nan"):
-            integrate_damped_oscillator(lambda t: math.nan, 1.0, (1.0, 0.0), grid)
+            integrate_line(lambda t: math.nan, 1.0, (1.0, 0.0), grid)
 
     def test_init_must_be_a_pair(self):
+        # the start of both lines, (u, du, v, dv), not of one
         grid = np.linspace(0.0, 1.0, 11)
-        for init in ((1.0,), (1.0, 0.0, 0.0)):
+        for init in ((1.0, 0.0), (1.0, 0.0, 0.0), (1.0, 0.0, 0.0, 1.0, 0.0)):
             with pytest.raises(ValueError, match="init must be"):
-                integrate_damped_oscillator(lambda t: 1.0, 1.0, init, grid)
+                integrate_pair(PARAMS, MODE2, init, grid)
 
 
 class TestIntegratorAccuracy:
