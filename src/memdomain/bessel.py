@@ -369,15 +369,28 @@ def sph_second_deriv(kind: BesselKind, n: int, z: float) -> float:
     cost j_n'' 7e-11 relative accuracy at z = 0.08. For y_n'' the two are
     alike: against mpmath over n <= 12 and 40 log-spaced z in [0.08, 1.2e3],
     the error as a fraction of the largest term of the Bessel equation is at
-    most 1.8e-15, against 1.5e-15 for the recurrence applied twice. y_n'' is
-    -inf past the float range, and also just inside it, from |y_n''| of
-    about 2e307 on, where y_{n+2}, up to 4 times larger, has overflowed.
+    most 1.8e-15, against 1.5e-15 for the recurrence applied twice.
+
+    Just inside the float range, where y_{n+2} (up to 4 times larger than
+    y_n'') has overflowed but y_n has not, the same combination is formed
+    from the ratios y_{n+1}/y_n = (2n+1)/z - y_{n-1}/y_n and y_{n+2}/y_{n+1}
+    = (2n+3)/z - y_n/y_{n+1}, which stay finite, and multiplied by y_n last;
+    y_n'' is then finite up to its own overflow, and -inf past it.
     """
     _check_n(n)
     _check_z(z, positive_only=True)
+    a = n * n / (2 * n - 1) + (n + 1) ** 2 / (2 * n + 3)
+    ap = (n + 1) * (n + 2) / (2 * n + 3)
     fm = n * (n - 1) / (2 * n - 1) * _value(kind, n - 2, z) if n > 1 else 0.0
-    f = (n * n / (2 * n - 1) + (n + 1) ** 2 / (2 * n + 3)) * _value(kind, n, z)
-    fp = (n + 1) * (n + 2) / (2 * n + 3) * _value(kind, n + 2, z)
-    d = (fm - f + fp) / (2 * n + 1)
+    f = _value(kind, n, z)
+    d = (fm - a * f + ap * _value(kind, n + 2, z)) / (2 * n + 1)
+    if not math.isfinite(d) and math.isfinite(f):
+        # y_{-1} is j_0, outside _value's orders, so n = 0 takes y_1/y_0 as is
+        r1 = (
+            _value(kind, 1, z) / f if n == 0
+            else (2 * n + 1) / z - _value(kind, n - 1, z) / f
+        )
+        r2 = (2 * n + 3) / z - 1 / r1
+        d = (fm / f - a + ap * r1 * r2) / (2 * n + 1) * f
     # nan only from inf - inf once the second-kind values have overflowed
     return -math.inf if math.isnan(d) else d

@@ -17,9 +17,13 @@ Numbers in CSV output are written with 17 significant digits, comma
 separated, LF terminated, header row first.  All files are written via a
 temp file, synced to disk, and an atomic rename.
 
-Exit status: 0 on success; 2 when the request itself is wrong (bad flags
-or config, inconsistent or out-of-range parameters, never-recordable or
-dead modes, missing input files); 1 when a computation fails.
+Exit status: 0 on success; 2 when the request itself is wrong: bad flags
+or config, a value outside the range its option declares in the option
+table (checked alike for flags and config values), inconsistent
+parameters, never-recordable or dead modes, malformed input files, or a
+path that cannot be used as asked (missing, a directory where a file is
+named or the reverse, no permission); 1 when a computation fails, and on
+any other operating-system error, such as a full disk.
 
 MEMDOMAIN_THREADS caps BLAS/OpenMP parallelism for the numeric kernels
 (0 or unset = automatic); the resolved value is echoed in the manifest.  The
@@ -74,10 +78,6 @@ from .lifetime import (
 # thread count once, when numpy loads it.
 
 
-class _ValidationError(Exception):
-    """Anything wrong with the request itself; exits with status 2."""
-
-
 # ---------------------------------------------------------------------------
 # option tables
 
@@ -90,13 +90,24 @@ class _Opt:
     required: bool = False
     multi: bool = False
     flag: bool = False
-    choices: tuple = ()
+    # (predicate, phrase): each value, each item of a multi option, must
+    # satisfy predicate; the error reads "--name must be <phrase>"
+    check: tuple = None
     help: str = ""
 
     @property
     def attr(self) -> str:
         return self.name.replace("-", "_")
 
+
+def _one_of(*names) -> tuple:
+    return (lambda v: v in names, "one of " + ", ".join(names))
+
+
+_POSITIVE = (lambda x: 0 < x < math.inf, "positive and finite")
+_NON_NEGATIVE = (lambda x: 0 <= x < math.inf, ">= 0 and finite")
+_FINITE = (math.isfinite, "finite")
+_TWO_OR_MORE = (lambda n: n >= 2, ">= 2")
 
 _SHARED = (
     _Opt("config", help="INI file with [memdomain] and per-command sections"),
@@ -112,7 +123,7 @@ _PARAMS = (
 
 _COMMANDS = {
     "bessel": (
-        _Opt("kind", choices=("j", "y"), required=True),
+        _Opt("kind", check=_one_of("j", "y"), required=True),
         _Opt("order", conv=int, required=True),
         _Opt("z", conv=float, multi=True, required=True),
         _Opt("out", help="optional CSV destination; default prints to stdout"),
@@ -121,32 +132,34 @@ _COMMANDS = {
         _Opt("omega0", conv=float, help="reference frequency c*k"),
         _Opt("k", conv=float, help="mode momentum"),
         _Opt("n", conv=int, required=True),
-        _Opt("t-max", conv=float, required=True),
-        _Opt("method", choices=("closed", "ode", "both"), default="closed"),
-        _Opt("points", conv=int, default=500),
-        _Opt("rel-tol", conv=float, default=1e-10),
+        _Opt("t-max", conv=float, required=True, check=_POSITIVE),
+        _Opt("method", check=_one_of("closed", "ode", "both"), default="closed"),
+        _Opt("points", conv=int, default=500, check=_TWO_OR_MORE),
+        _Opt("rel-tol", conv=float, default=1e-10,
+             check=(lambda x: 1e-13 <= x <= 1e-3, "in [1e-13, 1e-3]")),
         _Opt("out", required=True),
     ),
     "lifetimes": _PARAMS + (
         _Opt("omega0", conv=float, multi=True),
         _Opt("k", conv=float, multi=True),
         _Opt("n", conv=int, multi=True, required=True),
-        _Opt("t", conv=float, default=0.0),
+        _Opt("t", conv=float, default=0.0, check=_NON_NEGATIVE),
         _Opt("out", help="optional CSV destination; default prints to stdout"),
     ),
     "figures": (
         _Opt("which", multi=True, required=True,
-             choices=FIGURE_NAMES + ("all",)),
+             check=_one_of(*FIGURE_NAMES, "all")),
         _Opt("out", required=True, help="output directory"),
         _Opt("L", conv=float, default=1.0),
         _Opt("c", conv=float, default=1.0),
-        _Opt("points", conv=int, default=2000),
-        _Opt("ceiling", conv=float, default=10.0),
-        _Opt("ordinate-scale", conv=float, default=1.0),
+        _Opt("points", conv=int, default=2000, check=_TWO_OR_MORE),
+        _Opt("ceiling", conv=float, default=10.0,
+             check=(lambda x: not math.isnan(x), "a number or inf")),
+        _Opt("ordinate-scale", conv=float, default=1.0, check=_FINITE),
     ),
     "squeeze": (
-        _Opt("gamma", conv=float, required=True),
-        _Opt("t", conv=float, required=True),
+        _Opt("gamma", conv=float, required=True, check=_FINITE),
+        _Opt("t", conv=float, required=True, check=_NON_NEGATIVE),
         _Opt("cutoff", conv=int, help="pair-number cutoff; default is sized "
              "so the discarded tail stays below 1e-12"),
         _Opt("oracle", flag=True, default=False,
@@ -213,16 +226,13 @@ def _load_config(path: str, command: str) -> dict:
     try:
         with open(path, encoding="utf-8") as fh:
             cfg.read_file(fh)
-    except FileNotFoundError:
-        raise _ValidationError(f"config file not found: {path}")
     except configparser.Error as exc:
-        raise _ValidationError(f"config file {path}: {exc}")
+        raise ValueError(f"config file {path}: {exc}")
     if cfg.defaults():
-        raise _ValidationError(
+        raise ValueError(
             "config [DEFAULT] section is not supported; use [memdomain]"
         )
     known_sections = ("memdomain",) + tuple(_COMMANDS)
-    values: dict = {}
     for section in cfg.sections():
         if section == "memdomain":
             allowed = _GLOBAL_CONFIG_KEYS
@@ -231,23 +241,21 @@ def _load_config(path: str, command: str) -> dict:
                 o.name for o in _options(section) if o.name != "config"
             )
         else:
-            raise _ValidationError(
+            raise ValueError(
                 f"unknown config section [{section}]; known sections: "
                 + ", ".join(known_sections)
             )
         for key in cfg[section]:
             if key not in allowed:
-                raise _ValidationError(
+                raise ValueError(
                     f"unknown key '{key}' in config section [{section}]; "
                     "accepted keys: " + ", ".join(sorted(allowed))
                 )
     # precedence inside the file: the command section beats [memdomain]
-    if cfg.has_section("memdomain"):
-        for key in cfg["memdomain"]:
-            values[key] = cfg["memdomain"][key]
-    if cfg.has_section(command):
-        for key in cfg[command]:
-            values[key] = cfg[command][key]
+    values: dict = {}
+    for section in ("memdomain", command):
+        if cfg.has_section(section):
+            values.update(cfg[section])
     return values
 
 
@@ -267,7 +275,7 @@ def _convert(opt: _Opt, raw: str):
             return [opt.conv(p) for p in parts]
         return opt.conv(raw.strip())
     except ValueError as exc:
-        raise _ValidationError(f"config key '{opt.name}': {exc}")
+        raise ValueError(f"config key '{opt.name}': {exc}") from None
 
 
 def _resolve(command: str, ns) -> dict:
@@ -282,17 +290,13 @@ def _resolve(command: str, ns) -> dict:
         if val is None:
             val = opt.default
         if val is None and opt.required:
-            raise _ValidationError(f"missing required option --{opt.name}")
-        if opt.choices and val is not None:
-            items = val if opt.multi else [val]
-            for item in items:
-                if item not in opt.choices:
-                    raise _ValidationError(
-                        f"--{opt.name} must be one of "
-                        + ", ".join(opt.choices) + f"; got {item!r}"
-                    )
+            raise ValueError(f"missing required option --{opt.name}")
+        if opt.check and val is not None:
+            ok, phrase = opt.check
+            for item in val if opt.multi else [val]:
+                if not ok(item):
+                    raise ValueError(f"--{opt.name} must be {phrase}, got {item!r}")
         resolved[opt.attr] = val
-    resolved["config"] = ns.config
     return resolved
 
 
@@ -302,14 +306,12 @@ def _thread_cap() -> object:
         return "auto"
     try:
         threads = int(raw)
+        if threads < 0:
+            raise ValueError
     except ValueError:
-        raise _ValidationError(
+        raise ValueError(
             f"MEMDOMAIN_THREADS must be a non-negative integer, got {raw!r}"
-        )
-    if threads < 0:
-        raise _ValidationError(
-            f"MEMDOMAIN_THREADS must be >= 0, got {threads}"
-        )
+        ) from None
     if threads == 0:
         return "auto"
     for var in (
@@ -333,12 +335,17 @@ def _g17(x: float) -> str:
 def _write_atomic(path: Path, data: bytes) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f"{path.name}.tmp.{os.getpid()}")
-    with open(tmp, "wb") as fh:
-        fh.write(data)
-        fh.flush()
-        # on disk before the rename, so a crash leaves the old file or the new
-        os.fsync(fh.fileno())
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(data)
+            fh.flush()
+            # on disk before the rename, so a crash leaves the old file or the new
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            tmp.unlink()
+        raise
 
 
 def _csv_bytes(header, rows) -> bytes:
@@ -372,10 +379,7 @@ class _Run:
             self.read_input(Path(resolved["config"]))
 
     def read_input(self, path: Path) -> bytes:
-        try:
-            data = Path(path).read_bytes()
-        except FileNotFoundError:
-            raise _ValidationError(f"input file not found: {path}")
+        data = Path(path).read_bytes()
         self.inputs[str(path)] = _digest(data)
         return data
 
@@ -383,6 +387,11 @@ class _Run:
         _write_atomic(path, data)
         name = path.name if anchor is None else str(path.relative_to(anchor))
         self.outputs[name] = _digest(data)
+
+    def emit(self, out: Path, data: bytes) -> None:
+        """Write out, then its manifest <out>.manifest.json beside it."""
+        self.write_output(out, data)
+        self.manifest(out.with_name(out.name + ".manifest.json"))
 
     def manifest(self, path: Path) -> None:
         config = {
@@ -409,36 +418,36 @@ class _Run:
 # shared parameter plumbing
 
 
-def _consistent_momentum(omega0, k, c) -> float:
-    """Resolve the (omega0, k) pair, enforcing omega0 = c*k when both given."""
-    if omega0 is None and k is None:
-        raise _ValidationError("one of --omega0 or --k is required")
-    if k is None:
-        k = omega0 / c
-    elif omega0 is not None:
-        if abs(omega0 - c * k) > 1e-12 * max(1.0, abs(omega0)):
-            raise _ValidationError(
-                f"inconsistent frequencies: omega0={omega0:g} but "
-                f"c*k={c * k:g}; they must agree to 1e-12"
+def _momenta(omega0s, ks, c) -> list:
+    """The --k list, or --omega0 / c; both given must agree item by item."""
+    if omega0s is None and ks is None:
+        raise ValueError("one of --omega0 or --k is required")
+    if ks is None:
+        return [w / c for w in omega0s]
+    if omega0s is not None:
+        if len(omega0s) != len(ks):
+            raise ValueError(
+                f"--omega0 lists {len(omega0s)} values but --k lists {len(ks)}"
             )
-    if k <= 0 or not math.isfinite(k):
-        raise _ValidationError(f"momentum must be positive and finite, got {k!r}")
-    return k
+        for w, k in zip(omega0s, ks):
+            if not abs(w - c * k) <= 1e-12 * max(1.0, abs(w)):
+                raise ValueError(
+                    f"inconsistent frequencies: omega0={w:g} but "
+                    f"c*k={c * k:g}; they must agree to 1e-12"
+                )
+    return ks
 
 
-def _load_spectrum(run: _Run, path: str) -> StimulusSpectrum:
-    from .memory import StimulusSpectrum
-
-    data = run.read_input(Path(path))
-    return StimulusSpectrum.loads(data.decode("utf-8"))
+def _load(run: _Run, cls, path):
+    """cls.loads of the JSON file at path, recorded as an input."""
+    return cls.loads(run.read_input(Path(path)).decode("utf-8"))
 
 
 # ---------------------------------------------------------------------------
 # subcommand runners
 
 
-def _run_bessel(resolved: dict) -> int:
-    run = _Run("bessel", resolved)
+def _run_bessel(run: _Run, resolved: dict) -> int:
     from .bessel import sph_j, sph_y
 
     fn = sph_j if resolved["kind"] == "j" else sph_y
@@ -447,10 +456,8 @@ def _run_bessel(resolved: dict) -> int:
         for val in values:
             print(_g17(val))
         return 0
-    out = Path(resolved["out"])
     rows = list(zip(resolved["z"], values))
-    run.write_output(out, _csv_bytes(("z", "value"), rows))
-    run.manifest(out.with_name(out.name + ".manifest.json"))
+    run.emit(Path(resolved["out"]), _csv_bytes(("z", "value"), rows))
     return 0
 
 
@@ -468,34 +475,25 @@ def _evolve_rows(params, mode, grid, traj):
     return rows
 
 
-def _run_evolve(resolved: dict) -> int:
-    run = _Run("evolve", resolved)
+def _run_evolve(run: _Run, resolved: dict) -> int:
     import numpy as np
 
     from .oscillator import closed_form_state, closed_form_trajectory, integrate_pair
 
     params = SystemParams(L=resolved["L"], c=resolved["c"])
-    k = _consistent_momentum(resolved["omega0"], resolved["k"], params.c)
+    listed = [None if v is None else [v] for v in (resolved["omega0"], resolved["k"])]
+    (k,) = _momenta(*listed, params.c)
     resolved["k"] = k
     resolved["omega0"] = params.omega0(k)
     mode = ModeIndex(k=k, n=resolved["n"])
     window = recording_window(params, mode)
     t_max = resolved["t_max"]
-    if not math.isfinite(t_max) or t_max <= 0:
-        raise _ValidationError(f"--t-max must be positive, got {t_max!r}")
     if t_max > window:
-        raise _ValidationError(
+        raise ValueError(
             f"--t-max {t_max:g} exceeds the recording window T = {window:.12g}"
             " where the common frequency turns imaginary"
         )
-    points = resolved["points"]
-    if points < 2:
-        raise _ValidationError(f"--points must be >= 2, got {points}")
-    if not 1e-13 <= resolved["rel_tol"] <= 1e-3:
-        raise _ValidationError(
-            f"--rel-tol must lie in [1e-13, 1e-3], got {resolved['rel_tol']!r}"
-        )
-    grid = np.linspace(0.0, t_max, points)
+    grid = np.linspace(0.0, t_max, resolved["points"])
     out = Path(resolved["out"])
     header = ("t", "u", "v", "r", "omega", "Omega")
     method = resolved["method"]
@@ -506,55 +504,30 @@ def _run_evolve(resolved: dict) -> int:
     if method in ("ode", "both"):
         init = closed_form_state(params, mode, 0.0)
         ode = integrate_pair(params, mode, init, grid, resolved["rel_tol"])
+        run.results["ode"] = ode.meta
 
-    primary = closed if closed is not None else ode
-    run.write_output(out, _csv_bytes(header, _evolve_rows(params, mode, grid, primary)))
     if method == "both":
-        sibling = out.with_name(out.stem + ".ode" + out.suffix)
         run.write_output(
-            sibling, _csv_bytes(header, _evolve_rows(params, mode, grid, ode))
+            out.with_name(out.stem + ".ode" + out.suffix),
+            _csv_bytes(header, _evolve_rows(params, mode, grid, ode)),
         )
-        run.results["max_abs_deviation"] = float(
-            max(
-                np.max(np.abs(closed.u - ode.u)),
-                np.max(np.abs(closed.v - ode.v)),
-                np.max(np.abs(closed.r - ode.r)),
-            )
-        )
+        lines = {name: (getattr(closed, name), getattr(ode, name)) for name in "uvr"}
+        dev = {name: float(np.max(np.abs(c - o))) for name, (c, o) in lines.items()}
+        run.results["max_abs_deviation"] = max(dev.values())
         # each line's deviation as a fraction of that line's size: u, v and
         # r differ by many orders of magnitude
         run.results["max_rel_deviation"] = {
-            name: float(np.max(np.abs(c - o)) / np.max(np.abs(c)))
-            for name, c, o in (
-                ("u", closed.u, ode.u),
-                ("v", closed.v, ode.v),
-                ("r", closed.r, ode.r),
-            )
+            name: dev[name] / float(np.max(np.abs(c))) for name, (c, _) in lines.items()
         }
-    if ode is not None:
-        run.results["ode"] = ode.meta
-    run.manifest(out.with_name(out.name + ".manifest.json"))
+    primary = closed if closed is not None else ode
+    run.emit(out, _csv_bytes(header, _evolve_rows(params, mode, grid, primary)))
     return 0
 
 
-def _run_lifetimes(resolved: dict) -> int:
-    run = _Run("lifetimes", resolved)
+def _run_lifetimes(run: _Run, resolved: dict) -> int:
     params = SystemParams(L=resolved["L"], c=resolved["c"])
-    omega0s, ks = resolved["omega0"], resolved["k"]
-    if omega0s is None and ks is None:
-        raise _ValidationError("one of --omega0 or --k is required")
-    if omega0s is not None and ks is not None and len(omega0s) != len(ks):
-        raise _ValidationError(
-            f"--omega0 lists {len(omega0s)} values but --k lists {len(ks)}"
-        )
-    if ks is None:
-        ks = [w / params.c for w in omega0s]
-    elif omega0s is not None:
-        for w, k in zip(omega0s, ks):
-            _consistent_momentum(w, k, params.c)
+    ks = _momenta(resolved["omega0"], resolved["k"], params.c)
     t = resolved["t"]
-    if not math.isfinite(t) or t < 0:
-        raise _ValidationError(f"--t must be >= 0, got {t!r}")
     rows = []
     for k in sorted(set(ks)):
         for n in sorted(set(resolved["n"])):
@@ -574,21 +547,18 @@ def _run_lifetimes(resolved: dict) -> int:
     if resolved["out"] is None:
         sys.stdout.write(data.decode("utf-8"))
         return 0
-    out = Path(resolved["out"])
-    run.write_output(out, data)
-    run.manifest(out.with_name(out.name + ".manifest.json"))
+    run.emit(Path(resolved["out"]), data)
     return 0
 
 
-def _run_figures(resolved: dict) -> int:
-    run = _Run("figures", resolved)
+def _run_figures(run: _Run, resolved: dict) -> int:
     which = resolved["which"]
     names = list(FIGURE_NAMES) if "all" in which else [
         name for name in FIGURE_NAMES if name in which
     ]
     out_dir = Path(resolved["out"])
     if out_dir.exists() and not out_dir.is_dir():
-        raise _ValidationError(f"--out {out_dir} exists and is not a directory")
+        raise ValueError(f"--out {out_dir} exists and is not a directory")
     overrides = {
         "L": resolved["L"],
         "c": resolved["c"],
@@ -596,8 +566,6 @@ def _run_figures(resolved: dict) -> int:
         "ceiling": resolved["ceiling"],
         "ordinate_scale": resolved["ordinate_scale"],
     }
-    if overrides["points"] < 2:
-        raise _ValidationError(f"--points must be >= 2, got {overrides['points']}")
     for name in names:
         spec = default_figure_spec(name, **overrides)
         rows = [(cid, t, lam) for cid, t, lam in curve_table(spec)]
@@ -615,8 +583,7 @@ def _run_figures(resolved: dict) -> int:
     return 0
 
 
-def _run_squeeze(resolved: dict) -> int:
-    run = _Run("squeeze", resolved)
+def _run_squeeze(run: _Run, resolved: dict) -> int:
     from .fock import (
         brute_force_evolve,
         default_cutoff,
@@ -627,10 +594,6 @@ def _run_squeeze(resolved: dict) -> int:
     )
 
     gamma, t = resolved["gamma"], resolved["t"]
-    if not math.isfinite(gamma):
-        raise _ValidationError(f"--gamma must be finite, got {gamma!r}")
-    if not math.isfinite(t) or t < 0:
-        raise _ValidationError(f"--t must be >= 0, got {t!r}")
     cutoff = resolved["cutoff"]
     if cutoff is None:
         cutoff = default_cutoff(gamma * t)
@@ -654,22 +617,8 @@ def _run_squeeze(resolved: dict) -> int:
             abs(complex(a) - complex(b))
             for a, b in zip(evolved.coeffs, state.coeffs)
         )
-    out = Path(resolved["out"])
-    run.write_output(out, _json_bytes(doc))
-    run.manifest(out.with_name(out.name + ".manifest.json"))
+    run.emit(Path(resolved["out"]), _json_bytes(doc))
     return 0
-
-
-def _load_registry(run: _Run, path: str, must_exist: bool) -> MemoryRegistry:
-    from .memory import MemoryRegistry
-
-    p = Path(path)
-    if not p.exists():
-        if must_exist:
-            raise _ValidationError(f"registry file not found: {path}")
-        return MemoryRegistry()
-    data = run.read_input(p)
-    return MemoryRegistry.loads(data.decode("utf-8"))
 
 
 @contextlib.contextmanager
@@ -680,26 +629,24 @@ def _registry_update(run: _Run, path: str, must_exist: bool):
     and then loads this one's result instead of overwriting it.  Nothing is
     saved when the body raises.
     """
-    from .memory import registry_lock
+    from .memory import MemoryRegistry, registry_lock
 
     out = Path(path)
     if must_exist and not out.exists():
-        raise _ValidationError(f"registry file not found: {path}")
+        raise ValueError(f"registry file not found: {path}")
     out.parent.mkdir(parents=True, exist_ok=True)
     with registry_lock(out):
-        registry = _load_registry(run, path, must_exist)
+        registry = _load(run, MemoryRegistry, out) if out.exists() else MemoryRegistry()
         yield registry
-        run.write_output(out, registry.dumps().encode("utf-8"))
-        run.manifest(out.with_name(out.name + ".manifest.json"))
+        run.emit(out, registry.dumps().encode("utf-8"))
 
 
-def _run_record(resolved: dict) -> int:
-    run = _Run("record", resolved)
-    from .memory import record
+def _run_record(run: _Run, resolved: dict) -> int:
+    from .memory import StimulusSpectrum, record
 
     params = SystemParams(L=resolved["L"], c=resolved["c"])
     with _registry_update(run, resolved["registry"], must_exist=False) as registry:
-        stimulus = _load_spectrum(run, resolved["spectrum"])
+        stimulus = _load(run, StimulusSpectrum, resolved["spectrum"])
         code, rejections = record(registry, stimulus, resolved["t"], params)
     report = {
         "code": None if code is None else code.id,
@@ -718,16 +665,16 @@ def _run_record(resolved: dict) -> int:
     return 0
 
 
-def _run_recall(resolved: dict) -> int:
-    run = _Run("recall", resolved)
-    from .memory import decay_codes, recall
+def _run_recall(run: _Run, resolved: dict) -> int:
+    from .memory import MemoryRegistry, StimulusSpectrum, decay_codes, recall
 
     params = SystemParams(L=resolved["L"], c=resolved["c"])
-    registry = _load_registry(run, resolved["registry"], must_exist=True)
-    signal = _load_spectrum(run, resolved["signal"])
+    # a missing registry file is refused by read_input, like any input
+    registry = _load(run, MemoryRegistry, resolved["registry"])
+    signal = _load(run, StimulusSpectrum, resolved["signal"])
     t = resolved["t"]
     if registry.last_decay_t > t:
-        raise _ValidationError(
+        raise ValueError(
             f"registry is already decayed to t={registry.last_decay_t:g}, "
             f"past the requested t={t:g}"
         )
@@ -743,14 +690,11 @@ def _run_recall(resolved: dict) -> int:
     text = _json_bytes(doc)
     sys.stdout.write(text.decode("utf-8"))
     if resolved["out"] is not None:
-        out = Path(resolved["out"])
-        run.write_output(out, text)
-        run.manifest(out.with_name(out.name + ".manifest.json"))
+        run.emit(Path(resolved["out"]), text)
     return 0
 
 
-def _run_forget_sweep(resolved: dict) -> int:
-    run = _Run("forget-sweep", resolved)
+def _run_forget_sweep(run: _Run, resolved: dict) -> int:
     from .memory import decay_codes
 
     params = SystemParams(L=resolved["L"], c=resolved["c"])
@@ -779,6 +723,15 @@ _RUNNERS = {
     "forget-sweep": _run_forget_sweep,
 }
 
+# a path that cannot be read, written or created as the request names it
+_PATH_ERRORS = (
+    FileExistsError,
+    FileNotFoundError,
+    IsADirectoryError,
+    NotADirectoryError,
+    PermissionError,
+)
+
 
 def main(argv=None) -> int:
     try:
@@ -787,11 +740,17 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         resolved = _resolve(command, ns)
-        return _RUNNERS[command](resolved)
+        # _Run applies MEMDOMAIN_THREADS before any runner imports numpy
+        return _RUNNERS[command](_Run(command, resolved), resolved)
     except (StepSizeUnderflow, GridTooCoarse) as exc:
         print(f"computation error: {exc}", file=sys.stderr)
         return 1
-    except (_ValidationError, MemdomainError, ValueError) as exc:
+    except _PATH_ERRORS as exc:
+        # os.replace names the temp file first and the requested path second
+        print(f"error: {exc.filename2 or exc.filename}: {exc.strerror}",
+              file=sys.stderr)
+        return 2
+    except (MemdomainError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # pragma: no cover - defensive

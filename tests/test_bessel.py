@@ -206,6 +206,16 @@ class TestDerivatives:
             got = sph_second_deriv(BesselKind.FIRST, n, z)
             assert abs(got - ref) <= 1e-15 * abs(ref), n
 
+    @pytest.mark.parametrize("n,z", [(0, 2.39e-103), (2, 5.1e-62), (2, 6.3e-62),
+                                     (5, 1.19e-38), (5, 1.47e-38)])
+    def test_second_kind_second_derivative_near_overflow(self, n, z):
+        # |y_n''| of 3.6e307 to 1.5e308, where y_{n+2} has already overflowed
+        # and y_n'' comes from the ratio form
+        ref = bessel_deriv("y", n, z, 2, dps=80)
+        assert abs(ref) < 1.7e308
+        got = sph_second_deriv(BesselKind.SECOND, n, z)
+        assert abs(got - float(ref)) <= 1e-15 * abs(float(ref)), (got, ref)
+
 
 class TestDomain:
     def test_rejects_bad_arguments(self):

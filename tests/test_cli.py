@@ -197,7 +197,8 @@ class TestEvolve:
 
     @pytest.mark.parametrize(
         "extra",
-        [("--t-max", "-1"), ("--points", "1"), ("--rel-tol", "1")],
+        [("--t-max", "-1"), ("--t-max", "nan"), ("--points", "1"),
+         ("--rel-tol", "1"), ("--rel-tol", "nan")],
     )
     def test_range_validation(self, tmp_path, extra):
         args = ["evolve", "--L", "1", "--omega0", "2", "--n", "1",
@@ -334,6 +335,23 @@ class TestFigures:
     def test_damping_override_can_kill_modes(self, tmp_path):
         assert main(["figures", "--which", "fig1", "--out",
                      str(tmp_path / "f"), "--L", "20"]) == 2
+
+    @pytest.mark.parametrize("extra", [
+        ("--ordinate-scale", "nan"), ("--ordinate-scale", "inf"),
+        ("--ordinate-scale", "-inf"), ("--ceiling", "nan"),
+    ])
+    def test_non_numeric_scale_or_ceiling_refused(self, tmp_path, capsys, extra):
+        out = tmp_path / "figs"
+        assert main(["figures", "--which", "fig1", "--out", str(out),
+                     "--points", "20", "=".join(extra)]) == 2
+        assert f"{extra[0]} must be" in capsys.readouterr().err
+        assert not list(tmp_path.rglob("*.csv"))
+
+    def test_infinite_ceiling_means_none(self, tmp_path):
+        out = tmp_path / "figs"
+        assert main(["figures", "--which", "fig1", "--out", str(out),
+                     "--points", "20", "--ceiling", "inf", "--no-timestamp"]) == 0
+        assert json.loads((out / "fig1.spec.json").read_text())["ceiling"] == math.inf
 
     def test_out_collision(self, tmp_path):
         stray = tmp_path / "occupied"
@@ -619,11 +637,106 @@ class TestConfig:
         cfg.write_text("[DEFAULT]\nL = 1\n[lifetimes]\nk = 2\nn = 1\n")
         assert main(["lifetimes", "--config", str(cfg)]) == 2
 
+    @pytest.mark.parametrize("section,key,value", [
+        ("evolve", "t-max", "nan"),
+        ("evolve", "points", "1"),
+        ("evolve", "method", "euler"),
+        ("figures", "ordinate-scale", "inf"),
+        ("figures", "which", "fig1 fig9"),
+        ("squeeze", "t", "-1"),
+    ])
+    def test_config_value_outside_its_range(self, tmp_path, capsys, section, key, value):
+        # the option table's range applies to config values as to flags
+        cfg = tmp_path / "cfg.ini"
+        cfg.write_text(f"[{section}]\n{key} = {value}\n")
+        flags = {
+            "evolve": {"L": "1", "k": "2", "n": "1", "t-max": "1"},
+            "figures": {"which": "fig1"},
+            "squeeze": {"gamma": "0.5", "t": "1"},
+        }[section]
+        args = [x for name, val in flags.items() if name != key
+                for x in (f"--{name}", val)]
+        out = tmp_path / "out"
+        assert main([section, "--config", str(cfg), "--out", str(out), *args]) == 2
+        assert f"--{key} must be" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_bad_boolean(self, tmp_path):
         cfg = tmp_path / "cfg.ini"
         cfg.write_text("[memdomain]\nno-timestamp = maybe\n")
         assert main(["lifetimes", "--config", str(cfg), "--L", "1",
                      "--k", "2", "--n", "1"]) == 2
+
+
+class TestPathErrors:
+    """A path that cannot be used as the request names it exits 2, names the
+    path, and leaves no temp file behind."""
+
+    @pytest.fixture
+    def files(self, tmp_path):
+        reg = tmp_path / "reg.json"
+        spec = write_spectrum(tmp_path / "stim.json", (2.0, 1, 1.0))
+        assert main(["record", "--registry", str(reg), "--spectrum", str(spec),
+                     "--t", "0", "--L", "1", "--no-timestamp"]) == 0
+        (tmp_path / "dir").mkdir()
+        (tmp_path / "file").write_text("")
+        return reg, spec
+
+    @pytest.mark.parametrize("case", [
+        "squeeze-out", "evolve-out", "lifetimes-out", "bessel-out", "recall-out",
+        "record-registry", "recall-registry", "sweep-registry", "record-spectrum",
+        "recall-signal", "config", "out-under-file", "registry-under-file",
+        "figures-under-file",
+    ])
+    def test_exits_2_without_temp_files(self, tmp_path, capsys, files, case):
+        reg, spec = (str(p) for p in files)
+        d, f = str(tmp_path / "dir"), str(tmp_path / "file")
+        argv, named = {
+            "squeeze-out": (["squeeze", "--gamma", "0.5", "--t", "1", "--out", d], d),
+            "evolve-out": (["evolve", "--L", "1", "--k", "2", "--n", "1",
+                            "--t-max", "1", "--out", d], d),
+            "lifetimes-out": (["lifetimes", "--L", "1", "--k", "2", "--n", "1",
+                               "--out", d], d),
+            "bessel-out": (["bessel", "--kind", "j", "--order", "1", "--z", "1",
+                            "--out", d], d),
+            "recall-out": (["recall", "--registry", reg, "--signal", spec, "--t", "1",
+                            "--L", "1", "--energy", "5", "--out", d], d),
+            "record-registry": (["record", "--registry", d, "--spectrum", spec,
+                                 "--t", "1", "--L", "1"], d),
+            "recall-registry": (["recall", "--registry", d, "--signal", spec,
+                                 "--t", "1", "--L", "1", "--energy", "5"], d),
+            "sweep-registry": (["forget-sweep", "--registry", d, "--t", "1",
+                                "--L", "1"], d),
+            "record-spectrum": (["record", "--registry", reg, "--spectrum", d,
+                                 "--t", "1", "--L", "1"], d),
+            "recall-signal": (["recall", "--registry", reg, "--signal", d,
+                               "--t", "1", "--L", "1", "--energy", "5"], d),
+            "config": (["lifetimes", "--config", d, "--L", "1", "--k", "2",
+                        "--n", "1"], d),
+            "out-under-file": (["squeeze", "--gamma", "0.5", "--t", "1",
+                                "--out", f + "/x/sq.json"], f),
+            "registry-under-file": (["record", "--registry", f + "/reg.json",
+                                     "--spectrum", spec, "--t", "1", "--L", "1"], f),
+            "figures-under-file": (["figures", "--which", "fig1", "--points", "20",
+                                    "--out", f + "/figs"], f),
+        }[case]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and named in err, err
+        assert not list(tmp_path.rglob("*.tmp.*"))
+        assert not list((tmp_path / "dir").iterdir())
+
+    def test_other_os_errors_stay_computation_errors(self, tmp_path, capsys,
+                                                      monkeypatch):
+        # a full disk is not the request's fault; the temp file still goes
+        def no_space(fd):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(os, "fsync", no_space)
+        assert main(["lifetimes", "--L", "1", "--k", "2", "--n", "1",
+                     "--out", str(tmp_path / "l.csv")]) == 1
+        assert "No space left" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestEnvironmentAndManifest:
