@@ -14,8 +14,10 @@ subcommand.  Command-line flags override the command section, which
 overrides [memdomain].  Unknown sections or keys are rejected.
 
 Numbers in CSV output are written with 17 significant digits, comma
-separated, LF terminated, header row first.  All files are written via a
-temp file, synced to disk, and an atomic rename.
+separated, LF terminated, header row first.  All files are written by
+memdomain.memory.write_atomic: a temp file, synced to disk, and an atomic
+rename.  An output or manifest path that is a directory refuses the
+request before any file is written.
 
 Exit status: 0 on success; 2 when the request itself is wrong: bad flags
 or config, a value outside the range its option declares in the option
@@ -33,7 +35,8 @@ has already loaded numpy (say, a caller of main()) it comes too late.
 
 record and forget-sweep hold the registry's lock file from load through save
 (see memdomain.memory.registry_lock), so concurrent writers queue instead of
-losing each other's updates.
+losing each other's updates.  recall decays its in-memory view to --t with
+decay_codes, which refuses a --t behind the registry clock; the file is kept.
 """
 
 from __future__ import annotations
@@ -42,6 +45,7 @@ import argparse
 import configparser
 import contextlib
 import dataclasses
+import errno
 import hashlib
 import json
 import math
@@ -70,6 +74,7 @@ from .lifetime import (
     omega_mode,
     recording_window,
 )
+from .memory import write_atomic
 
 # lifetime (the scalar model) and memory load no numpy, so the registry,
 # lifetimes and figures commands never do. The numeric modules (bessel,
@@ -332,22 +337,6 @@ def _g17(x: float) -> str:
     return f"{float(x):.17g}"
 
 
-def _write_atomic(path: Path, data: bytes) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(f"{path.name}.tmp.{os.getpid()}")
-    try:
-        with open(tmp, "wb") as fh:
-            fh.write(data)
-            fh.flush()
-            # on disk before the rename, so a crash leaves the old file or the new
-            os.fsync(fh.fileno())
-        os.replace(tmp, path)
-    except BaseException:
-        with contextlib.suppress(OSError):
-            tmp.unlink()
-        raise
-
-
 def _csv_bytes(header, rows) -> bytes:
     lines = [",".join(header)]
     for row in rows:
@@ -384,14 +373,22 @@ class _Run:
         return data
 
     def write_output(self, path: Path, data: bytes, anchor: Path = None) -> None:
-        _write_atomic(path, data)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        write_atomic(path, data)
         name = path.name if anchor is None else str(path.relative_to(anchor))
         self.outputs[name] = _digest(data)
 
-    def emit(self, out: Path, data: bytes) -> None:
-        """Write out, then its manifest <out>.manifest.json beside it."""
-        self.write_output(out, data)
-        self.manifest(out.with_name(out.name + ".manifest.json"))
+    def emit(self, out: Path, data: bytes, *siblings) -> None:
+        """Write the (path, data) siblings, out, then <out>.manifest.json; a
+        destination that is a directory refuses the request before any write."""
+        files = (*siblings, (out, data))
+        manifest = out.with_name(out.name + ".manifest.json")
+        for path in (*(path for path, _ in files), manifest):
+            if path.is_dir():
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
+        for path, blob in files:
+            self.write_output(path, blob)
+        self.manifest(manifest)
 
     def manifest(self, path: Path) -> None:
         config = {
@@ -411,7 +408,7 @@ class _Run:
             doc["timestamp"] = datetime.now(timezone.utc).strftime(
                 "%Y-%m-%dT%H:%M:%SZ"
             )
-        _write_atomic(path, _json_bytes(doc))
+        write_atomic(path, _json_bytes(doc))
 
 
 # ---------------------------------------------------------------------------
@@ -499,6 +496,7 @@ def _run_evolve(run: _Run, resolved: dict) -> int:
     method = resolved["method"]
 
     closed = ode = None
+    siblings = []
     if method in ("closed", "both"):
         closed = closed_form_trajectory(params, mode, grid)
     if method in ("ode", "both"):
@@ -507,10 +505,8 @@ def _run_evolve(run: _Run, resolved: dict) -> int:
         run.results["ode"] = ode.meta
 
     if method == "both":
-        run.write_output(
-            out.with_name(out.stem + ".ode" + out.suffix),
-            _csv_bytes(header, _evolve_rows(params, mode, grid, ode)),
-        )
+        ode_csv = _csv_bytes(header, _evolve_rows(params, mode, grid, ode))
+        siblings.append((out.with_name(out.stem + ".ode" + out.suffix), ode_csv))
         lines = {name: (getattr(closed, name), getattr(ode, name)) for name in "uvr"}
         dev = {name: float(np.max(np.abs(c - o))) for name, (c, o) in lines.items()}
         run.results["max_abs_deviation"] = max(dev.values())
@@ -520,7 +516,7 @@ def _run_evolve(run: _Run, resolved: dict) -> int:
             name: dev[name] / float(np.max(np.abs(c))) for name, (c, _) in lines.items()
         }
     primary = closed if closed is not None else ode
-    run.emit(out, _csv_bytes(header, _evolve_rows(params, mode, grid, primary)))
+    run.emit(out, _csv_bytes(header, _evolve_rows(params, mode, grid, primary)), *siblings)
     return 0
 
 
@@ -532,13 +528,11 @@ def _run_lifetimes(run: _Run, resolved: dict) -> int:
     for k in sorted(set(ks)):
         for n in sorted(set(resolved["n"])):
             mode = ModeIndex(k=k, n=n)
-            window = recording_window(params, mode)
-            lam = lambda_lifetime(params, mode, t)
             rows.append((
                 k,
                 str(n),
-                window,
-                lam,
+                recording_window(params, mode),
+                lambda_lifetime(params, mode, t),
                 momentum_threshold(params, n, t),
                 domain_size(params, n, t),
             ))
@@ -673,14 +667,7 @@ def _run_recall(run: _Run, resolved: dict) -> int:
     registry = _load(run, MemoryRegistry, resolved["registry"])
     signal = _load(run, StimulusSpectrum, resolved["signal"])
     t = resolved["t"]
-    if registry.last_decay_t > t:
-        raise ValueError(
-            f"registry is already decayed to t={registry.last_decay_t:g}, "
-            f"past the requested t={t:g}"
-        )
-    if registry.last_decay_t < t:
-        # bring the in-memory view up to date; the stored file is untouched
-        decay_codes(registry, t, params)
+    decay_codes(registry, t, params)
     result = recall(registry, signal, resolved["energy"], t, params)
     doc = {
         "matched": result.matched,

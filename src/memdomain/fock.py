@@ -33,8 +33,8 @@ from enum import Enum
 import numpy as np
 from scipy import sparse
 
-from .errors import CutoffTooSmall, ModeDead
-from .lifetime import ModeIndex, SystemParams, common_frequency, recording_window
+from .errors import CutoffTooSmall
+from .lifetime import ModeIndex, SystemParams, common_frequency, open_window
 
 __all__ = [
     "TAIL_BOUND",
@@ -168,14 +168,8 @@ def coupling_frequencies(params: SystemParams, mode: ModeIndex, t: float):
 
 
 def mixing_angle(params: SystemParams, mode: ModeIndex, t: float) -> SqueezeAngle:
-    """Angle with tanh theta = -W1/W0; diverges as the window closes."""
-    if t < 0:
-        raise ValueError(f"t must be >= 0, got {t!r}")
-    T = recording_window(params, mode)
-    if t >= T:
-        raise ModeDead(
-            f"t = {t:.6g} is at or past T = {T:.6g}; the mixing angle diverges"
-        )
+    """Angle with tanh theta = -W1/W0 on [0, T) (open_window); diverges at T."""
+    open_window(params, mode, t)
     w0_sum, w0_diff = coupling_frequencies(params, mode, t)
     return SqueezeAngle(theta=math.atanh(-w0_diff / w0_sum), mode=mode, t=t)
 
@@ -324,14 +318,10 @@ def vacuum_overlap(gammas, t: float, t_prime: float) -> float:
 
 
 def build_hamiltonians(params: SystemParams, mode: ModeIndex, t: float, cutoff: int):
-    """(H0, HI1, HI2) on the truncated joint basis at time t."""
+    """(H0, HI1, HI2) on the truncated joint basis at t in [0, T) (open_window)."""
     if cutoff < 4:
         raise ValueError(f"cutoff must be >= 4, got {cutoff!r}")
-    if t < 0:
-        raise ValueError(f"t must be >= 0, got {t!r}")
-    T = recording_window(params, mode)
-    if t >= T:
-        raise ModeDead(f"t = {t:.6g} is at or past T = {T:.6g}")
+    open_window(params, mode, t)
     w0_sum, w0_diff = coupling_frequencies(params, mode, t)
     A, At = pair_ladders(cutoff)
     Ad, Atd = A.getH(), At.getH()

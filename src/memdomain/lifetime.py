@@ -34,6 +34,7 @@ __all__ = [
     "omega_mode",
     "common_frequency",
     "recording_window",
+    "open_window",
     "momentum_threshold",
     "domain_size",
     "lambda_lifetime",
@@ -142,6 +143,17 @@ def recording_window(params: SystemParams, mode: ModeIndex) -> float:
     return (2 * mode.n + 1) / params.L * math.log(ratio)
 
 
+def open_window(params: SystemParams, mode: ModeIndex, t: float) -> float:
+    """T of a mode alive at t, the gate of what exists only on [0, T): raises
+    ValueError for t < 0, ModeDead at or past T, NeverRecordable below k0."""
+    if t < 0:
+        raise ValueError(f"t must be >= 0, got {t!r}")
+    T = recording_window(params, mode)
+    if t >= T:
+        raise ModeDead(f"t = {t:.6g} is at or past the window end T = {T:.6g}")
+    return T
+
+
 def momentum_threshold(params: SystemParams, n: int, t: float) -> float:
     """k_thr(n, t) = k0 * exp(L t / (2n+1)): lowest recordable momentum."""
     if n < 0:
@@ -159,12 +171,8 @@ def _gamma(params: SystemParams, n: int) -> float:
 
 
 def lambda_lifetime(params: SystemParams, mode: ModeIndex, t: float) -> float:
-    """Decay exponent Lambda(t) on [0, T); raises ModeDead at or past T."""
-    if t < 0:
-        raise ValueError(f"t must be >= 0, got {t!r}")
-    T = recording_window(params, mode)
-    if t >= T:
-        raise ModeDead(f"t = {t:.6g} is at or past the window end T = {T:.6g}")
+    """Decay exponent Lambda(t) on [0, T), behind open_window."""
+    T = open_window(params, mode, t)
     g = _gamma(params, mode.n)
     return _lambda_at(t, T, g, math.sinh(g * T))
 
@@ -223,7 +231,7 @@ def lifetime_profile(
         raise ValueError("points must be >= 2")
     T = recording_window(params, mode)
     if T == 0.0:
-        raise NeverRecordable("degenerate window: nothing to sample")
+        raise NeverRecordable(f"mode (k={mode.k}, n={mode.n}) has a degenerate window")
     g = _gamma(params, mode.n)
     sinh_gT = math.sinh(g * T)
     ts, ls = [], []
@@ -305,14 +313,9 @@ def curve_table(spec: FigureSpec):
     """Rows (curve_id, t, scaled Lambda) for every curve of the figure.
 
     Curves are ordered by curve_id and rows by t; every mode must be
-    recordable (NeverRecordable propagates otherwise).
+    recordable (lifetime_profile's NeverRecordable propagates, no partial table).
     """
     params = spec.params()
-    # validate all modes up front so a bad spec produces no partial table
-    for k, n in spec.modes:
-        T = recording_window(params, ModeIndex(k=k, n=n))
-        if T == 0.0:
-            raise NeverRecordable(f"mode (k={k}, n={n}) has a degenerate window")
     rows = []
     curves = sorted(spec.modes, key=lambda kn: spec.curve_id(*kn))
     for k, n in curves:

@@ -2,20 +2,21 @@
 
 A memory code is an association table mapping momentum k to a recorded
 intensity, an openness order n, and the recording time.  Recording is gated
-by the per-mode rules from :mod:`memdomain.lifetime`: a component is accepted
-only while its mode is alive and its momentum clears the rising threshold
-k_tilde(n, t).  As modes die their entries are swept out by decay, degrading
-and eventually forgetting the code.  Recall compares a replication signal
-against the stored spectra and additionally demands an energy supply above
-the effective-mass scale c * k_tilde(n_min, t).
+by the per-mode rule from :mod:`memdomain.lifetime`: a component is accepted
+iff its mode is alive (``mode_alive``: the rising threshold k_tilde(n, t) has
+not yet passed k), the test decay applies too.  As modes die their entries
+are swept out by decay, degrading and eventually forgetting the code.  Recall
+compares a replication signal against the stored spectra and additionally
+demands an energy supply above the effective-mass scale c * k_tilde(n_min, t).
 
 The registry follows a single-writer / many-reader contract: ``record`` and
 ``decay_codes`` mutate it and must be serialized by the caller, while
 ``recall``, ``similarity`` and ``is_forgotten`` are read-only and safe to run
 concurrently.  Between processes sharing a registry file, a writer holds
 ``registry_lock(path)`` from load through save, as the CLI's ``record`` and
-``forget-sweep`` do; ``save`` syncs the new file to disk and renames it into
-place, so readers need no lock and never see a half-written registry.
+``forget-sweep`` do; ``save`` uses ``write_atomic`` (sync, then rename into
+place), so readers need no lock and never see a half-written registry.
+``last_decay_t`` is the registry clock: record and decay refuse a t behind it.
 
 Model choices documented here rather than hidden in code:
 
@@ -45,7 +46,7 @@ SCHEMA_VERSION = 1
 MATCH_THRESHOLD = 0.5
 
 
-def _require_finite(name: str, val) -> float:
+def _require_finite(name: str, val, non_negative: bool = False) -> float:
     if not isinstance(val, (int, float)) or isinstance(val, bool):
         raise ValueError(f"{name} must be a number, got {val!r}")
     try:
@@ -54,7 +55,54 @@ def _require_finite(name: str, val) -> float:
         out = math.inf
     if not math.isfinite(out):
         raise ValueError(f"{name} must be finite, got {val!r}")
+    if non_negative and out < 0:
+        raise ValueError(f"{name} must be >= 0, got {val!r}")
     return out
+
+
+def _clock(registry: "MemoryRegistry", t) -> float:
+    """t as a float, refused below 0 or behind the registry clock: the time
+    of the last decay sweep, which only ever moves forward."""
+    t = _require_finite("t", t, non_negative=True)
+    if t < registry.last_decay_t:
+        raise ValueError(
+            f"t={t!r} is behind the registry clock: the registry is decayed "
+            f"to t={registry.last_decay_t!r}"
+        )
+    return t
+
+
+def _spectral_line(k, n, amount, fields=("k", "n", "intensity"), where=""):
+    """(k, amount) as floats for one line of a spectrum or a code: k > 0 and
+    finite, n a non-negative integer, amount >= 0 and finite.  An error
+    names the field, after `where` (a registry's code id)."""
+    k_name, n_name, amount_name = fields
+    try:
+        k_val = _require_finite(k_name, k)
+        if k_val <= 0:
+            raise ValueError(f"{k_name} must be positive, got {k!r}")
+        if isinstance(n, bool) or not isinstance(n, int) or n < 0:
+            raise ValueError(f"{n_name} must be a non-negative integer, got {n!r}")
+        return k_val, _require_finite(amount_name, amount, non_negative=True)
+    except ValueError as exc:
+        raise ValueError(f"{where}{exc}") from None
+
+
+def write_atomic(path, data: bytes) -> None:
+    """Write data to <path>.tmp.<pid>, fsync it and rename it over path, so
+    readers and crashes see the old file or the new one; the temp file is
+    removed on any failure."""
+    tmp = f"{path}.tmp.{os.getpid()}"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(data)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        raise
 
 
 def _parse_json(text: str):
@@ -108,16 +156,7 @@ class StimulusComponent:
     intensity: float
 
     def __post_init__(self):
-        k = _require_finite("k", self.k)
-        if k <= 0:
-            raise ValueError(f"k must be positive, got {self.k!r}")
-        if isinstance(self.n, bool) or not isinstance(self.n, int):
-            raise ValueError(f"n must be an integer, got {self.n!r}")
-        if self.n < 0:
-            raise ValueError(f"n must be non-negative, got {self.n!r}")
-        intensity = _require_finite("intensity", self.intensity)
-        if intensity < 0:
-            raise ValueError(f"intensity must be >= 0, got {self.intensity!r}")
+        k, intensity = _spectral_line(self.k, self.n, self.intensity)
         object.__setattr__(self, "k", k)
         object.__setattr__(self, "intensity", intensity)
 
@@ -274,9 +313,7 @@ class MemoryRegistry:
         expected = {"schema", "last_decay_t", "next_id", "codes"}
         if set(doc) != expected:
             raise ValueError(f"registry keys must be exactly {sorted(expected)}")
-        last_decay_t = _require_finite("last_decay_t", doc["last_decay_t"])
-        if last_decay_t < 0:
-            raise ValueError("last_decay_t must be >= 0")
+        last_decay_t = _require_finite("last_decay_t", doc["last_decay_t"], True)
         next_id = doc["next_id"]
         if isinstance(next_id, bool) or not isinstance(next_id, int) or next_id < 1:
             raise ValueError(f"next_id must be a positive integer, got {next_id!r}")
@@ -293,23 +330,14 @@ class MemoryRegistry:
                 raise ValueError(f"code {cid} entries must be an object")
             entries: dict = {}
             for kstr, ent in body["entries"].items():
-                k = _require_finite(f"{cid} entry key", float(kstr))
-                if k <= 0:
-                    raise ValueError(f"{cid} entry key must be positive")
                 if not isinstance(ent, dict) or set(ent) != {"weight", "n", "t_rec"}:
                     raise ValueError(
                         f"{cid} entry {kstr} must have keys weight, n, t_rec"
                     )
-                weight = _require_finite(f"{cid} weight", ent["weight"])
-                if weight < 0:
-                    raise ValueError(f"{cid} weight must be >= 0")
-                n = ent["n"]
-                if isinstance(n, bool) or not isinstance(n, int) or n < 0:
-                    raise ValueError(f"{cid} n must be a non-negative integer")
-                t_rec = _require_finite(f"{cid} t_rec", ent["t_rec"])
-                if t_rec < 0:
-                    raise ValueError(f"{cid} t_rec must be >= 0")
-                entries[k] = CodeEntry(weight=weight, n=n, t_rec=t_rec)
+                k, weight = _spectral_line(float(kstr), ent["n"], ent["weight"],
+                                           ("entry key", "n", "weight"), f"{cid} ")
+                t_rec = _require_finite(f"{cid} t_rec", ent["t_rec"], True)
+                entries[k] = CodeEntry(weight=weight, n=ent["n"], t_rec=t_rec)
             if status is CodeStatus.FORGOTTEN and entries:
                 raise ValueError(f"{cid} is Forgotten but still has entries")
             codes[cid] = MemoryCode(id=cid, entries=entries, status=status)
@@ -349,15 +377,8 @@ class MemoryRegistry:
         return cls.from_json_dict(_parse_json(text))
 
     def save(self, path) -> None:
-        # temp + rename so readers never observe a half-written registry;
-        # the sync first, so a crash leaves the old registry or the new one
-        data = self.dumps().encode("utf-8")
-        tmp = f"{path}.tmp.{os.getpid()}"
-        with open(tmp, "wb") as fh:
-            fh.write(data)
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, path)
+        """dumps() to path through write_atomic."""
+        write_atomic(path, self.dumps().encode("utf-8"))
 
     @classmethod
     def load(cls, path) -> "MemoryRegistry":
@@ -406,8 +427,8 @@ def record(
 ):
     """Record a stimulus at time t, returning (code, rejections).
 
-    A component is accepted iff its mode is alive at t and its momentum is
-    at or above the rising threshold; the recorded weight is the intensity.
+    A component is accepted iff its mode is alive at t (mode_alive, the
+    test decay_codes applies); the recorded weight is the intensity.
     Refusals come back in the rejections list: BelowThreshold for momenta at
     or below the permanent floor k0 = L/(2c) (those can never record), and
     WindowClosed for momenta whose recording window has already passed.
@@ -419,20 +440,12 @@ def record(
     matches an existing code refreshes that code in place: its entries'
     recording times reset to t and no duplicate is created.
     """
-    t = _require_finite("t", t)
-    if t < 0:
-        raise ValueError(f"t must be >= 0, got {t!r}")
-    if t < registry.last_decay_t:
-        raise ValueError(
-            f"cannot record at t={t!r} before the last decay sweep at "
-            f"t={registry.last_decay_t!r}"
-        )
+    t = _clock(registry, t)
     accepted: dict = {}
     rejections = []
     for comp in stimulus.components:
         mode = ModeIndex(k=comp.k, n=comp.n)
-        threshold = momentum_threshold(params, comp.n, t)
-        if mode_alive(params, mode, t) and comp.k >= threshold:
+        if mode_alive(params, mode, t):
             # duplicate momenta within one stimulus: last one wins
             accepted[comp.k] = CodeEntry(weight=comp.intensity, n=comp.n, t_rec=t)
             continue
@@ -444,10 +457,9 @@ def record(
             )
         else:
             reason = RejectionReason.WINDOW_CLOSED
-            window = recording_window(params, mode)
             detail = (
                 f"recording window for (k={comp.k:g}, n={comp.n}) closed at "
-                f"T={window:g} <= t={t:g}"
+                f"T={recording_window(params, mode):g} <= t={t:g}"
             )
         rejections.append(Rejection(component=comp, reason=reason, detail=detail))
     if not accepted:
@@ -474,14 +486,9 @@ def decay_codes(
 
     Codes that lose some entries become Degraded, codes that lose all
     become Forgotten, and the registry remembers t so later operations can
-    insist on a decayed-to-t view.  t must not move backwards.
+    insist on a decayed-to-t view.  t must not be behind that clock.
     """
-    t = _require_finite("t", t)
-    if t < registry.last_decay_t:
-        raise ValueError(
-            f"decay time must be non-decreasing: got t={t!r} after "
-            f"t={registry.last_decay_t!r}"
-        )
+    t = _clock(registry, t)
     for code in registry.codes.values():
         dead = [
             k
@@ -516,9 +523,7 @@ def recall(
     among the matched code's entries: short energy means
     DifficultyRecalling, enough means Recalled.
     """
-    t = _require_finite("t", t)
-    if t < 0:
-        raise ValueError(f"t must be >= 0, got {t!r}")
+    t = _require_finite("t", t, non_negative=True)
     energy = _require_finite("energy", energy)
     if registry.last_decay_t != t:
         raise ValueError(

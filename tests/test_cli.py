@@ -492,13 +492,17 @@ class TestRegistryFlow:
         assert json.loads(out.read_text()) == json.loads(capsys.readouterr().out)
         assert (tmp_path / "res.json.manifest.json").exists()
 
-    def test_recall_behind_registry_clock(self, tmp_path):
+    def test_recall_behind_registry_clock(self, tmp_path, capsys):
         _, reg = self._record(tmp_path)
         main(["forget-sweep", "--registry", str(reg), "--t", "2", "--L", "1",
               "--no-timestamp"])
         sig = write_spectrum(tmp_path / "sig.json", (2.0, 1, 1.0))
-        assert main(["recall", "--registry", str(reg), "--signal", str(sig),
-                     "--t", "1", "--L", "1", "--energy", "5"]) == 2
+        base = ["recall", "--registry", str(reg), "--signal", str(sig),
+                "--L", "1", "--energy", "5"]
+        assert main(base + ["--t", "1"]) == 2
+        assert "behind the registry clock" in capsys.readouterr().err
+        # at the clock's own time the decay is a no-op
+        assert main(base + ["--t", "2"]) == 0
 
     def test_recall_missing_registry(self, tmp_path):
         sig = write_spectrum(tmp_path / "sig.json", (2.0, 1, 1.0))
@@ -725,6 +729,29 @@ class TestPathErrors:
         assert err.startswith("error: ") and named in err, err
         assert not list(tmp_path.rglob("*.tmp.*"))
         assert not list((tmp_path / "dir").iterdir())
+
+    @pytest.mark.parametrize("taken", ["traj", "traj.ode", "traj.manifest.json"])
+    def test_refused_evolve_writes_nothing(self, tmp_path, capsys, taken):
+        # a directory at any destination of --method both refuses the run
+        # before its first write: no orphan .ode sibling, no manifest
+        (tmp_path / taken).mkdir()
+        assert main(["evolve", "--L", "1", "--k", "2", "--n", "1", "--t-max", "1",
+                     "--points", "20", "--method", "both",
+                     "--out", str(tmp_path / "traj")]) == 2
+        assert capsys.readouterr().err == f"error: {tmp_path / taken}: Is a directory\n"
+        assert [p.name for p in tmp_path.iterdir()] == [taken]
+        assert not list((tmp_path / taken).iterdir())
+
+    def test_refused_record_keeps_the_registry(self, tmp_path, files):
+        # the registry is not replaced when its manifest cannot be written
+        reg, spec = files
+        before = reg.read_bytes()
+        reg.with_name("reg.json.manifest.json").unlink()
+        reg.with_name("reg.json.manifest.json").mkdir()
+        assert main(["record", "--registry", str(reg), "--spectrum", str(spec),
+                     "--t", "1", "--L", "1", "--no-timestamp"]) == 2
+        assert reg.read_bytes() == before
+        assert not list(tmp_path.rglob("*.tmp.*"))
 
     def test_other_os_errors_stay_computation_errors(self, tmp_path, capsys,
                                                       monkeypatch):

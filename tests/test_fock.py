@@ -39,7 +39,7 @@ from memdomain.fock import (
     vacuum_overlap,
     vacuum_state,
 )
-from memdomain.lifetime import recording_window
+from memdomain.lifetime import lambda_lifetime, open_window, recording_window
 from memdomain.oscillator import ModeIndex, SystemParams, common_frequency
 
 P = SystemParams(L=1.0, c=1.0)
@@ -404,6 +404,25 @@ class TestHamiltonians:
         T = recording_window(P, MODE)
         with pytest.raises(ModeDead):
             build_hamiltonians(P, MODE, T + 0.1, cutoff=8)
+        # the cutoff is checked before the window
+        with pytest.raises(ValueError, match="cutoff"):
+            build_hamiltonians(P, MODE, -1.0, cutoff=3)
+
+
+@pytest.mark.parametrize("quantity", [
+    lambda_lifetime,
+    mixing_angle,
+    lambda params, mode, t: build_hamiltonians(params, mode, t, cutoff=8),
+], ids=["lambda_lifetime", "mixing_angle", "build_hamiltonians"])
+@pytest.mark.parametrize("where,error", [("before", ValueError), ("end", ModeDead)])
+def test_window_quantities_share_one_gate(quantity, where, error):
+    # t < 0 and t = T are refused by open_window itself: same type, same text
+    t = -0.5 if where == "before" else recording_window(P, MODE)
+    with pytest.raises(error) as gate:
+        open_window(P, MODE, t)
+    with pytest.raises(error) as refused:
+        quantity(P, MODE, t)
+    assert str(refused.value) == str(gate.value)
 
 
 class TestK2:

@@ -143,6 +143,22 @@ class TestRecord:
         (rej,) = rejected
         assert rej.reason is RejectionReason.WINDOW_CLOSED
 
+    @pytest.mark.parametrize("k,n", [(6.268377079538355, 1), (2.0, 1), (55.0, 9)])
+    def test_records_what_decay_keeps_up_to_the_window_end(self, k, n):
+        # at the last float before T the mode is alive; for the first mode
+        # k_tilde(n, t) rounds above k there, which used to refuse it
+        T = recording_window(P, ModeIndex(k=k, n=n))
+        t = math.nextafter(T, 0.0)
+        reg = MemoryRegistry()
+        code, rejected = record(reg, spectrum((k, n, 1.0)), t, P)
+        assert rejected == []
+        decay_codes(reg, t, P)
+        assert reg.codes[code.id].entries == {k: CodeEntry(weight=1.0, n=n, t_rec=t)}
+        decay_codes(reg, T, P)
+        assert reg.codes[code.id].status is CodeStatus.FORGOTTEN
+        _, (rej,) = record(reg, spectrum((k, n, 1.0)), T, P)
+        assert rej.reason is RejectionReason.WINDOW_CLOSED
+
     def test_mixed_acceptance(self):
         reg = MemoryRegistry()
         code, rejected = record(
@@ -493,6 +509,13 @@ class TestPersistence:
         reg.save(path)
         assert MemoryRegistry.load(path).dumps() == reg.dumps()
         assert path.read_bytes() == reg.dumps().encode("utf-8")
+
+    def test_failed_save_leaves_no_temp_file(self, tmp_path):
+        path = tmp_path / "registry.json"
+        path.mkdir()
+        with pytest.raises(IsADirectoryError):
+            MemoryRegistry().save(path)
+        assert [p.name for p in tmp_path.iterdir()] == ["registry.json"]
 
     def test_insertion_order_irrelevant(self):
         entries = {2.0: CodeEntry(weight=1.0, n=1, t_rec=0.0)}
