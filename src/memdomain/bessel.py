@@ -34,7 +34,7 @@ import math
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import POSITIVE, DomainError, finite, integer
 
 __all__ = [
     "BesselKind",
@@ -65,29 +65,14 @@ _SEED = 1e-30
 # 5.3e-16 below 1 (9 terms), where every order n <= 12 is within 8.4e-16.
 _SERIES_BELOW = 1.0
 _SERIES_TERMS = 9
+# Each pass is linear in the order, the downward one in z too: both are bounded.
+_ORDER_MAX = 100_000
+_Z_MAX = 1e5
 
 
 class BesselKind(enum.Enum):
     FIRST = "j"
     SECOND = "y"
-
-
-def _check_z(z, positive_only):
-    if not isinstance(z, (int, float)) or isinstance(z, bool):
-        raise DomainError(f"z must be a real number, got {z!r}")
-    if math.isnan(z) or math.isinf(z):
-        raise DomainError(f"z must be finite, got {z!r}")
-    if z < 0:
-        raise DomainError(f"z must be non-negative, got {z!r}")
-    if positive_only and z == 0:
-        raise DomainError("second-kind functions are singular at z = 0")
-
-
-def _check_n(n):
-    if not isinstance(n, int) or isinstance(n, bool):
-        raise DomainError(f"order must be an integer, got {n!r}")
-    if n < 0:
-        raise DomainError(f"order must be >= 0, got {n}")
 
 
 def _check_z_array(z, positive_only):
@@ -117,7 +102,12 @@ def _start_order(n: int, z: float) -> int:
     each order within 1e-12 of its largest value against scipy.special
     there (below 2e-14 for n >= 2), and an mpmath probe found 2e-14 relative
     error at z = 1045, which large-momentum modes reach at t = 0.
+    z above _Z_MAX = 1e5 (about 1.5 z steps) is refused; at 1e5 the tests hold
+    j_n, n in {2, 3, 5, 9, 12}, within 1e-13 of mpmath relative to 1/z.
     """
+    if z > _Z_MAX:
+        raise DomainError(f"z = {z:g} is above {_Z_MAX:g}, the limit of the "
+                          "first-kind downward recurrence")
     return n + max(40, math.ceil(1.5 * z) + 20)
 
 
@@ -146,9 +136,8 @@ def _series_j(n, z):
 
 
 def sph_j(n: int, z: float) -> float:
-    """First-kind spherical Bessel j_n(z) for n >= 0, z >= 0."""
-    _check_n(n)
-    _check_z(z, positive_only=False)
+    """First-kind spherical Bessel j_n(z), 0 <= n <= 1e5, z >= 0 (<= 1e5 for n >= 2)."""
+    n, z = integer("order", n, 0, _ORDER_MAX), finite("z", z, 0.0)
     if z == 0.0:
         return 1.0 if n == 0 else 0.0
     if z < _SERIES_BELOW:
@@ -208,9 +197,10 @@ def _upward_y(n, z, y0, y1):
 
 
 def sph_y(n: int, z: float) -> float:
-    """Second-kind spherical Bessel y_n(z) for n >= 0, z > 0."""
-    _check_n(n)
-    _check_z(z, positive_only=True)
+    """Second-kind spherical Bessel y_n(z) for 0 <= n <= 1e5, z > 0."""
+    n, z = integer("order", n, 0, _ORDER_MAX), finite("z", z, 0.0)
+    if z == 0.0:
+        raise DomainError("second-kind functions are singular at z = 0")
     y = _upward_y(n, z, *_seeds_y(z))
     # nan only from -inf - (-inf) after the recurrence overflowed
     return -math.inf if math.isnan(y) else y
@@ -290,7 +280,7 @@ def sph_j_array(n: int, z) -> np.ndarray:
     scalar start order and rescaling, so the result equals sph_j(n, x)
     bit for bit at every x.
     """
-    _check_n(n)
+    n = integer("order", n, 0, _ORDER_MAX)
     z = _check_z_array(z, positive_only=False)
     flat = z.ravel()
     out = np.zeros(flat.size)
@@ -317,7 +307,7 @@ def sph_y_array(n: int, z) -> np.ndarray:
 
     One vectorised upward recurrence; equals sph_y(n, x) bit for bit.
     """
-    _check_n(n)
+    n = integer("order", n, 0, _ORDER_MAX)
     z = _check_z_array(z, positive_only=True)
     flat = z.ravel()
     # overflow to inf / nan stays silent, as in float arithmetic
@@ -343,8 +333,7 @@ def sph_deriv(kind: BesselKind, n: int, z: float) -> float:
     z > 0 as well because the recurrence divides by z (the z = 0 limits of
     j_n' are not needed by the dynamics, which evaluates at z > 0).
     """
-    _check_n(n)
-    _check_z(z, positive_only=True)
+    n, z = integer("order", n, 0, _ORDER_MAX), finite("z", z, POSITIVE)
     if n == 0:
         return -_value(kind, 1, z)
     d = _value(kind, n - 1, z) - (n + 1) / z * _value(kind, n, z)
@@ -377,8 +366,7 @@ def sph_second_deriv(kind: BesselKind, n: int, z: float) -> float:
     = (2n+3)/z - y_n/y_{n+1}, which stay finite, and multiplied by y_n last;
     y_n'' is then finite up to its own overflow, and -inf past it.
     """
-    _check_n(n)
-    _check_z(z, positive_only=True)
+    n, z = integer("order", n, 0, _ORDER_MAX), finite("z", z, POSITIVE)
     a = n * n / (2 * n - 1) + (n + 1) ** 2 / (2 * n + 3)
     ap = (n + 1) * (n + 2) / (2 * n + 3)
     fm = n * (n - 1) / (2 * n - 1) * _value(kind, n - 2, z) if n > 1 else 0.0

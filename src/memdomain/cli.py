@@ -354,6 +354,11 @@ def _digest(data: bytes) -> str:
     return "sha256:" + hashlib.sha256(data).hexdigest()
 
 
+def _refuse_directory(path: Path) -> None:
+    if path.is_dir():
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
+
+
 class _Run:
     """Collects inputs/outputs of one invocation and emits the manifest."""
 
@@ -384,8 +389,7 @@ class _Run:
         files = (*siblings, (out, data))
         manifest = out.with_name(out.name + ".manifest.json")
         for path in (*(path for path, _ in files), manifest):
-            if path.is_dir():
-                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
+            _refuse_directory(path)
         for path, blob in files:
             self.write_output(path, blob)
         self.manifest(manifest)
@@ -621,13 +625,15 @@ def _registry_update(run: _Run, path: str, must_exist: bool):
 
     The lock is held from load through save, so a concurrent writer waits
     and then loads this one's result instead of overwriting it.  Nothing is
-    saved when the body raises.
+    saved when the body raises.  A directory at path is refused before the
+    lock file is created, so a refused request leaves nothing behind.
     """
     from .memory import MemoryRegistry, registry_lock
 
     out = Path(path)
     if must_exist and not out.exists():
         raise ValueError(f"registry file not found: {path}")
+    _refuse_directory(out)
     out.parent.mkdir(parents=True, exist_ok=True)
     with registry_lock(out):
         registry = _load(run, MemoryRegistry, out) if out.exists() else MemoryRegistry()

@@ -1,8 +1,18 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and its one input gate.
 
 Every error raised on a violated contract derives from MemdomainError so
-callers can distinguish library failures from programming mistakes.
+callers can distinguish library failures from programming mistakes. Each
+public scalar input passes `finite` or `integer` once per call; one outside
+its domain raises DomainError, which is also a ValueError.
 """
+
+import math
+import numbers
+import sys
+
+_MAX = sys.float_info.max
+# the least float above 0: finite(name, x, POSITIVE) admits exactly x > 0
+POSITIVE = math.ulp(0.0)
 
 
 class MemdomainError(Exception):
@@ -43,3 +53,31 @@ class GridTooCoarse(MemdomainError):
 
 class CutoffTooSmall(MemdomainError):
     """Fock-space truncation cannot hold the requested state accurately."""
+
+
+def finite(name: str, x, lo: float = -_MAX) -> float:
+    """x as a finite float >= lo, else DomainError; bools, non-numbers and
+    ints beyond the float range are refused. A plain float pays one type
+    test and one chained comparison, which nan and +-inf fail."""
+    if type(x) is float and lo <= x <= _MAX:
+        return x
+    if isinstance(x, bool) or not isinstance(x, numbers.Real):
+        raise DomainError(f"{name} must be a real number, got {x!r}")
+    if not -_MAX <= x <= _MAX:
+        raise DomainError(f"{name} must be finite, got {x!r}")
+    if x < lo:
+        bound = "> 0" if lo == POSITIVE else f">= {lo:g}"
+        raise DomainError(f"{name} must be {bound}, got {x!r}")
+    return float(x)
+
+
+def integer(name: str, n, lo: float = 0, hi: float = _MAX) -> int:
+    """n as an int in [lo, hi], else DomainError; bools and non-integers are
+    refused, and by default so is an int beyond the float range."""
+    if type(n) is int and lo <= n <= hi:
+        return n
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral):
+        raise DomainError(f"{name} must be an integer, got {n!r}")
+    if not lo <= n <= hi:
+        raise DomainError(f"{name} must be in [{lo:g}, {hi:g}], got {n!r}")
+    return int(n)

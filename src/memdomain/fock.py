@@ -27,13 +27,14 @@ boundary rows of a truncated ladder matrix cannot satisfy them.
 """
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 from scipy import sparse
 
-from .errors import CutoffTooSmall
+from .errors import CutoffTooSmall, DomainError, finite, integer
 from .lifetime import ModeIndex, SystemParams, common_frequency, open_window
 
 __all__ = [
@@ -81,8 +82,7 @@ class OperatorLabel(str, Enum):
 
 def ladder(cutoff: int) -> sparse.csr_matrix:
     """Single-mode annihilation matrix on occupations 0..cutoff."""
-    if not isinstance(cutoff, int) or isinstance(cutoff, bool) or cutoff < 1:
-        raise ValueError(f"cutoff must be an integer >= 1, got {cutoff!r}")
+    cutoff = integer("cutoff", cutoff, 1, sys.maxsize)
     amp = np.sqrt(np.arange(1, cutoff + 1, dtype=float))
     return sparse.diags(amp, offsets=1, format="csr", dtype=complex)
 
@@ -156,8 +156,7 @@ class SqueezeAngle:
     t: float
 
     def __post_init__(self):
-        if not math.isfinite(self.theta):
-            raise ValueError("theta must be finite")
+        finite("theta", self.theta)
 
 
 def coupling_frequencies(params: SystemParams, mode: ModeIndex, t: float):
@@ -174,18 +173,21 @@ def mixing_angle(params: SystemParams, mode: ModeIndex, t: float) -> SqueezeAngl
     return SqueezeAngle(theta=math.atanh(-w0_diff / w0_sum), mode=mode, t=t)
 
 
+def _cosh_sinh(x: float):
+    """(cosh x, sinh x) for |x| <= 710, where cosh stays in the float range."""
+    if not abs(x) <= 710.0:
+        raise DomainError(f"cosh({x:g}) is beyond the float range")
+    return math.cosh(x), math.sinh(x)
+
+
 def bogoliubov_theta_coeffs(theta: float):
-    """Hyperbolic mixing weights (cosh(theta/2), sinh(theta/2))."""
-    if not math.isfinite(theta):
-        raise ValueError("theta must be finite")
-    return math.cosh(theta / 2), math.sinh(theta / 2)
+    """Hyperbolic mixing weights (cosh(theta/2), sinh(theta/2)), |theta| <= 1420."""
+    return _cosh_sinh(finite("theta", theta) / 2)
 
 
 def bogoliubov_time_coeffs(gamma: float, t: float):
-    """Dissipative-flow weights (cosh(gamma t), sinh(gamma t))."""
-    if not (math.isfinite(gamma) and math.isfinite(t)):
-        raise ValueError("gamma and t must be finite")
-    return math.cosh(gamma * t), math.sinh(gamma * t)
+    """Dissipative-flow weights (cosh(gamma t), sinh(gamma t)), |gamma t| <= 710."""
+    return _cosh_sinh(finite("gamma", gamma) * finite("t", t))
 
 
 def _tail_cutoff(gamma_t: float) -> int:
@@ -203,9 +205,7 @@ def _tail_cutoff(gamma_t: float) -> int:
 def default_cutoff(gamma_t: float) -> int:
     """Smallest paired occupation keeping tanh^{2(m+1)} below TAIL_BOUND,
     clamped to [8, 256]."""
-    if not math.isfinite(gamma_t):
-        raise ValueError("gamma_t must be finite")
-    return min(max(_tail_cutoff(gamma_t), _CUTOFF_MIN), _CUTOFF_MAX)
+    return min(max(_tail_cutoff(finite("gamma_t", gamma_t)), _CUTOFF_MIN), _CUTOFF_MAX)
 
 
 def _pair_tail(gamma_t: float, cutoff: int) -> float:
@@ -251,8 +251,7 @@ class TwoModeState:
     def full_vector(self, cutoff: int | None = None) -> np.ndarray:
         """Embed into the joint basis (optionally padded to a larger cutoff)."""
         n = self.cutoff if cutoff is None else cutoff
-        if n < self.cutoff:
-            raise ValueError("cannot embed into a smaller cutoff")
+        integer("cutoff", n, self.cutoff, sys.maxsize)
         vec = np.zeros((n + 1) ** 2, dtype=complex)
         for m, c in enumerate(self.coeffs):
             vec[m * (n + 1) + m] = c
@@ -260,6 +259,7 @@ class TwoModeState:
 
 
 def vacuum_state(cutoff: int) -> TwoModeState:
+    cutoff = integer("cutoff", cutoff, 0, sys.maxsize)
     return TwoModeState(
         cutoff=cutoff, coeffs=(1.0,) + (0.0,) * cutoff, gamma_t=0.0
     )
@@ -267,13 +267,9 @@ def vacuum_state(cutoff: int) -> TwoModeState:
 
 def squeezed_vacuum(gamma: float, t: float, cutoff: int | None = None) -> TwoModeState:
     """Paired squeezed vacuum with c_m = tanh^m(gamma t)/cosh(gamma t)."""
-    if not (math.isfinite(gamma) and math.isfinite(t)):
-        raise ValueError("gamma and t must be finite")
-    gt = gamma * t
-    if cutoff is None:
-        cutoff = default_cutoff(gt)
-    if cutoff < 1:
-        raise ValueError(f"cutoff must be >= 1, got {cutoff!r}")
+    gt = finite("gamma", gamma) * finite("t", t)
+    _tail_cutoff(gt)  # CutoffTooSmall once tanh(gt) rounds to 1, before cosh(gt) overflows
+    cutoff = default_cutoff(gt) if cutoff is None else integer("cutoff", cutoff, 1, sys.maxsize)
     th, ch = math.tanh(gt), math.cosh(gt)
     coeffs = tuple(th**m / ch for m in range(cutoff + 1))
     return TwoModeState(cutoff=cutoff, coeffs=coeffs, gamma_t=gt)
@@ -305,22 +301,16 @@ def vacuum_overlap(gammas, t: float, t_prime: float) -> float:
     The mode count plays the role of volume: the overlap decays
     exponentially in the number of modes whenever t != t'.
     """
-    if not (math.isfinite(t) and math.isfinite(t_prime)):
-        raise ValueError("times must be finite")
-    if t < 0 or t_prime < 0:
-        raise ValueError("times must be >= 0")
+    dt = finite("t", t, 0.0) - finite("t_prime", t_prime, 0.0)
     total = 0.0
     for g in gammas:
-        if not math.isfinite(g):
-            raise ValueError("gammas must be finite")
-        total += _log_cosh(g * (t - t_prime))
+        total += _log_cosh(finite("gamma", g) * dt)
     return math.exp(-total)
 
 
 def build_hamiltonians(params: SystemParams, mode: ModeIndex, t: float, cutoff: int):
     """(H0, HI1, HI2) on the truncated joint basis at t in [0, T) (open_window)."""
-    if cutoff < 4:
-        raise ValueError(f"cutoff must be >= 4, got {cutoff!r}")
+    cutoff = integer("cutoff", cutoff, 4, sys.maxsize)
     open_window(params, mode, t)
     w0_sum, w0_diff = coupling_frequencies(params, mode, t)
     A, At = pair_ladders(cutoff)
@@ -341,18 +331,11 @@ def pair_coupling(gamma: float, cutoff: int) -> OperatorMatrix:
     squeezed pair state with parameter gamma*t; build_hamiltonians returns
     the same matrix as its third element with gamma = L/2.
     """
-    if cutoff < 4:
-        raise ValueError(f"cutoff must be >= 4, got {cutoff!r}")
-    if (
-        not isinstance(gamma, (int, float))
-        or isinstance(gamma, bool)
-        or not math.isfinite(gamma)
-    ):
-        raise ValueError(f"gamma must be a finite number, got {gamma!r}")
+    cutoff = integer("cutoff", cutoff, 4, sys.maxsize)
     # A+ At+ = kron(a+, a+) and A At = kron(a, a), entry for entry
     a = ladder(cutoff)
     ad = a.getH()
-    hi2 = 1j * gamma * (sparse.kron(ad, ad) - sparse.kron(a, a))
+    hi2 = 1j * finite("gamma", gamma) * (sparse.kron(ad, ad) - sparse.kron(a, a))
     return OperatorMatrix(OperatorLabel.HI2, cutoff, hi2.tocsr())
 
 
@@ -369,8 +352,7 @@ def k2_generator(cutoff: int) -> OperatorMatrix:
     adjoint with weights cosh(theta/2), sinh(theta/2); the sign of the
     quadratic form was fixed by that requirement.
     """
-    if cutoff < 4:
-        raise ValueError(f"cutoff must be >= 4, got {cutoff!r}")
+    cutoff = integer("cutoff", cutoff, 4, sys.maxsize)
     k = k2_single_mode(cutoff)
     eye = sparse.identity(cutoff + 1, format="csr", dtype=complex)
     full = sparse.kron(k, eye, format="csr") + sparse.kron(eye, k, format="csr")
@@ -378,12 +360,15 @@ def k2_generator(cutoff: int) -> OperatorMatrix:
 
 
 def expm_apply(m, vec: np.ndarray) -> np.ndarray:
-    """exp(m) @ vec without forming exp(m): 2^s substeps of a scaled series."""
+    """exp(m) @ vec without forming exp(m): 2^s substeps of a scaled series,
+    for a 1-norm of m up to 4 * 2^20 (at most 2^20 substeps)."""
     m = sparse.csr_matrix(m).astype(complex)
     v = np.asarray(vec, dtype=complex)
     if m.shape[1] != v.shape[0]:
         raise ValueError("dimension mismatch")
     norm = float(np.abs(m).sum(axis=0).max()) if m.nnz else 0.0
+    if not norm <= 4.0 * 2**20:  # nan and inf too
+        raise DomainError(f"1-norm {norm:g} of m is above 4 * 2^20")
     s = max(0, math.ceil(math.log2(norm / 4.0))) if norm > 4.0 else 0
     steps = 2**s
     h = m / steps
@@ -413,8 +398,7 @@ def brute_force_evolve(generator: OperatorMatrix, t: float, init: TwoModeState) 
     on the top two occupation levels of either mode (the truncated dynamics
     is untrustworthy past that point).
     """
-    if not math.isfinite(t):
-        raise ValueError("t must be finite")
+    t = finite("t", t)
     n = generator.cutoff
     if init.cutoff > n:
         raise ValueError("initial state does not fit inside the generator cutoff")
@@ -431,7 +415,8 @@ def brute_force_evolve(generator: OperatorMatrix, t: float, init: TwoModeState) 
     block = cols[paired]
     vec = np.zeros(n + 1, dtype=complex)
     vec[: init.cutoff + 1] = init.coeffs
-    out = expm_apply(-1j * t * block, vec)
+    with np.errstate(over="ignore"):  # an overflowed t * block fails the norm check
+        out = expm_apply(-1j * t * block, vec)
     mass = np.abs(out) ** 2
     # for a paired state the top-two-level union of either mode is these two
     top = mass[n - 1] + mass[n]

@@ -26,7 +26,8 @@ import math
 import operator
 from dataclasses import dataclass
 
-from .errors import ModeDead, NeverRecordable, RealityViolation, UnsupportedBranch
+from .errors import POSITIVE, ModeDead, NeverRecordable, RealityViolation
+from .errors import UnsupportedBranch, finite, integer
 
 __all__ = [
     "SystemParams",
@@ -68,12 +69,8 @@ class SystemParams:
     c: float = 1.0
 
     def __post_init__(self):
-        for name in ("L", "c"):
-            val = getattr(self, name)
-            if not isinstance(val, (int, float)) or isinstance(val, bool):
-                raise ValueError(f"{name} must be a number, got {val!r}")
-            if not math.isfinite(val) or val <= 0:
-                raise ValueError(f"{name} must be positive and finite, got {val!r}")
+        finite("L", self.L, POSITIVE)
+        finite("c", self.c, POSITIVE)
 
     @property
     def k0(self) -> float:
@@ -85,28 +82,24 @@ class SystemParams:
 
 @dataclass(frozen=True)
 class ModeIndex:
-    """A single mode: momentum k > 0 and non-negative integer index n."""
+    """A single mode: finite momentum k > 0 and integer index n >= 0, stored
+    as given; else DomainError, or UnsupportedBranch for n < 0."""
 
     k: float
     n: int
 
     def __post_init__(self):
-        if isinstance(self.n, bool) or not isinstance(self.n, int):
-            raise ValueError(f"n must be an integer, got {self.n!r}")
-        if self.n < 0:
+        if integer("n", self.n, -math.inf) < 0:
             raise UnsupportedBranch(
                 "negative n selects the growing-frequency branch n -> -(n+1), "
                 "which is not implemented"
             )
-        if not isinstance(self.k, (int, float)) or isinstance(self.k, bool):
-            raise ValueError(f"k must be a number, got {self.k!r}")
-        if not math.isfinite(self.k) or self.k <= 0:
-            raise ValueError(f"k must be positive and finite, got {self.k!r}")
+        finite("k", self.k, POSITIVE)
 
 
 def omega_mode(params: SystemParams, mode: ModeIndex, t: float) -> float:
-    """Mode frequency w(t) = omega0 * exp(-L t / (2n+1))."""
-    return params.omega0(mode.k) * math.exp(-params.L * t / (2 * mode.n + 1))
+    """Mode frequency w(t) = omega0 * exp(-L t / (2n+1)) at t >= 0."""
+    return params.omega0(mode.k) * math.exp(-params.L * finite("t", t, 0.0) / (2 * mode.n + 1))
 
 
 def common_frequency(params: SystemParams, mode: ModeIndex, t: float) -> float:
@@ -144,10 +137,9 @@ def recording_window(params: SystemParams, mode: ModeIndex) -> float:
 
 
 def open_window(params: SystemParams, mode: ModeIndex, t: float) -> float:
-    """T of a mode alive at t, the gate of what exists only on [0, T): raises
-    ValueError for t < 0, ModeDead at or past T, NeverRecordable below k0."""
-    if t < 0:
-        raise ValueError(f"t must be >= 0, got {t!r}")
+    """T of a mode alive at t, on [0, T): DomainError unless t is finite and
+    >= 0 (nan too), ModeDead at or past T, NeverRecordable below k0."""
+    t = finite("t", t, 0.0)
     T = recording_window(params, mode)
     if t >= T:
         raise ModeDead(f"t = {t:.6g} is at or past the window end T = {T:.6g}")
@@ -155,14 +147,18 @@ def open_window(params: SystemParams, mode: ModeIndex, t: float) -> float:
 
 
 def momentum_threshold(params: SystemParams, n: int, t: float) -> float:
-    """k_thr(n, t) = k0 * exp(L t / (2n+1)): lowest recordable momentum."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    return params.k0 * math.exp(params.L * t / (2 * n + 1))
+    """k_thr(n, t) = k0 * exp(L t / (2n+1)): lowest recordable momentum, for
+    n >= 0, t >= 0; math.inf past the float range (no mode can record)."""
+    x = params.L * finite("t", t, 0.0) / (2 * integer("n", n) + 1)
+    try:
+        return params.k0 * math.exp(x)
+    except OverflowError:
+        return math.inf
 
 
 def domain_size(params: SystemParams, n: int, t: float) -> float:
-    """Linear domain size 2 pi / k_thr(n, t) (conventional prefactor)."""
+    """Linear domain size 2 pi / k_thr(n, t) (conventional prefactor); 0.0
+    once k_thr is past the float range."""
     return 2 * math.pi / momentum_threshold(params, n, t)
 
 
@@ -190,7 +186,8 @@ def frequency_from_lambda(params: SystemParams, mode: ModeIndex, t: float) -> fl
 
 
 def mode_alive(params: SystemParams, mode: ModeIndex, t: float) -> bool:
-    """True while t < T; never-recordable modes are dead at every t."""
+    """True while t < T (t >= 0); never-recordable modes are dead at every t."""
+    t = finite("t", t, 0.0)
     try:
         T = recording_window(params, mode)
     except NeverRecordable:
@@ -225,10 +222,11 @@ def lifetime_profile(
     """Sample Lambda on the uniform grid t_j = T j / points, j < points.
 
     Sampling stops after the first value above `ceiling` (that value is
-    kept, so a truncated profile ends just past the ceiling).
+    kept, so a truncated profile ends just past the ceiling); inf means none.
     """
-    if points < 2:
-        raise ValueError("points must be >= 2")
+    points = integer("points", points, 2)
+    if ceiling != math.inf:
+        finite("ceiling", ceiling)
     T = recording_window(params, mode)
     if T == 0.0:
         raise NeverRecordable(f"mode (k={mode.k}, n={mode.n}) has a degenerate window")
@@ -313,9 +311,11 @@ def curve_table(spec: FigureSpec):
     """Rows (curve_id, t, scaled Lambda) for every curve of the figure.
 
     Curves are ordered by curve_id and rows by t; every mode must be
-    recordable (lifetime_profile's NeverRecordable propagates, no partial table).
+    recordable (lifetime_profile's NeverRecordable propagates, no partial
+    table), and each scaled Lambda must be finite.
     """
     params = spec.params()
+    scale = finite("ordinate_scale", spec.ordinate_scale)
     rows = []
     curves = sorted(spec.modes, key=lambda kn: spec.curve_id(*kn))
     for k, n in curves:
@@ -323,6 +323,8 @@ def curve_table(spec: FigureSpec):
         profile = lifetime_profile(
             params, ModeIndex(k=k, n=n), points=spec.points, ceiling=spec.ceiling
         )
+        # Lambda rises from 0, so the last value scales to the largest
+        finite("ordinate_scale * Lambda", scale * profile.lambdas[-1])
         for t, lam in zip(profile.times, profile.lambdas):
-            rows.append((cid, t, spec.ordinate_scale * lam))
+            rows.append((cid, t, scale * lam))
     return rows

@@ -40,30 +40,17 @@ import os
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii as _json_str
 
+from .errors import POSITIVE, finite, integer
 from .lifetime import ModeIndex, SystemParams, mode_alive, momentum_threshold, recording_window
 
 SCHEMA_VERSION = 1
 MATCH_THRESHOLD = 0.5
 
 
-def _require_finite(name: str, val, non_negative: bool = False) -> float:
-    if not isinstance(val, (int, float)) or isinstance(val, bool):
-        raise ValueError(f"{name} must be a number, got {val!r}")
-    try:
-        out = float(val)
-    except OverflowError:  # an int beyond the float range
-        out = math.inf
-    if not math.isfinite(out):
-        raise ValueError(f"{name} must be finite, got {val!r}")
-    if non_negative and out < 0:
-        raise ValueError(f"{name} must be >= 0, got {val!r}")
-    return out
-
-
 def _clock(registry: "MemoryRegistry", t) -> float:
     """t as a float, refused below 0 or behind the registry clock: the time
     of the last decay sweep, which only ever moves forward."""
-    t = _require_finite("t", t, non_negative=True)
+    t = finite("t", t, 0.0)
     if t < registry.last_decay_t:
         raise ValueError(
             f"t={t!r} is behind the registry clock: the registry is decayed "
@@ -72,20 +59,14 @@ def _clock(registry: "MemoryRegistry", t) -> float:
     return t
 
 
-def _spectral_line(k, n, amount, fields=("k", "n", "intensity"), where=""):
+def _spectral_line(k, n, amount, names=("k", "n", "intensity")):
     """(k, amount) as floats for one line of a spectrum or a code: k > 0 and
-    finite, n a non-negative integer, amount >= 0 and finite.  An error
-    names the field, after `where` (a registry's code id)."""
-    k_name, n_name, amount_name = fields
-    try:
-        k_val = _require_finite(k_name, k)
-        if k_val <= 0:
-            raise ValueError(f"{k_name} must be positive, got {k!r}")
-        if isinstance(n, bool) or not isinstance(n, int) or n < 0:
-            raise ValueError(f"{n_name} must be a non-negative integer, got {n!r}")
-        return k_val, _require_finite(amount_name, amount, non_negative=True)
-    except ValueError as exc:
-        raise ValueError(f"{where}{exc}") from None
+    finite, n a non-negative integer, amount >= 0 and finite; errors name
+    the field as `names` spells it (with the code id, for a registry)."""
+    k_name, n_name, amount_name = names
+    k = finite(k_name, k, POSITIVE)
+    integer(n_name, n, 0, math.inf)
+    return k, finite(amount_name, amount, 0.0)
 
 
 def write_atomic(path, data: bytes) -> None:
@@ -313,10 +294,8 @@ class MemoryRegistry:
         expected = {"schema", "last_decay_t", "next_id", "codes"}
         if set(doc) != expected:
             raise ValueError(f"registry keys must be exactly {sorted(expected)}")
-        last_decay_t = _require_finite("last_decay_t", doc["last_decay_t"], True)
-        next_id = doc["next_id"]
-        if isinstance(next_id, bool) or not isinstance(next_id, int) or next_id < 1:
-            raise ValueError(f"next_id must be a positive integer, got {next_id!r}")
+        last_decay_t = finite("last_decay_t", doc["last_decay_t"], 0.0)
+        next_id = integer("next_id", doc["next_id"], 1, math.inf)
         if not isinstance(doc["codes"], dict):
             raise ValueError("registry 'codes' must be an object")
         codes: dict = {}
@@ -329,14 +308,14 @@ class MemoryRegistry:
             if not isinstance(body["entries"], dict):
                 raise ValueError(f"code {cid} entries must be an object")
             entries: dict = {}
+            names = (f"{cid} entry key", f"{cid} n", f"{cid} weight")
             for kstr, ent in body["entries"].items():
                 if not isinstance(ent, dict) or set(ent) != {"weight", "n", "t_rec"}:
                     raise ValueError(
                         f"{cid} entry {kstr} must have keys weight, n, t_rec"
                     )
-                k, weight = _spectral_line(float(kstr), ent["n"], ent["weight"],
-                                           ("entry key", "n", "weight"), f"{cid} ")
-                t_rec = _require_finite(f"{cid} t_rec", ent["t_rec"], True)
+                k, weight = _spectral_line(float(kstr), ent["n"], ent["weight"], names)
+                t_rec = finite(f"{cid} t_rec", ent["t_rec"], 0.0)
                 entries[k] = CodeEntry(weight=weight, n=ent["n"], t_rec=t_rec)
             if status is CodeStatus.FORGOTTEN and entries:
                 raise ValueError(f"{cid} is Forgotten but still has entries")
@@ -523,8 +502,8 @@ def recall(
     among the matched code's entries: short energy means
     DifficultyRecalling, enough means Recalled.
     """
-    t = _require_finite("t", t, non_negative=True)
-    energy = _require_finite("energy", energy)
+    t = finite("t", t, 0.0)
+    energy = finite("energy", energy)
     if registry.last_decay_t != t:
         raise ValueError(
             f"registry is decayed to t={registry.last_decay_t!r}; run "
@@ -553,7 +532,7 @@ def recall(
 
 def is_forgotten(code: MemoryCode, t: float, params: SystemParams) -> bool:
     """True iff every entry's mode is dead at t (an empty code is forgotten)."""
-    t = _require_finite("t", t)
+    t = finite("t", t, 0.0)
     return all(
         not mode_alive(params, ModeIndex(k=k, n=e.n), t)
         for k, e in code.entries.items()

@@ -7,6 +7,7 @@ recurrence for the second kind) at 50 significant digits, then frozen here.
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy.special import spherical_jn, spherical_yn
@@ -235,6 +236,31 @@ class TestDomain:
             sph_deriv(BesselKind.FIRST, 1, 0.0)
         with pytest.raises(DomainError):
             sph_j(1.5, 1.0)  # type: ignore[arg-type]
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 9, 12])
+    def test_first_kind_at_the_z_limit(self, n):
+        # z = 1e5 is the largest z the downward pass takes; error relative to
+        # the 1/z envelope of j_n, against mpmath
+        z = 1e5
+        ref = mp.sqrt(mp.pi / (2 * z)) * mp.besselj(n + mp.mpf(1) / 2, z)
+        assert abs(sph_j(n, z) - float(ref)) * z <= 1e-13
+        assert sph_j_array(n, [z, 2.0]).tolist() == [sph_j(n, z), sph_j(n, 2.0)]
+
+    @pytest.mark.parametrize("z", [math.nextafter(1e5, math.inf), 1e20, 1e308])
+    def test_first_kind_above_the_z_limit_refused(self, z):
+        for call in (lambda: sph_j(3, z), lambda: sph_j_array(3, [2.0, z]),
+                     lambda: sph_deriv(BesselKind.FIRST, 3, z),
+                     lambda: sph_second_deriv(BesselKind.FIRST, 0, z)):
+            with pytest.raises(DomainError, match="above 100000"):
+                call()
+        # the closed forms of j_0 and j_1 need no downward pass
+        assert math.isfinite(sph_j(1, z))
+
+    def test_order_limit(self):
+        for call in (lambda: sph_j(10**5 + 1, 1.0), lambda: sph_y(10**400, 1.0),
+                     lambda: sph_y_array(10**5 + 1, [1.0])):
+            with pytest.raises(DomainError, match=r"order must be in \[0, 100000\]"):
+                call()
 
     def test_second_kind_blows_up_toward_zero(self):
         assert abs(sph_y(4, 1e-3)) > 1e12

@@ -82,6 +82,12 @@ class TestBessel:
                      "--z", "1e-120"]) == 0
         assert capsys.readouterr().out.split() == ["-inf", "-inf"]
 
+    @pytest.mark.parametrize("z", ["1e20", "1e308"])
+    def test_first_kind_above_the_z_limit(self, capsys, z):
+        # refused at once instead of a downward pass linear in z
+        assert main(["bessel", "--kind", "j", "--order", "3", "--z", z]) == 2
+        assert "above 100000" in capsys.readouterr().err
+
     def test_singular_point_is_validation_error(self, capsys):
         assert main(["bessel", "--kind", "y", "--order", "0", "--z", "0.0"]) == 2
         assert "singular" in capsys.readouterr().err
@@ -674,7 +680,7 @@ class TestConfig:
 
 class TestPathErrors:
     """A path that cannot be used as the request names it exits 2, names the
-    path, and leaves no temp file behind."""
+    path, and leaves no temp file and no new lock file behind."""
 
     @pytest.fixture
     def files(self, tmp_path):
@@ -728,6 +734,8 @@ class TestPathErrors:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and named in err, err
         assert not list(tmp_path.rglob("*.tmp.*"))
+        # only the lock of the registry the fixture recorded into
+        assert [p.name for p in tmp_path.rglob("*.lock")] == ["reg.json.lock"]
         assert not list((tmp_path / "dir").iterdir())
 
     @pytest.mark.parametrize("taken", ["traj", "traj.ode", "traj.manifest.json"])

@@ -13,7 +13,7 @@ import pytest
 
 import memdomain.lifetime
 import memdomain.oscillator
-from memdomain.errors import ModeDead, NeverRecordable
+from memdomain.errors import DomainError, ModeDead, NeverRecordable, UnsupportedBranch
 from memdomain.lifetime import (
     FIGURE_NAMES,
     FigureSpec,
@@ -137,6 +137,20 @@ class TestThreshold:
         with pytest.raises(ValueError):
             momentum_threshold(P, -1, 0.0)
 
+    @pytest.mark.parametrize("n,t", [(1.5, 1.0), (True, 1.0), (1, -1.0),
+                                     (1, math.nan), (1, "x")])
+    def test_n_and_t_outside_the_domain_rejected(self, n, t):
+        with pytest.raises(DomainError):
+            momentum_threshold(P, n, t)
+        with pytest.raises(DomainError):
+            domain_size(P, n, t)
+
+    def test_past_the_float_range(self):
+        # L t / (2n+1) = 1e6 / 3 is far past exp's range: no mode can record
+        assert momentum_threshold(P, 1, 1e6) == math.inf
+        assert domain_size(P, 1, 1e6) == 0.0
+        assert momentum_threshold(P, 0, sys.float_info.max) == math.inf
+
 
 class TestLambda:
     MODE = ModeIndex(k=2.0, n=1)
@@ -165,6 +179,11 @@ class TestLambda:
     def test_negative_time_rejected(self):
         with pytest.raises(ValueError):
             lambda_lifetime(P, self.MODE, -0.1)
+
+    def test_nan_time_rejected(self):
+        # nan < 0 and nan >= T are both false; the gate refuses it anyway
+        with pytest.raises(DomainError, match="finite"):
+            lambda_lifetime(P, self.MODE, math.nan)
 
     def test_frequency_identity(self):
         # Omega(0) e^{-Lambda(t)} must reproduce the direct frequency; this

@@ -9,6 +9,7 @@ import pytest
 
 from memdomain.bessel import BesselKind, sph_deriv, sph_j, sph_second_deriv, sph_y
 from memdomain.errors import (
+    DomainError,
     GridTooCoarse,
     RealityViolation,
     StepSizeUnderflow,
@@ -86,6 +87,20 @@ class TestParams:
             ModeIndex(k=0.0, n=1)
         with pytest.raises(ValueError):
             ModeIndex(k=2.0, n=0.5)  # type: ignore[arg-type]
+
+    def test_huge_int_is_not_finite(self):
+        for build in (lambda: ModeIndex(k=10**400, n=1),
+                      lambda: SystemParams(L=10**400)):
+            with pytest.raises(DomainError, match="must be finite"):
+                build()
+
+    def test_fields_keep_their_values(self):
+        # validated, not converted: an int k stays an int
+        mode = ModeIndex(k=2, n=1)
+        assert repr(mode) == "ModeIndex(k=2, n=1)"
+        assert repr(SystemParams(L=1)) == "SystemParams(L=1, c=1.0)"
+        with pytest.raises(UnsupportedBranch):
+            ModeIndex(k=2.0, n=-10**400)
 
     def test_negative_n_is_the_excluded_branch(self):
         with pytest.raises(UnsupportedBranch):
