@@ -5,8 +5,9 @@ identical output files.  Every file-writing run leaves a manifest next to
 its outputs (``<out>.manifest.json`` for single-file outputs,
 ``manifest.json`` inside directory outputs) echoing the resolved
 configuration, the tool version, sha256 digests of each input file
-consumed, and digests of the files written.  The manifest's timestamp is
-its only run-dependent field and is dropped with --no-timestamp.
+consumed, and digests of the files written, each named relative to the
+manifest's directory.  The manifest's timestamp is its only run-dependent
+field and is dropped with --no-timestamp.
 
 Configuration may come from an INI file (--config): a [memdomain] section
 for the shared keys L, c, seed, no-timestamp plus one section per
@@ -14,10 +15,14 @@ subcommand.  Command-line flags override the command section, which
 overrides [memdomain].  Unknown sections or keys are rejected.
 
 Numbers in CSV output are written with 17 significant digits, comma
-separated, LF terminated, header row first.  All files are written by
-memdomain.memory.write_atomic: a temp file, synced to disk, and an atomic
-rename.  An output or manifest path that is a directory refuses the
-request before any file is written.
+separated, LF terminated, header row first.  Each command computes
+everything it writes first and then hands all of it to _Run.emit, the one
+writer.  emit refuses the request when any destination, the manifest
+included, is a directory; only then does it write the files, each by
+memdomain.memory.write_atomic (a temp file, synced to disk, and an atomic
+rename), and the manifest last.  So a request that is refused, or whose
+computation fails, writes nothing, and recall --out prints its result only
+after the write.
 
 Exit status: 0 on success; 2 when the request itself is wrong: bad flags
 or config, a value outside the range its option declares in the option
@@ -26,12 +31,6 @@ parameters, never-recordable or dead modes, malformed input files, or a
 path that cannot be used as asked (missing, a directory where a file is
 named or the reverse, no permission); 1 when a computation fails, and on
 any other operating-system error, such as a full disk.
-
-MEMDOMAIN_THREADS caps BLAS/OpenMP parallelism for the numeric kernels
-(0 or unset = automatic); the resolved value is echoed in the manifest.  The
-cap is exported as OMP_NUM_THREADS, OPENBLAS_NUM_THREADS and friends before
-numpy is first imported, which is when OpenBLAS reads it; in a process that
-has already loaded numpy (say, a caller of main()) it comes too late.
 
 record and forget-sweep hold the registry's lock file from load through save
 (see memdomain.memory.registry_lock), so concurrent writers queue instead of
@@ -79,8 +78,7 @@ from .memory import write_atomic
 # lifetime (the scalar model) and memory load no numpy, so the registry,
 # lifetimes and figures commands never do. The numeric modules (bessel,
 # oscillator, ode; scipy through fock) are imported inside the runners that
-# use them, after _Run has applied MEMDOMAIN_THREADS: OpenBLAS reads its
-# thread count once, when numpy loads it.
+# use them.
 
 
 # ---------------------------------------------------------------------------
@@ -305,30 +303,6 @@ def _resolve(command: str, ns) -> dict:
     return resolved
 
 
-def _thread_cap() -> object:
-    raw = os.environ.get("MEMDOMAIN_THREADS")
-    if raw is None or raw.strip() == "":
-        return "auto"
-    try:
-        threads = int(raw)
-        if threads < 0:
-            raise ValueError
-    except ValueError:
-        raise ValueError(
-            f"MEMDOMAIN_THREADS must be a non-negative integer, got {raw!r}"
-        ) from None
-    if threads == 0:
-        return "auto"
-    for var in (
-        "OMP_NUM_THREADS",
-        "OPENBLAS_NUM_THREADS",
-        "MKL_NUM_THREADS",
-        "NUMEXPR_NUM_THREADS",
-    ):
-        os.environ[var] = str(threads)
-    return threads
-
-
 # ---------------------------------------------------------------------------
 # output helpers
 
@@ -359,15 +333,19 @@ def _refuse_directory(path: Path) -> None:
         raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
 
 
+def _beside(out: Path) -> Path:
+    """The manifest of a single-file output: <out>.manifest.json."""
+    return out.with_name(out.name + ".manifest.json")
+
+
 class _Run:
-    """Collects inputs/outputs of one invocation and emits the manifest."""
+    """Collects the inputs and results of one invocation; emit writes its
+    files and manifest."""
 
     def __init__(self, command: str, resolved: dict):
         self.command = command
         self.resolved = resolved
-        self.threads = _thread_cap()
         self.inputs: dict = {}
-        self.outputs: dict = {}
         self.results: dict = {}
         if resolved.get("config"):
             self.read_input(Path(resolved["config"]))
@@ -377,33 +355,24 @@ class _Run:
         self.inputs[str(path)] = _digest(data)
         return data
 
-    def write_output(self, path: Path, data: bytes, anchor: Path = None) -> None:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        write_atomic(path, data)
-        name = path.name if anchor is None else str(path.relative_to(anchor))
-        self.outputs[name] = _digest(data)
-
-    def emit(self, out: Path, data: bytes, *siblings) -> None:
-        """Write the (path, data) siblings, out, then <out>.manifest.json; a
-        destination that is a directory refuses the request before any write."""
-        files = (*siblings, (out, data))
-        manifest = out.with_name(out.name + ".manifest.json")
+    def emit(self, manifest: Path, *files) -> None:
+        """Write the (path, data) files, then the manifest, which names each
+        file relative to the manifest's directory; a destination that is a
+        directory refuses the request before the first write."""
         for path in (*(path for path, _ in files), manifest):
             _refuse_directory(path)
-        for path, blob in files:
-            self.write_output(path, blob)
-        self.manifest(manifest)
-
-    def manifest(self, path: Path) -> None:
-        config = {
-            opt.name: self.resolved[opt.attr] for opt in _options(self.command)
-        }
+        outputs = {}
+        for path, data in files:
+            path.parent.mkdir(parents=True, exist_ok=True)
+            write_atomic(path, data)
+            outputs[str(path.relative_to(manifest.parent))] = _digest(data)
         doc = {
             "command": self.command,
-            "config": config,
+            "config": {
+                opt.name: self.resolved[opt.attr] for opt in _options(self.command)
+            },
             "inputs": self.inputs,
-            "outputs": self.outputs,
-            "threads": self.threads,
+            "outputs": outputs,
             "tool": {"name": "memdomain", "version": __version__},
         }
         if self.results:
@@ -412,7 +381,7 @@ class _Run:
             doc["timestamp"] = datetime.now(timezone.utc).strftime(
                 "%Y-%m-%dT%H:%M:%SZ"
             )
-        write_atomic(path, _json_bytes(doc))
+        write_atomic(manifest, _json_bytes(doc))
 
 
 # ---------------------------------------------------------------------------
@@ -457,8 +426,8 @@ def _run_bessel(run: _Run, resolved: dict) -> int:
         for val in values:
             print(_g17(val))
         return 0
-    rows = list(zip(resolved["z"], values))
-    run.emit(Path(resolved["out"]), _csv_bytes(("z", "value"), rows))
+    out = Path(resolved["out"])
+    run.emit(_beside(out), (out, _csv_bytes(("z", "value"), zip(resolved["z"], values))))
     return 0
 
 
@@ -500,7 +469,7 @@ def _run_evolve(run: _Run, resolved: dict) -> int:
     method = resolved["method"]
 
     closed = ode = None
-    siblings = []
+    files = []
     if method in ("closed", "both"):
         closed = closed_form_trajectory(params, mode, grid)
     if method in ("ode", "both"):
@@ -510,7 +479,7 @@ def _run_evolve(run: _Run, resolved: dict) -> int:
 
     if method == "both":
         ode_csv = _csv_bytes(header, _evolve_rows(params, mode, grid, ode))
-        siblings.append((out.with_name(out.stem + ".ode" + out.suffix), ode_csv))
+        files.append((out.with_name(out.stem + ".ode" + out.suffix), ode_csv))
         lines = {name: (getattr(closed, name), getattr(ode, name)) for name in "uvr"}
         dev = {name: float(np.max(np.abs(c - o))) for name, (c, o) in lines.items()}
         run.results["max_abs_deviation"] = max(dev.values())
@@ -520,7 +489,8 @@ def _run_evolve(run: _Run, resolved: dict) -> int:
             name: dev[name] / float(np.max(np.abs(c))) for name, (c, _) in lines.items()
         }
     primary = closed if closed is not None else ode
-    run.emit(out, _csv_bytes(header, _evolve_rows(params, mode, grid, primary)), *siblings)
+    files.append((out, _csv_bytes(header, _evolve_rows(params, mode, grid, primary))))
+    run.emit(_beside(out), *files)
     return 0
 
 
@@ -545,7 +515,8 @@ def _run_lifetimes(run: _Run, resolved: dict) -> int:
     if resolved["out"] is None:
         sys.stdout.write(data.decode("utf-8"))
         return 0
-    run.emit(Path(resolved["out"]), data)
+    out = Path(resolved["out"])
+    run.emit(_beside(out), (out, data))
     return 0
 
 
@@ -564,20 +535,13 @@ def _run_figures(run: _Run, resolved: dict) -> int:
         "ceiling": resolved["ceiling"],
         "ordinate_scale": resolved["ordinate_scale"],
     }
+    files = []
     for name in names:
         spec = default_figure_spec(name, **overrides)
-        rows = [(cid, t, lam) for cid, t, lam in curve_table(spec)]
-        run.write_output(
-            out_dir / f"{name}.csv",
-            _csv_bytes(("curve_id", "t", "lambda"), rows),
-            anchor=out_dir,
-        )
-        run.write_output(
-            out_dir / f"{name}.spec.json",
-            _json_bytes(dataclasses.asdict(spec)),
-            anchor=out_dir,
-        )
-    run.manifest(out_dir / "manifest.json")
+        files.append((out_dir / f"{name}.csv",
+                      _csv_bytes(("curve_id", "t", "lambda"), curve_table(spec))))
+        files.append((out_dir / f"{name}.spec.json", _json_bytes(dataclasses.asdict(spec))))
+    run.emit(out_dir / "manifest.json", *files)
     return 0
 
 
@@ -615,7 +579,8 @@ def _run_squeeze(run: _Run, resolved: dict) -> int:
             abs(complex(a) - complex(b))
             for a, b in zip(evolved.coeffs, state.coeffs)
         )
-    run.emit(Path(resolved["out"]), _json_bytes(doc))
+    out = Path(resolved["out"])
+    run.emit(_beside(out), (out, _json_bytes(doc)))
     return 0
 
 
@@ -638,7 +603,7 @@ def _registry_update(run: _Run, path: str, must_exist: bool):
     with registry_lock(out):
         registry = _load(run, MemoryRegistry, out) if out.exists() else MemoryRegistry()
         yield registry
-        run.emit(out, registry.dumps().encode("utf-8"))
+        run.emit(_beside(out), (out, registry.dumps().encode("utf-8")))
 
 
 def _run_record(run: _Run, resolved: dict) -> int:
@@ -681,9 +646,10 @@ def _run_recall(run: _Run, resolved: dict) -> int:
         "outcome": result.outcome.value,
     }
     text = _json_bytes(doc)
-    sys.stdout.write(text.decode("utf-8"))
     if resolved["out"] is not None:
-        run.emit(Path(resolved["out"]), text)
+        out = Path(resolved["out"])
+        run.emit(_beside(out), (out, text))
+    sys.stdout.write(text.decode("utf-8"))
     return 0
 
 
@@ -733,7 +699,6 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         resolved = _resolve(command, ns)
-        # _Run applies MEMDOMAIN_THREADS before any runner imports numpy
         return _RUNNERS[command](_Run(command, resolved), resolved)
     except (StepSizeUnderflow, GridTooCoarse) as exc:
         print(f"computation error: {exc}", file=sys.stderr)

@@ -24,17 +24,24 @@ Truncation policy: tails scale as tanh^{2(m+1)}(G t), so the default cutoff
 solves tanh^{2(m+1)} < 1e-12 and is clamped to [8, 256]. Commutator and
 conjugation identities are asserted on interior occupations only; the
 boundary rows of a truncated ladder matrix cannot satisfy them.
+
+Cost limits, checked before anything is allocated (DomainError above
+them): a cutoff of at most 100000 for single-mode and paired objects
+(ladder, k2_single_mode, vacuum_state, squeezed_vacuum), whose size grows
+as the cutoff, and of at most 512 for the joint basis (pair_ladders,
+number_operators, build_hamiltonians, pair_coupling, k2_generator,
+TwoModeState.full_vector), whose matrices grow as its square: pair_coupling
+at 512 holds 524288 nonzeros.
 """
 
 import math
-import sys
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 from scipy import sparse
 
-from .errors import CutoffTooSmall, DomainError, finite, integer
+from .errors import POSITIVE, CutoffTooSmall, DomainError, finite, integer
 from .lifetime import ModeIndex, SystemParams, common_frequency, open_window
 
 __all__ = [
@@ -70,6 +77,15 @@ TAIL_BOUND = 1e-12
 _CUTOFF_MIN = 8
 _CUTOFF_MAX = 256
 
+# cost limits on an explicit cutoff (module docstring)
+_MODE_CUTOFF_LIMIT = 100_000
+_JOINT_CUTOFF_LIMIT = 512
+
+
+def _joint_cutoff(cutoff, lo: int = 4) -> int:
+    """cutoff as an int in [lo, 512], the joint-basis limit; else DomainError."""
+    return integer("cutoff", cutoff, lo, _JOINT_CUTOFF_LIMIT)
+
 
 class OperatorLabel(str, Enum):
     H0 = "H0"
@@ -82,13 +98,14 @@ class OperatorLabel(str, Enum):
 
 def ladder(cutoff: int) -> sparse.csr_matrix:
     """Single-mode annihilation matrix on occupations 0..cutoff."""
-    cutoff = integer("cutoff", cutoff, 1, sys.maxsize)
+    cutoff = integer("cutoff", cutoff, 1, _MODE_CUTOFF_LIMIT)
     amp = np.sqrt(np.arange(1, cutoff + 1, dtype=float))
     return sparse.diags(amp, offsets=1, format="csr", dtype=complex)
 
 
 def pair_ladders(cutoff: int):
     """(A, Atilde) acting on the joint |m_A, m_At> basis, A-index major."""
+    cutoff = _joint_cutoff(cutoff, 1)
     a = ladder(cutoff)
     eye = sparse.identity(cutoff + 1, format="csr", dtype=complex)
     return (
@@ -162,6 +179,7 @@ class SqueezeAngle:
 def coupling_frequencies(params: SystemParams, mode: ModeIndex, t: float):
     """(W0, W1) = w0 (W^2/w0^2 +- 1) evaluated at time t."""
     w0 = params.omega0(mode.k)
+    finite("omega0^2", w0 * w0, POSITIVE)  # w0**2 raises OverflowError past the range
     w_sq = common_frequency(params, mode, t) ** 2
     return w0 * (w_sq / w0**2 + 1.0), w0 * (w_sq / w0**2 - 1.0)
 
@@ -250,8 +268,7 @@ class TwoModeState:
 
     def full_vector(self, cutoff: int | None = None) -> np.ndarray:
         """Embed into the joint basis (optionally padded to a larger cutoff)."""
-        n = self.cutoff if cutoff is None else cutoff
-        integer("cutoff", n, self.cutoff, sys.maxsize)
+        n = _joint_cutoff(self.cutoff if cutoff is None else cutoff, self.cutoff)
         vec = np.zeros((n + 1) ** 2, dtype=complex)
         for m, c in enumerate(self.coeffs):
             vec[m * (n + 1) + m] = c
@@ -259,7 +276,7 @@ class TwoModeState:
 
 
 def vacuum_state(cutoff: int) -> TwoModeState:
-    cutoff = integer("cutoff", cutoff, 0, sys.maxsize)
+    cutoff = integer("cutoff", cutoff, 0, _MODE_CUTOFF_LIMIT)
     return TwoModeState(
         cutoff=cutoff, coeffs=(1.0,) + (0.0,) * cutoff, gamma_t=0.0
     )
@@ -269,7 +286,9 @@ def squeezed_vacuum(gamma: float, t: float, cutoff: int | None = None) -> TwoMod
     """Paired squeezed vacuum with c_m = tanh^m(gamma t)/cosh(gamma t)."""
     gt = finite("gamma", gamma) * finite("t", t)
     _tail_cutoff(gt)  # CutoffTooSmall once tanh(gt) rounds to 1, before cosh(gt) overflows
-    cutoff = default_cutoff(gt) if cutoff is None else integer("cutoff", cutoff, 1, sys.maxsize)
+    if cutoff is None:
+        cutoff = default_cutoff(gt)
+    cutoff = integer("cutoff", cutoff, 1, _MODE_CUTOFF_LIMIT)
     th, ch = math.tanh(gt), math.cosh(gt)
     coeffs = tuple(th**m / ch for m in range(cutoff + 1))
     return TwoModeState(cutoff=cutoff, coeffs=coeffs, gamma_t=gt)
@@ -310,7 +329,7 @@ def vacuum_overlap(gammas, t: float, t_prime: float) -> float:
 
 def build_hamiltonians(params: SystemParams, mode: ModeIndex, t: float, cutoff: int):
     """(H0, HI1, HI2) on the truncated joint basis at t in [0, T) (open_window)."""
-    cutoff = integer("cutoff", cutoff, 4, sys.maxsize)
+    cutoff = _joint_cutoff(cutoff)
     open_window(params, mode, t)
     w0_sum, w0_diff = coupling_frequencies(params, mode, t)
     A, At = pair_ladders(cutoff)
@@ -331,7 +350,7 @@ def pair_coupling(gamma: float, cutoff: int) -> OperatorMatrix:
     squeezed pair state with parameter gamma*t; build_hamiltonians returns
     the same matrix as its third element with gamma = L/2.
     """
-    cutoff = integer("cutoff", cutoff, 4, sys.maxsize)
+    cutoff = _joint_cutoff(cutoff)
     # A+ At+ = kron(a+, a+) and A At = kron(a, a), entry for entry
     a = ladder(cutoff)
     ad = a.getH()
@@ -352,7 +371,7 @@ def k2_generator(cutoff: int) -> OperatorMatrix:
     adjoint with weights cosh(theta/2), sinh(theta/2); the sign of the
     quadratic form was fixed by that requirement.
     """
-    cutoff = integer("cutoff", cutoff, 4, sys.maxsize)
+    cutoff = _joint_cutoff(cutoff)
     k = k2_single_mode(cutoff)
     eye = sparse.identity(cutoff + 1, format="csr", dtype=complex)
     full = sparse.kron(k, eye, format="csr") + sparse.kron(eye, k, format="csr")

@@ -24,6 +24,7 @@ exactly, which the tests exploit as a consistency identity.
 import dataclasses
 import math
 import operator
+import sys
 from dataclasses import dataclass
 
 from .errors import POSITIVE, ModeDead, NeverRecordable, RealityViolation
@@ -56,13 +57,18 @@ __all__ = [
 # window boundary rather than a genuine reality violation.
 _BOUNDARY_SLACK = 1e-12
 
+# the largest mode index n for which 2n + 1 is still a float
+_N_MAX = sys.float_info.max / 2
+
 
 @dataclass(frozen=True)
 class SystemParams:
     """Global medium parameters: damping L and propagation speed c.
 
     The reference frequency of momentum k is omega0 = c * k, and the initial
-    momentum threshold is k0 = L / (2c).
+    momentum threshold is k0 = L / (2c). L, c, k0 and each omega0 must be
+    finite and > 0 as floats (no overflow, no underflow to 0); else
+    DomainError.
     """
 
     L: float
@@ -71,25 +77,27 @@ class SystemParams:
     def __post_init__(self):
         finite("L", self.L, POSITIVE)
         finite("c", self.c, POSITIVE)
+        finite("k0 = L/(2c)", self.k0, POSITIVE)
 
     @property
     def k0(self) -> float:
         return self.L / (2 * self.c)
 
     def omega0(self, k: float) -> float:
-        return self.c * k
+        return finite("omega0 = c*k", self.c * k, POSITIVE)
 
 
 @dataclass(frozen=True)
 class ModeIndex:
-    """A single mode: finite momentum k > 0 and integer index n >= 0, stored
-    as given; else DomainError, or UnsupportedBranch for n < 0."""
+    """A single mode: finite momentum k > 0 and integer index n >= 0 with
+    2n + 1 a float, stored as given; else DomainError, or UnsupportedBranch
+    for n < 0."""
 
     k: float
     n: int
 
     def __post_init__(self):
-        if integer("n", self.n, -math.inf) < 0:
+        if integer("n", self.n, -math.inf, _N_MAX) < 0:
             raise UnsupportedBranch(
                 "negative n selects the growing-frequency branch n -> -(n+1), "
                 "which is not implemented"
@@ -107,11 +115,12 @@ def common_frequency(params: SystemParams, mode: ModeIndex, t: float) -> float:
 
     A rounded-to-negative value within 1e-12 of zero (relative to L^2/4) is
     clamped to 0 so the window endpoint itself evaluates cleanly; anything
-    below that raises RealityViolation.
+    below that raises RealityViolation. DomainError when w^2 overflows or
+    L^2/4 leaves the float range.
     """
     w = omega_mode(params, mode, t)
-    quarter = params.L * params.L / 4
-    val = w * w - quarter
+    quarter = finite("L^2/4", params.L * params.L / 4, POSITIVE)
+    val = finite("w(t)^2", w * w) - quarter
     if val < 0:
         if val >= -_BOUNDARY_SLACK * quarter:
             return 0.0
@@ -125,15 +134,16 @@ def common_frequency(params: SystemParams, mode: ModeIndex, t: float) -> float:
 def recording_window(params: SystemParams, mode: ModeIndex) -> float:
     """Window length T for the mode; 0.0 for the degenerate boundary case
     2 omega0 = L. Raises NeverRecordable when 2 omega0 < L (the mode sits
-    below threshold from the start)."""
+    below threshold from the start), DomainError when 2 omega0 / L or T
+    passes the float range."""
     w0 = params.omega0(mode.k)
-    ratio = 2 * w0 / params.L
+    ratio = finite("2 omega0 / L", 2 * w0 / params.L)
     if ratio < 1.0:
         raise NeverRecordable(
             f"2 omega0 = {2 * w0:.6g} is below L = {params.L:.6g}; "
             "mode is never above threshold"
         )
-    return (2 * mode.n + 1) / params.L * math.log(ratio)
+    return finite("window T", (2 * mode.n + 1) / params.L * math.log(ratio))
 
 
 def open_window(params: SystemParams, mode: ModeIndex, t: float) -> float:
@@ -149,7 +159,7 @@ def open_window(params: SystemParams, mode: ModeIndex, t: float) -> float:
 def momentum_threshold(params: SystemParams, n: int, t: float) -> float:
     """k_thr(n, t) = k0 * exp(L t / (2n+1)): lowest recordable momentum, for
     n >= 0, t >= 0; math.inf past the float range (no mode can record)."""
-    x = params.L * finite("t", t, 0.0) / (2 * integer("n", n) + 1)
+    x = params.L * finite("t", t, 0.0) / (2 * integer("n", n, 0, _N_MAX) + 1)
     try:
         return params.k0 * math.exp(x)
     except OverflowError:
@@ -158,8 +168,8 @@ def momentum_threshold(params: SystemParams, n: int, t: float) -> float:
 
 def domain_size(params: SystemParams, n: int, t: float) -> float:
     """Linear domain size 2 pi / k_thr(n, t) (conventional prefactor); 0.0
-    once k_thr is past the float range."""
-    return 2 * math.pi / momentum_threshold(params, n, t)
+    once k_thr is past the float range, DomainError if the size is."""
+    return finite("domain size", 2 * math.pi / momentum_threshold(params, n, t))
 
 
 def _gamma(params: SystemParams, n: int) -> float:

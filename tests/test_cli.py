@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -285,6 +286,13 @@ class TestLifetimes:
         assert main(["lifetimes", "--L", "1", "--k", "2", "--n", "1",
                      "--t", "9"]) == 2
 
+    @pytest.mark.parametrize("L,k", [("5e-324", "2"), ("1", "1e308")])
+    def test_parameters_past_the_float_range(self, capsys, L, k):
+        # k0 = L/2 underflows to 0; 2 c k / L overflows
+        assert main(["lifetimes", "--L", L, "--k", k, "--n", "1", "--t", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: ")
+
     def test_list_length_mismatch(self):
         assert main(["lifetimes", "--L", "1", "--k", "2", "6",
                      "--omega0", "2", "--n", "1"]) == 2
@@ -418,6 +426,16 @@ class TestSqueeze:
     def test_negative_time(self, tmp_path):
         assert main(["squeeze", "--gamma", "0.5", "--t", "-1",
                      "--out", str(tmp_path / "x.json")]) == 2
+
+    @pytest.mark.parametrize("extra,limit", [
+        (("--cutoff", "100001"), "100000"), (("--cutoff", "513", "--oracle"), "512"),
+    ])
+    def test_cutoff_above_its_limit(self, tmp_path, capsys, extra, limit):
+        # refused before the coefficients or the joint matrix are allocated
+        assert main(["squeeze", "--gamma", "0.5", "--t", "2", *extra,
+                     "--out", str(tmp_path / "x.json")]) == 2
+        assert f"{limit}], got" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestRegistryFlow:
@@ -678,6 +696,41 @@ class TestConfig:
                      "--k", "2", "--n", "1"]) == 2
 
 
+def _tree(root):
+    """Every path under root, with a file's bytes (None for a directory)."""
+    return {
+        str(p.relative_to(root)): p.read_bytes() if p.is_file() else None
+        for p in root.rglob("*")
+    }
+
+
+_FIGURES_ALL = ["figures", "--which", "all", "--points", "20", "--out", "d"]
+_RECALL = ["recall", "--registry", "reg.json", "--signal", "stim.json", "--t", "1",
+           "--L", "1", "--energy", "5", "--out", "o.json"]
+
+# (argv, the destination made a directory first; None: the computation fails)
+_REFUSALS = [
+    *((["bessel", "--kind", "j", "--order", "1", "--z", "1", "--out", "b.csv"], taken)
+      for taken in ("b.csv", "b.csv.manifest.json")),
+    *((["evolve", "--L", "1", "--k", "2", "--n", "1", "--t-max", "1", "--points", "20",
+        "--method", "both", "--out", "traj.csv"], taken)
+      for taken in ("traj.csv", "traj.ode.csv", "traj.csv.manifest.json")),
+    *((["lifetimes", "--L", "1", "--k", "2", "--n", "1", "--out", "l.csv"], taken)
+      for taken in ("l.csv", "l.csv.manifest.json")),
+    *((_FIGURES_ALL, f"d/{fig}{ext}")
+      for fig in ("fig1", "fig2", "fig3", "fig4") for ext in (".csv", ".spec.json")),
+    (_FIGURES_ALL, "d/manifest.json"),
+    # fig3's k = 0.55 mode has a degenerate window at L = 1.1
+    (["figures", "--which", "all", "--L", "1.1", "--points", "50", "--out", "d"], None),
+    *((["squeeze", "--gamma", "0.5", "--t", "1", "--out", "sq.json"], taken)
+      for taken in ("sq.json", "sq.json.manifest.json")),
+    (["record", "--registry", "new.json", "--spectrum", "stim.json", "--t", "1",
+      "--L", "1"], "new.json"),
+    (["forget-sweep", "--registry", "new.json", "--t", "1", "--L", "1"], "new.json"),
+    *((_RECALL, taken) for taken in ("o.json", "o.json.manifest.json")),
+]
+
+
 class TestPathErrors:
     """A path that cannot be used as the request names it exits 2, names the
     path, and leaves no temp file and no new lock file behind."""
@@ -738,6 +791,26 @@ class TestPathErrors:
         assert [p.name for p in tmp_path.rglob("*.lock")] == ["reg.json.lock"]
         assert not list((tmp_path / "dir").iterdir())
 
+    @pytest.mark.parametrize(
+        "argv,taken", _REFUSALS,
+        ids=[f"{argv[0]}:{taken or 'fails'}" for argv, taken in _REFUSALS],
+    )
+    def test_refused_request_changes_nothing(self, tmp_path, monkeypatch, capsys,
+                                             argv, taken):
+        # exit 2 with nothing on stdout and the directory tree as it was
+        monkeypatch.chdir(tmp_path)
+        write_spectrum(tmp_path / "stim.json", (2.0, 1, 1.0))
+        assert main(["record", "--registry", "reg.json", "--spectrum", "stim.json",
+                     "--t", "0", "--L", "1"]) == 0
+        if taken is not None:
+            (tmp_path / taken).mkdir(parents=True)
+        capsys.readouterr()
+        before = _tree(tmp_path)
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: ")
+        assert _tree(tmp_path) == before
+
     @pytest.mark.parametrize("taken", ["traj", "traj.ode", "traj.manifest.json"])
     def test_refused_evolve_writes_nothing(self, tmp_path, capsys, taken):
         # a directory at any destination of --method both refuses the run
@@ -775,31 +848,6 @@ class TestPathErrors:
 
 
 class TestEnvironmentAndManifest:
-    def test_thread_cap_validation(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("MEMDOMAIN_THREADS", "abc")
-        assert main(["lifetimes", "--L", "1", "--k", "2", "--n", "1"]) == 2
-        monkeypatch.setenv("MEMDOMAIN_THREADS", "-1")
-        assert main(["lifetimes", "--L", "1", "--k", "2", "--n", "1"]) == 2
-
-    def test_thread_cap_recorded(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("MEMDOMAIN_THREADS", "2")
-        out = tmp_path / "l.csv"
-        assert main(["lifetimes", "--L", "1", "--k", "2", "--n", "1",
-                     "--out", str(out), "--no-timestamp"]) == 0
-        manifest = json.loads((tmp_path / "l.csv.manifest.json").read_text())
-        assert manifest["threads"] == 2
-        import os
-
-        assert os.environ["OMP_NUM_THREADS"] == "2"
-
-    def test_zero_means_auto(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("MEMDOMAIN_THREADS", "0")
-        out = tmp_path / "l.csv"
-        assert main(["lifetimes", "--L", "1", "--k", "2", "--n", "1",
-                     "--out", str(out), "--no-timestamp"]) == 0
-        manifest = json.loads((tmp_path / "l.csv.manifest.json").read_text())
-        assert manifest["threads"] == "auto"
-
     def test_timestamp_toggle(self, tmp_path):
         out = tmp_path / "l.csv"
         main(["lifetimes", "--L", "1", "--k", "2", "--n", "1",
@@ -836,39 +884,19 @@ class TestEnvironmentAndManifest:
 # start is what these tests measure, and in this process numpy is loaded.
 _SRC = str(Path(memdomain.__file__).resolve().parents[1])
 
-# The thread count read back from the OpenBLAS numpy loaded (None for another
-# BLAS), as source for a child interpreter.
-_BLAS_THREADS = """
-import ctypes
 
-def blas_threads():
-    with open("/proc/self/maps") as fh:
-        paths = {line.split()[-1] for line in fh if "openblas" in line.lower()}
-    for path in sorted(paths):
-        lib = ctypes.CDLL(path)
-        for sym in ("scipy_openblas_get_num_threads64_",
-                    "openblas_get_num_threads64_", "openblas_get_num_threads"):
-            fn = getattr(lib, sym, None)
-            if fn is not None:
-                fn.argtypes = []
-                fn.restype = ctypes.c_int
-                return int(fn())
-    return None
-"""
-
-
-def _child_env(**overrides):
-    env = dict(os.environ, **overrides)
+def _child_env():
+    env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (_SRC, os.environ.get("PYTHONPATH")) if p
     )
     return env
 
 
-def _child(code, env=None):
+def _child(code):
     """Last stdout line of code run in a fresh interpreter."""
     proc = subprocess.run(
-        [sys.executable, "-c", code], env=env or _child_env(),
+        [sys.executable, "-c", code], env=_child_env(),
         capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
@@ -922,21 +950,6 @@ class TestFreshProcess:
             "print(rc, sorted(m for m in ('numpy', 'scipy') if m in sys.modules))"
         ) == "0 []"
 
-    def test_thread_cap_reaches_openblas(self, tmp_path):
-        env = _child_env(MEMDOMAIN_THREADS="1")
-        for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
-            env.pop(var, None)
-        argv = ["evolve", "--L", "1", "--k", "2", "--n", "1", "--t-max", "1",
-                "--points", "20", "--out", str(tmp_path / "e.csv")]
-        threads = _child(
-            _BLAS_THREADS + "from memdomain.cli import main\n"
-            f"rc = main({argv!r})\nprint(rc, blas_threads())\n",
-            env,
-        )
-        if threads == "0 None":
-            pytest.skip("numpy is not linked against OpenBLAS")
-        assert threads == "0 1"
-
     def test_concurrent_records_all_land(self, tmp_path):
         # each writer loads, records into and rewrites a few-hundred-code
         # file; without the lock, writers that overlap lose each other's code
@@ -972,3 +985,32 @@ class TestFreshProcess:
         codes = MemoryRegistry.load(reg).codes
         assert len(new) == 8 and new <= set(codes) and len(codes) == 308
         assert (tmp_path / "reg.json.lock").exists()
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def _readme_block(section, lang):
+    """The first fenced `lang` block of the README's `## section`."""
+    body = README.read_text(encoding="utf-8").split(f"\n## {section}\n", 1)[1]
+    body = body.split("\n## ", 1)[0]
+    return body.split(f"```{lang}\n", 1)[1].split("\n```", 1)[0]
+
+
+class TestReadme:
+    """The README's examples run as written."""
+
+    def test_cli_block(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        for name in ("stimulus.json", "probe.json"):
+            write_spectrum(tmp_path / name, (2.0, 1, 1.5), (6.0, 1, 1.0))
+        lines = _readme_block("CLI", "sh").replace("\\\n", " ").splitlines()
+        commands = [shlex.split(line) for line in lines
+                    if line.strip() and not line.startswith("#")]
+        assert len(commands) >= 9
+        for argv in commands:
+            assert argv[0] == "memdomain", argv
+            assert main(argv[1:]) == 0, (argv, capsys.readouterr().err)
+
+    def test_library_example(self):
+        exec(compile(_readme_block("Library example", "python"), str(README), "exec"), {})

@@ -3,12 +3,16 @@
 Each public function of lifetime, bessel, fock and memory is fed, in every
 scalar argument, the values that broke some layer before they all went
 through memdomain.errors: nan, +-inf, -0.0, the least and the largest float,
-an int beyond the float range, a bool and a string, mixed with ordinary
-numbers. Each call either returns finite numbers or raises ValueError /
-MemdomainError; the only infinities allowed are the documented ones.
+1e-300 and 1e300, an int beyond the float range, a bool and a string, mixed
+with ordinary numbers. The functions of a mode are also fed system and mode
+parameters L, c and k at those float extremes, where k0, c*k, 2ck/L, w^2 or
+the window T can leave the float range. Each call either returns finite
+numbers or raises ValueError / MemdomainError; the only infinities allowed
+are the documented ones.
 """
 
 import dataclasses
+import functools
 import math
 import sys
 
@@ -22,10 +26,8 @@ from memdomain import bessel, fock, lifetime, memory
 from memdomain.bessel import BesselKind
 from memdomain.errors import DomainError, MemdomainError
 
-SPECIAL = [
-    math.nan, math.inf, -math.inf, -0.0, 5e-324, sys.float_info.max,
-    10**400, True, "x",
-]
+EXTREME = [5e-324, 1e-300, 1e300, sys.float_info.max]
+SPECIAL = [math.nan, math.inf, -math.inf, -0.0, *EXTREME, 10**400, True, "x"]
 SCALAR = (
     st.sampled_from(SPECIAL)
     | st.floats(-2.0, 20.0, allow_nan=False)
@@ -37,45 +39,64 @@ MODE = lifetime.ModeIndex(k=2.0, n=1)
 FIRST, SECOND = BesselKind.FIRST, BesselKind.SECOND
 
 
-def _registry():
+def _registry(p=P, m=MODE):
     reg = memory.MemoryRegistry()
-    memory.record(reg, memory.StimulusSpectrum(((2.0, 1, 1.0), (8.0, 3, 0.5))), 0.0, P)
+    memory.record(reg, memory.StimulusSpectrum(((m.k, m.n, 1.0), (8.0, 3, 0.5))), 0.0, p)
     return reg
 
 
-def _recall(energy, t):
-    reg = _registry()
-    memory.decay_codes(reg, t, P)
-    return memory.recall(reg, memory.StimulusSpectrum(((2.0, 1, 1.0),)), energy, t, P)
+def _record(p, m, t):
+    return memory.record(_registry(p, m), memory.StimulusSpectrum(((m.k, m.n, 1.0),)), t, p)
 
 
-def _figure(points, ceiling, scale):
+def _decay(p, m, t):
+    return memory.decay_codes(_registry(p, m), t, p)
+
+
+def _recall(p, m, energy, t):
+    reg = _registry(p, m)
+    memory.decay_codes(reg, t, p)
+    return memory.recall(reg, memory.StimulusSpectrum(((m.k, m.n, 1.0),)), energy, t, p)
+
+
+def _figure(p, m, points, ceiling, scale):
     spec = lifetime.default_figure_spec(
-        "fig1", points=points, ceiling=ceiling, ordinate_scale=scale
+        "fig1", L=p.L, c=p.c, points=points, ceiling=ceiling, ordinate_scale=scale
     )
     return lifetime.curve_table(spec)
 
 
+# name -> (call on (params, mode, *drawn scalars), number of scalars,
+# allowed infinities); test_scalar_inputs_stay_in_domain passes P and MODE
+MODEL_CALLS = {
+    "omega_mode": (lifetime.omega_mode, 1, ()),
+    "common_frequency": (lifetime.common_frequency, 1, ()),
+    "recording_window": (lifetime.recording_window, 0, ()),
+    "open_window": (lifetime.open_window, 1, ()),
+    "momentum_threshold": (
+        lambda p, m, n, t: lifetime.momentum_threshold(p, n, t), 2, (math.inf,)),
+    "domain_size": (lambda p, m, n, t: lifetime.domain_size(p, n, t), 2, ()),
+    "lambda_lifetime": (lifetime.lambda_lifetime, 1, ()),
+    "frequency_from_lambda": (lifetime.frequency_from_lambda, 1, ()),
+    "mode_alive": (lifetime.mode_alive, 1, ()),
+    "lifetime_profile": (lifetime.lifetime_profile, 2, ()),
+    "domain_snapshot": (
+        lambda p, m, n, t, k: lifetime.domain_snapshot(p, n, t, [k]), 3, (math.inf,)),
+    "curve_table": (_figure, 3, ()),
+    "coupling_frequencies": (fock.coupling_frequencies, 1, ()),
+    "mixing_angle": (fock.mixing_angle, 1, ()),
+    "build_hamiltonians": (fock.build_hamiltonians, 2, ()),
+    "record": (_record, 1, ()),
+    "decay_codes": (_decay, 1, ()),
+    "recall": (_recall, 2, ()),
+}
+
 # name -> (call on the drawn scalars, number of scalars, allowed infinities)
 CALLS = {
+    **{name: (functools.partial(call, P, MODE), arity, allowed)
+       for name, (call, arity, allowed) in MODEL_CALLS.items()},
     "SystemParams": (lambda L, c: lifetime.SystemParams(L=L, c=c), 2, ()),
     "ModeIndex": (lambda k, n: lifetime.ModeIndex(k=k, n=n), 2, ()),
-    "omega_mode": (lambda t: lifetime.omega_mode(P, MODE, t), 1, ()),
-    "common_frequency": (lambda t: lifetime.common_frequency(P, MODE, t), 1, ()),
-    "open_window": (lambda t: lifetime.open_window(P, MODE, t), 1, ()),
-    "momentum_threshold": (
-        lambda n, t: lifetime.momentum_threshold(P, n, t), 2, (math.inf,)),
-    "domain_size": (lambda n, t: lifetime.domain_size(P, n, t), 2, ()),
-    "lambda_lifetime": (lambda t: lifetime.lambda_lifetime(P, MODE, t), 1, ()),
-    "frequency_from_lambda": (
-        lambda t: lifetime.frequency_from_lambda(P, MODE, t), 1, ()),
-    "mode_alive": (lambda t: lifetime.mode_alive(P, MODE, t), 1, ()),
-    "lifetime_profile": (
-        lambda points, ceiling: lifetime.lifetime_profile(P, MODE, points, ceiling),
-        2, ()),
-    "domain_snapshot": (
-        lambda n, t, k: lifetime.domain_snapshot(P, n, t, [k]), 3, (math.inf,)),
-    "curve_table": (_figure, 3, ()),
     "sph_j": (bessel.sph_j, 2, ()),
     "sph_y": (bessel.sph_y, 2, (-math.inf,)),
     "sph_j_array": (lambda n: bessel.sph_j_array(n, [0.5, 2.0]), 1, ()),
@@ -89,9 +110,6 @@ CALLS = {
     "ladder": (fock.ladder, 1, ()),
     "pair_ladders": (fock.pair_ladders, 1, ()),
     "number_operators": (fock.number_operators, 1, ()),
-    "coupling_frequencies": (
-        lambda t: fock.coupling_frequencies(P, MODE, t), 1, ()),
-    "mixing_angle": (lambda t: fock.mixing_angle(P, MODE, t), 1, ()),
     "bogoliubov_theta_coeffs": (fock.bogoliubov_theta_coeffs, 1, ()),
     "bogoliubov_time_coeffs": (fock.bogoliubov_time_coeffs, 2, ()),
     "default_cutoff": (fock.default_cutoff, 1, ()),
@@ -99,8 +117,6 @@ CALLS = {
     "squeezed_vacuum": (fock.squeezed_vacuum, 3, ()),
     "squeezed_vacuum default cutoff": (fock.squeezed_vacuum, 2, ()),
     "vacuum_overlap": (lambda g, t, tp: fock.vacuum_overlap([g], t, tp), 3, ()),
-    "build_hamiltonians": (
-        lambda t, cutoff: fock.build_hamiltonians(P, MODE, t, cutoff), 2, ()),
     "pair_coupling": (fock.pair_coupling, 2, ()),
     "k2_single_mode": (fock.k2_single_mode, 1, ()),
     "k2_generator": (fock.k2_generator, 1, ()),
@@ -108,10 +124,6 @@ CALLS = {
         lambda t: fock.brute_force_evolve(
             fock.pair_coupling(0.5, 8), t, fock.vacuum_state(8)), 1, ()),
     "StimulusComponent": (memory.StimulusComponent, 3, ()),
-    "record": (lambda t: memory.record(_registry(), memory.StimulusSpectrum(
-        ((2.0, 1, 1.0),)), t, P), 1, ()),
-    "decay_codes": (lambda t: memory.decay_codes(_registry(), t, P), 1, ()),
-    "recall": (_recall, 2, ()),
     "is_forgotten": (
         lambda t: memory.is_forgotten(_registry().codes["code000001"], t, P), 1, ()),
 }
@@ -138,6 +150,16 @@ def _numbers(obj):
             yield from _numbers(getattr(obj, f.name))
 
 
+def _in_domain(call, args, allowed):
+    try:
+        result = call(*args)
+    except (ValueError, MemdomainError):
+        return
+    for z in _numbers(result):
+        for part in (z.real, z.imag):
+            assert math.isfinite(part) or part in allowed, (args, result)
+
+
 @pytest.mark.parametrize("name", sorted(CALLS))
 def test_scalar_inputs_stay_in_domain(name):
     call, arity, allowed = CALLS[name]
@@ -145,13 +167,26 @@ def test_scalar_inputs_stay_in_domain(name):
     @settings(derandomize=True, database=None, max_examples=40, deadline=None)
     @given(st.tuples(*[SCALAR] * arity))
     def check(args):
-        try:
-            result = call(*args)
-        except (ValueError, MemdomainError):
-            return
-        for z in _numbers(result):
-            for part in (z.real, z.imag):
-                assert math.isfinite(part) or part in allowed, (args, result)
+        _in_domain(call, args, allowed)
+
+    check()
+
+
+MODEL_FLOAT = st.sampled_from(EXTREME) | st.floats(0.1, 60.0)
+
+
+@pytest.mark.parametrize("name", sorted(MODEL_CALLS))
+def test_model_parameters_stay_in_domain(name):
+    call, arity, allowed = MODEL_CALLS[name]
+
+    def with_model(L, c, k, n, *args):
+        return call(lifetime.SystemParams(L=L, c=c), lifetime.ModeIndex(k=k, n=n), *args)
+
+    @settings(derandomize=True, database=None, max_examples=60, deadline=None)
+    @given(st.tuples(MODEL_FLOAT, MODEL_FLOAT, MODEL_FLOAT, st.integers(0, 12),
+                     *[SCALAR] * arity))
+    def check(args):
+        _in_domain(with_model, args, allowed)
 
     check()
 
@@ -172,6 +207,27 @@ REFUSED = {
     "momentum_threshold n = True": lambda: lifetime.momentum_threshold(P, True, 1.0),
     "momentum_threshold t = -1": lambda: lifetime.momentum_threshold(P, 1, -1),
     "momentum_threshold t = nan": lambda: lifetime.momentum_threshold(P, 1, math.nan),
+    "SystemParams k0 underflows": lambda: lifetime.SystemParams(L=5e-324),
+    "ModeIndex 2n + 1 past the float range": lambda: lifetime.ModeIndex(k=2.0, n=10**308),
+    "momentum_threshold 2n + 1 past the float range": lambda: lifetime.momentum_threshold(
+        P, 10**308, 1.0),
+    "recording_window 2ck/L overflows": lambda: lifetime.recording_window(
+        P, lifetime.ModeIndex(k=1e308, n=1)),
+    "recording_window T overflows": lambda: lifetime.recording_window(
+        lifetime.SystemParams(L=5e-324, c=1e-300), MODE),
+    "common_frequency w^2 overflows": lambda: lifetime.common_frequency(
+        P, lifetime.ModeIndex(k=1e200, n=1), 0.0),
+    "ladder above the cutoff limit": lambda: fock.ladder(100_001),
+    "vacuum_state above the cutoff limit": lambda: fock.vacuum_state(100_001),
+    "squeezed_vacuum above the cutoff limit": lambda: fock.squeezed_vacuum(
+        0.5, 1.0, cutoff=100_001),
+    "k2_single_mode above the cutoff limit": lambda: fock.k2_single_mode(100_001),
+    **{f"{fn.__name__} above the joint limit": functools.partial(fn, 513)
+       for fn in (fock.pair_ladders, fock.number_operators, fock.k2_generator)},
+    "pair_coupling above the joint limit": lambda: fock.pair_coupling(0.5, 513),
+    "build_hamiltonians above the joint limit": lambda: fock.build_hamiltonians(
+        P, MODE, 0.0, 513),
+    "full_vector above the joint limit": lambda: fock.vacuum_state(8).full_vector(513),
 }
 
 
