@@ -21,8 +21,9 @@ writer.  emit refuses the request when any destination, the manifest
 included, is a directory; only then does it write the files, each by
 memdomain.memory.write_atomic (a temp file, synced to disk, and an atomic
 rename), and the manifest last.  So a request that is refused, or whose
-computation fails, writes nothing, and recall --out prints its result only
-after the write.
+computation fails, writes no output or manifest (record and forget-sweep
+may leave the registry's lock file, which is never removed), and recall
+--out prints its result only after the write.
 
 Exit status: 0 on success; 2 when the request itself is wrong: bad flags
 or config, a value outside the range its option declares in the option
