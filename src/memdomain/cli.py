@@ -10,7 +10,7 @@ manifest's directory.  The manifest's timestamp is its only run-dependent
 field and is dropped with --no-timestamp.
 
 Configuration may come from an INI file (--config): a [memdomain] section
-for the shared keys L, c, seed, no-timestamp plus one section per
+for the shared keys L, c, no-timestamp plus one section per
 subcommand.  Command-line flags override the command section, which
 overrides [memdomain].  Unknown sections or keys are rejected.
 
@@ -115,7 +115,6 @@ _TWO_OR_MORE = (lambda n: n >= 2, ">= 2")
 
 _SHARED = (
     _Opt("config", help="INI file with [memdomain] and per-command sections"),
-    _Opt("seed", conv=int, default=0, help="seed echoed into the manifest"),
     _Opt("no-timestamp", flag=True, default=False,
          help="omit the timestamp field from the manifest"),
 )
@@ -189,7 +188,7 @@ _COMMANDS = {
     ),
 }
 
-_GLOBAL_CONFIG_KEYS = ("L", "c", "seed", "no-timestamp")
+_GLOBAL_CONFIG_KEYS = ("L", "c", "no-timestamp")
 
 
 def _options(command: str) -> tuple:

@@ -14,14 +14,22 @@ state with coefficients tanh^m(G t)/cosh(G t) on |m, m>. All of that is
 checked against a brute-force evolution under the matrix generator, so the
 closed forms and the matrix layer validate each other.
 
+The builders return plain scipy.sparse csr matrices on the joint basis and
+mixing_angle returns theta as a float. Their algebraic form (self-adjoint;
+H0 and HI1 real symmetric; HI2 and K2 i times a real matrix; number
+operators diagonal and non-negative) is pinned by the tests, not re-checked
+on every build.
+
 The oracle uses structure, not formulas: HI2 conserves m_A - m_Atilde, so
-it maps the paired states |m, m> into themselves. brute_force_evolve checks
-that invariance entry by entry on the generator it is handed and then
-applies the exponential on that (cutoff+1)-dim sector alone, instead of on
-all (cutoff+1)^2 joint states.
+it maps the paired states |m, m> into themselves. brute_force_evolve, the
+one function that takes a matrix from its caller, checks the generator's
+shape, that invariance entry by entry, and that the paired block is
+self-adjoint, then applies the exponential on that (cutoff+1)-dim sector
+alone, instead of on all (cutoff+1)^2 joint states.
 
 Truncation policy: tails scale as tanh^{2(m+1)}(G t), so the default cutoff
-solves tanh^{2(m+1)} < 1e-12 and is clamped to [8, 256]. Commutator and
+is the smallest m with tanh^{2(m+1)} < 1e-12, at least 8; a default above
+the single-mode limit below is refused, not clamped. Commutator and
 conjugation identities are asserted on interior occupations only; the
 boundary rows of a truncated ladder matrix cannot satisfy them.
 
@@ -30,13 +38,12 @@ them): a cutoff of at most 100000 for single-mode and paired objects
 (ladder, k2_single_mode, vacuum_state, squeezed_vacuum), whose size grows
 as the cutoff, and of at most 512 for the joint basis (pair_ladders,
 number_operators, build_hamiltonians, pair_coupling, k2_generator,
-TwoModeState.full_vector), whose matrices grow as its square: pair_coupling
-at 512 holds 524288 nonzeros.
+brute_force_evolve), whose matrices grow as its square: pair_coupling at
+512 holds 524288 nonzeros.
 """
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 from scipy import sparse
@@ -46,9 +53,6 @@ from .lifetime import ModeIndex, SystemParams, common_frequency, open_window
 
 __all__ = [
     "TAIL_BOUND",
-    "OperatorLabel",
-    "OperatorMatrix",
-    "SqueezeAngle",
     "TwoModeState",
     "ladder",
     "pair_ladders",
@@ -75,7 +79,6 @@ __all__ = [
 TAIL_BOUND = 1e-12
 
 _CUTOFF_MIN = 8
-_CUTOFF_MAX = 256
 
 # cost limits on an explicit cutoff (module docstring)
 _MODE_CUTOFF_LIMIT = 100_000
@@ -85,15 +88,6 @@ _JOINT_CUTOFF_LIMIT = 512
 def _joint_cutoff(cutoff, lo: int = 4) -> int:
     """cutoff as an int in [lo, 512], the joint-basis limit; else DomainError."""
     return integer("cutoff", cutoff, lo, _JOINT_CUTOFF_LIMIT)
-
-
-class OperatorLabel(str, Enum):
-    H0 = "H0"
-    HI1 = "HI1"
-    HI2 = "HI2"
-    K2 = "K2"
-    NUMBER_A = "NumberA"
-    NUMBER_TILDE = "NumberTilde"
 
 
 def ladder(cutoff: int) -> sparse.csr_matrix:
@@ -114,66 +108,10 @@ def pair_ladders(cutoff: int):
     )
 
 
-@dataclass(frozen=True)
-class OperatorMatrix:
-    """A labelled self-adjoint operator on the truncated two-mode basis."""
-
-    label: OperatorLabel
-    cutoff: int
-    matrix: sparse.csr_matrix
-
-    def __post_init__(self):
-        dim = (self.cutoff + 1) ** 2
-        if self.matrix.shape != (dim, dim):
-            raise ValueError(
-                f"matrix shape {self.matrix.shape} does not match cutoff {self.cutoff}"
-            )
-        scale = _max_abs(self.matrix) + 1.0
-        if _max_abs(self.matrix - self.matrix.getH()) > 1e-12 * scale:
-            raise ValueError(f"{self.label.value} must be self-adjoint")
-        if self.label in (OperatorLabel.H0, OperatorLabel.HI1):
-            if _max_abs(self.matrix.imag) > 1e-12 * scale:
-                raise ValueError(f"{self.label.value} must be real symmetric")
-        if self.label in (OperatorLabel.HI2, OperatorLabel.K2):
-            if _max_abs(self.matrix.real) > 1e-12 * scale:
-                raise ValueError(f"{self.label.value} must be i times a real matrix")
-        if self.label in (OperatorLabel.NUMBER_A, OperatorLabel.NUMBER_TILDE):
-            diag = self.matrix.diagonal()
-            off = self.matrix - sparse.diags(diag, format="csr")
-            if _max_abs(off) > 1e-12 * scale or diag.real.min() < 0:
-                raise ValueError(f"{self.label.value} must be diagonal non-negative")
-
-    @property
-    def dimension(self) -> int:
-        return (self.cutoff + 1) ** 2
-
-    def dense(self) -> np.ndarray:
-        return self.matrix.toarray()
-
-
-def _max_abs(m) -> float:
-    m = sparse.csr_matrix(m)
-    return float(np.abs(m.data).max()) if m.nnz else 0.0
-
-
 def number_operators(cutoff: int):
+    """(N_A, N_Atilde) = (A^. A, At^. At) on the joint basis."""
     A, At = pair_ladders(cutoff)
-    return (
-        OperatorMatrix(OperatorLabel.NUMBER_A, cutoff, (A.getH() @ A).tocsr()),
-        OperatorMatrix(OperatorLabel.NUMBER_TILDE, cutoff, (At.getH() @ At).tocsr()),
-    )
-
-
-@dataclass(frozen=True)
-class SqueezeAngle:
-    """Rotation angle that removes the off-diagonal quadratic coupling."""
-
-    theta: float
-    mode: ModeIndex
-    t: float
-
-    def __post_init__(self):
-        finite("theta", self.theta)
+    return (A.getH() @ A).tocsr(), (At.getH() @ At).tocsr()
 
 
 def coupling_frequencies(params: SystemParams, mode: ModeIndex, t: float):
@@ -184,11 +122,11 @@ def coupling_frequencies(params: SystemParams, mode: ModeIndex, t: float):
     return w0 * (w_sq / w0**2 + 1.0), w0 * (w_sq / w0**2 - 1.0)
 
 
-def mixing_angle(params: SystemParams, mode: ModeIndex, t: float) -> SqueezeAngle:
-    """Angle with tanh theta = -W1/W0 on [0, T) (open_window); diverges at T."""
+def mixing_angle(params: SystemParams, mode: ModeIndex, t: float) -> float:
+    """Angle theta with tanh theta = -W1/W0 on [0, T) (open_window); diverges at T."""
     open_window(params, mode, t)
     w0_sum, w0_diff = coupling_frequencies(params, mode, t)
-    return SqueezeAngle(theta=math.atanh(-w0_diff / w0_sum), mode=mode, t=t)
+    return math.atanh(-w0_diff / w0_sum)
 
 
 def _cosh_sinh(x: float):
@@ -209,7 +147,7 @@ def bogoliubov_time_coeffs(gamma: float, t: float):
 
 
 def _tail_cutoff(gamma_t: float) -> int:
-    """Paired occupation keeping tanh^{2(m+1)} below TAIL_BOUND, unclamped."""
+    """Paired occupation keeping tanh^{2(m+1)} below TAIL_BOUND."""
     th = math.tanh(abs(gamma_t))
     if th == 0.0:
         return 0
@@ -221,9 +159,16 @@ def _tail_cutoff(gamma_t: float) -> int:
 
 
 def default_cutoff(gamma_t: float) -> int:
-    """Smallest paired occupation keeping tanh^{2(m+1)} below TAIL_BOUND,
-    clamped to [8, 256]."""
-    return min(max(_tail_cutoff(finite("gamma_t", gamma_t)), _CUTOFF_MIN), _CUTOFF_MAX)
+    """Smallest paired occupation keeping tanh^{2(m+1)} below TAIL_BOUND, at
+    least 8; DomainError when it is above the single-mode limit 100000."""
+    gamma_t = finite("gamma_t", gamma_t)
+    need = _tail_cutoff(gamma_t)
+    if need > _MODE_CUTOFF_LIMIT:
+        raise DomainError(
+            f"gamma_t = {gamma_t:g} needs cutoff {need} to keep the tail below "
+            f"{TAIL_BOUND:g}, above the limit {_MODE_CUTOFF_LIMIT}"
+        )
+    return max(need, _CUTOFF_MIN)
 
 
 def _pair_tail(gamma_t: float, cutoff: int) -> float:
@@ -265,14 +210,6 @@ class TwoModeState:
 
     def norm_sq(self) -> float:
         return float(sum(abs(complex(c)) ** 2 for c in self.coeffs))
-
-    def full_vector(self, cutoff: int | None = None) -> np.ndarray:
-        """Embed into the joint basis (optionally padded to a larger cutoff)."""
-        n = _joint_cutoff(self.cutoff if cutoff is None else cutoff, self.cutoff)
-        vec = np.zeros((n + 1) ** 2, dtype=complex)
-        for m, c in enumerate(self.coeffs):
-            vec[m * (n + 1) + m] = c
-        return vec
 
 
 def vacuum_state(cutoff: int) -> TwoModeState:
@@ -336,14 +273,10 @@ def build_hamiltonians(params: SystemParams, mode: ModeIndex, t: float, cutoff: 
     Ad, Atd = A.getH(), At.getH()
     h0 = 0.5 * w0_sum * (Ad @ A - Atd @ At)
     hi1 = -0.25 * w0_diff * ((A @ A + Ad @ Ad) - (At @ At + Atd @ Atd))
-    return (
-        OperatorMatrix(OperatorLabel.H0, cutoff, h0.tocsr()),
-        OperatorMatrix(OperatorLabel.HI1, cutoff, hi1.tocsr()),
-        pair_coupling(params.L / 2, cutoff),
-    )
+    return h0.tocsr(), hi1.tocsr(), pair_coupling(params.L / 2, cutoff)
 
 
-def pair_coupling(gamma: float, cutoff: int) -> OperatorMatrix:
+def pair_coupling(gamma: float, cutoff: int) -> sparse.csr_matrix:
     """The pair-creation coupling i*gamma*(A+ At+ - A At) on its own.
 
     Evolving the joint vacuum under this generator for time t produces the
@@ -355,7 +288,7 @@ def pair_coupling(gamma: float, cutoff: int) -> OperatorMatrix:
     a = ladder(cutoff)
     ad = a.getH()
     hi2 = 1j * finite("gamma", gamma) * (sparse.kron(ad, ad) - sparse.kron(a, a))
-    return OperatorMatrix(OperatorLabel.HI2, cutoff, hi2.tocsr())
+    return hi2.tocsr()
 
 
 def k2_single_mode(cutoff: int) -> sparse.csr_matrix:
@@ -364,7 +297,7 @@ def k2_single_mode(cutoff: int) -> sparse.csr_matrix:
     return (0.25j * (a @ a - a.getH() @ a.getH())).tocsr()
 
 
-def k2_generator(cutoff: int) -> OperatorMatrix:
+def k2_generator(cutoff: int) -> sparse.csr_matrix:
     """Rotation generator K2 = k (x) 1 + 1 (x) k with k the per-mode factor.
 
     Conjugating a ladder matrix by exp(-i theta K2) mixes it with its
@@ -374,8 +307,7 @@ def k2_generator(cutoff: int) -> OperatorMatrix:
     cutoff = _joint_cutoff(cutoff)
     k = k2_single_mode(cutoff)
     eye = sparse.identity(cutoff + 1, format="csr", dtype=complex)
-    full = sparse.kron(k, eye, format="csr") + sparse.kron(eye, k, format="csr")
-    return OperatorMatrix(OperatorLabel.K2, cutoff, full.tocsr())
+    return sparse.kron(k, eye, format="csr") + sparse.kron(eye, k, format="csr")
 
 
 def expm_apply(m, vec: np.ndarray) -> np.ndarray:
@@ -403,26 +335,33 @@ def expm_apply(m, vec: np.ndarray) -> np.ndarray:
     return v
 
 
-def brute_force_evolve(generator: OperatorMatrix, t: float, init: TwoModeState) -> TwoModeState:
+def brute_force_evolve(generator, t: float, init: TwoModeState) -> TwoModeState:
     """Evolve init by exp(-i t generator) on the paired sector |m, m>.
 
     Used as the independent oracle for the closed-form squeezed vacuum; no
-    coefficient formula enters. The generator is first checked entry by
-    entry: no nonzero may take a paired column |m, m> to an unpaired row,
-    else ValueError. The paired states then span an invariant subspace, so
+    coefficient formula enters. The generator is a matrix on the joint
+    basis; its cutoff n is read from its shape ((n+1)^2, (n+1)^2), with n in
+    [1, 512] and at least init.cutoff, else ValueError. It is then checked
+    entry by entry: no nonzero may take a paired column |m, m> to an
+    unpaired row, and the paired block must be self-adjoint, else
+    ValueError. The paired states then span an invariant subspace, so
     exp(-i t generator) restricted to them is the exponential of the
-    restricted generator, and expm_apply runs on that (cutoff+1)-dim block;
-    the coefficients still come from the matrix alone. Raises
-    CutoffTooSmall when the evolved state puts more than 1e-8 of its mass
-    on the top two occupation levels of either mode (the truncated dynamics
-    is untrustworthy past that point).
+    restricted generator, and expm_apply runs on that (n+1)-dim block; the
+    coefficients still come from the matrix alone. Raises CutoffTooSmall
+    when the evolved state puts more than 1e-8 of its mass on the top two
+    occupation levels of either mode (the truncated dynamics is
+    untrustworthy past that point).
     """
     t = finite("t", t)
-    n = generator.cutoff
+    shape = np.shape(generator)
+    side = shape[0] if len(shape) == 2 else 0
+    if shape != (side, side) or math.isqrt(side) ** 2 != side:
+        raise ValueError(f"generator shape {shape} is not ((n+1)^2, (n+1)^2)")
+    n = _joint_cutoff(math.isqrt(side) - 1, 1)
     if init.cutoff > n:
         raise ValueError("initial state does not fit inside the generator cutoff")
     paired = np.arange(n + 1) * (n + 2)  # joint index of |m, m>
-    cols = generator.matrix[:, paired]
+    cols = sparse.csr_matrix(generator)[:, paired]
     entries = cols.tocoo()
     stray = (entries.row % (n + 2) != 0) & (entries.data != 0)
     if stray.any():
@@ -432,6 +371,8 @@ def brute_force_evolve(generator: OperatorMatrix, t: float, init: TwoModeState) 
             "the result cannot be represented as a paired state"
         )
     block = cols[paired]
+    if abs(block - block.getH()).max() > 1e-12 * (abs(block).max() + 1.0):
+        raise ValueError("the generator's paired block is not self-adjoint")
     vec = np.zeros(n + 1, dtype=complex)
     vec[: init.cutoff + 1] = init.coeffs
     with np.errstate(over="ignore"):  # an overflowed t * block fails the norm check

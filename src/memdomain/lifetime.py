@@ -60,6 +60,9 @@ _BOUNDARY_SLACK = 1e-12
 # the largest mode index n for which 2n + 1 is still a float
 _N_MAX = sys.float_info.max / 2
 
+# the least normal float; exp(-2 Lambda) below it is summed in logs
+_NORMAL_MIN = sys.float_info.min
+
 
 @dataclass(frozen=True)
 class SystemParams:
@@ -186,7 +189,16 @@ def lambda_lifetime(params: SystemParams, mode: ModeIndex, t: float) -> float:
 def _lambda_at(t: float, T: float, g: float, sinh_gT: float) -> float:
     """Lambda(t) for 0 <= t < T given the mode's constants g and sinh(g T)."""
     val = math.exp(-t * g) * math.sinh(g * (T - t)) / sinh_gT
+    if val < _NORMAL_MIN:  # a large g t: ln val from its parts, which stay finite
+        return -0.5 * (-t * g + _log_sinh(g * (T - t)) - _log_sinh(g * T))
     return -0.5 * math.log(val) + 0.0  # + 0.0 turns -0.0 at t=0 into 0.0
+
+
+def _log_sinh(x: float) -> float:
+    """ln sinh x for x > 0, without overflow: sinh x = e^x (1 - e^-2x) / 2."""
+    if x < 1.0:
+        return math.log(math.sinh(x))
+    return x + math.log1p(-math.exp(-2.0 * x)) - math.log(2.0)
 
 
 def frequency_from_lambda(params: SystemParams, mode: ModeIndex, t: float) -> float:

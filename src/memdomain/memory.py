@@ -314,7 +314,18 @@ class MemoryRegistry:
                     raise ValueError(
                         f"{cid} entry {kstr} must have keys weight, n, t_rec"
                     )
-                k, weight = _spectral_line(float(kstr), ent["n"], ent["weight"], names)
+                try:
+                    k = float(kstr)
+                except ValueError:
+                    raise ValueError(
+                        f"{cid} entry key must be a momentum, got {kstr!r}"
+                    ) from None
+                k, weight = _spectral_line(k, ent["n"], ent["weight"], names)
+                if k in entries:
+                    # a second key for one momentum would be lost on the next save
+                    raise ValueError(
+                        f"{cid} entry key {kstr!r} names momentum {k!r} twice"
+                    )
                 t_rec = finite(f"{cid} t_rec", ent["t_rec"], 0.0)
                 entries[k] = CodeEntry(weight=weight, n=ent["n"], t_rec=t_rec)
             if status is CodeStatus.FORGOTTEN and entries:

@@ -7,7 +7,8 @@ from mpmath. Two are bit-identity references for a faster package kernel
 instead: `expm_dense`, `integrate_to_grid`, the generic numpy-vector
 form of the package's Dormand-Prince stepper (same tableau, same controller,
 arrays instead of floats), and `registry_json`, the json.dumps spelling of
-the registry's canonical text.
+the registry's canonical text. `full_vector` embeds a paired state in the
+joint two-mode basis, which only the operator tests need.
 """
 
 import json
@@ -157,6 +158,18 @@ def expm_dense(m) -> np.ndarray:
     for _ in range(s):
         result = result @ result
     return result
+
+
+def full_vector(state, cutoff=None) -> np.ndarray:
+    """Embed a paired state sum_m c_m |m, m> into the joint |m_A, m_At>
+    basis, A-index major (optionally padded to a larger cutoff)."""
+    n = state.cutoff if cutoff is None else cutoff
+    if n < state.cutoff:
+        raise ValueError(f"cutoff {n} is below the state's cutoff {state.cutoff}")
+    vec = np.zeros((n + 1) ** 2, dtype=complex)
+    for m, c in enumerate(state.coeffs):
+        vec[m * (n + 1) + m] = c
+    return vec
 
 
 def _initial_step(f, t0, y0, tol, span):

@@ -282,6 +282,13 @@ class TestLifetimes:
                      "--k", "0.4"]) == 2
         assert "never" in capsys.readouterr().err
 
+    def test_underflowed_lambda(self, capsys):
+        # exp(-2 Lambda) ~ e^-1000 is below the floats; Lambda is ~500
+        assert main(["lifetimes", "--L", "1", "--k", "1e307", "--n", "0",
+                     "--t", "500"]) == 0
+        cells = capsys.readouterr().out.splitlines()[1].split(",")
+        assert float(cells[3]) == pytest.approx(500.0, rel=1e-12)
+
     def test_mode_dead_at_requested_time(self):
         assert main(["lifetimes", "--L", "1", "--k", "2", "--n", "1",
                      "--t", "9"]) == 2
@@ -413,10 +420,21 @@ class TestSqueeze:
         assert "cutoff" in capsys.readouterr().err
 
     def test_clamped_default_cutoff_names_real_requirement(self, tmp_path, capsys):
-        # the default cutoff stops at 256; tanh(2) needs 378 levels
-        assert main(["squeeze", "--gamma", "2", "--t", "1",
-                     "--out", str(tmp_path / "x.json")]) == 2
-        assert "need cutoff >= 378" in capsys.readouterr().err
+        # the default cutoff is the full tail requirement up to the 1e5
+        # limit: tanh(4) needs 20592 levels and gets them, tanh(5) needs
+        # 152154 and is refused with that number, before anything is written
+        out = tmp_path / "x.json"
+        assert main(["squeeze", "--gamma", "1", "--t", "4", "--out", str(out),
+                     "--no-timestamp"]) == 0
+        assert json.loads(out.read_text())["cutoff"] == 20592
+        refused = tmp_path / "refused"
+        # past gamma t = 2.15 the oracle's joint matrix is above its 512 limit
+        for extra, need in ((("--t", "5"), "needs cutoff 152154"),
+                            (("--t", "2.2", "--oracle"), "512], got 563")):
+            assert main(["squeeze", "--gamma", "1", *extra,
+                         "--out", str(refused / "y.json")]) == 2
+            assert need in capsys.readouterr().err
+        assert not refused.exists()
 
     def test_saturated_squeeze_is_validation_error(self, tmp_path, capsys):
         assert main(["squeeze", "--gamma", "20", "--t", "1",
@@ -600,19 +618,32 @@ class TestRegistryFlow:
                      "--t", "1", "--L", "1", "--energy", "5"]) == 2
         assert capsys.readouterr().err.startswith("error: ")
 
+    def test_two_keys_for_one_momentum_keep_the_file(self, tmp_path, capsys):
+        # loading kept the last of "2" and "2.0", and record then rewrote the
+        # file without the other entry
+        entry = {"weight": 1.0, "n": 1, "t_rec": 0.0}
+        reg = tmp_path / "reg.json"
+        reg.write_text(json.dumps({"schema": 1, "last_decay_t": 0.0, "next_id": 2, "codes": {
+            "code000001": {"status": "Intact", "entries": {"2": entry, "2.0": entry}}}}))
+        before = reg.read_bytes()
+        spec = write_spectrum(tmp_path / "stim.json", (6.0, 1, 1.0))
+        assert main(["record", "--registry", str(reg), "--spectrum", str(spec),
+                     "--t", "0.5", "--L", "1"]) == 2
+        assert "code000001 entry key '2.0' names momentum 2.0 twice" in capsys.readouterr().err
+        assert reg.read_bytes() == before
+
 
 class TestConfig:
     def test_config_supplies_and_cli_overrides(self, tmp_path):
         cfg = tmp_path / "cfg.ini"
         cfg.write_text(
-            "[memdomain]\nL = 1\nseed = 7\nno-timestamp = true\n"
+            "[memdomain]\nL = 1\nno-timestamp = true\n"
             "[evolve]\nomega0 = 2\nn = 1\nt-max = 2.0\npoints = 20\n"
         )
         out = tmp_path / "a.csv"
         assert main(["evolve", "--config", str(cfg), "--out", str(out)]) == 0
         assert len(read_csv(out)[1]) == 20
         manifest = json.loads((tmp_path / "a.csv.manifest.json").read_text())
-        assert manifest["config"]["seed"] == 7
         assert "timestamp" not in manifest
         out2 = tmp_path / "b.csv"
         assert main(["evolve", "--config", str(cfg), "--out", str(out2),
@@ -640,6 +671,17 @@ class TestConfig:
                      "2", "--n", "1", "--t-max", "1",
                      "--out", str(tmp_path / "x.csv")]) == 2
         assert "tmax" in capsys.readouterr().err
+
+    def test_seed_is_unknown(self, tmp_path, capsys):
+        # seed seeded nothing and is gone, as a flag and as a config key
+        args = ["lifetimes", "--L", "1", "--k", "2", "--n", "1"]
+        assert main([*args, "--seed", "7"]) == 2
+        cfg = tmp_path / "cfg.ini"
+        cfg.write_text("[memdomain]\nseed = 7\n")
+        assert main([*args, "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert "unrecognized arguments: --seed 7" in err
+        assert "unknown key 'seed' in config section [memdomain]" in err
 
     def test_unknown_section_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.ini"

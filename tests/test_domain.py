@@ -227,7 +227,8 @@ REFUSED = {
     "pair_coupling above the joint limit": lambda: fock.pair_coupling(0.5, 513),
     "build_hamiltonians above the joint limit": lambda: fock.build_hamiltonians(
         P, MODE, 0.0, 513),
-    "full_vector above the joint limit": lambda: fock.vacuum_state(8).full_vector(513),
+    "brute_force_evolve above the joint limit": lambda: fock.brute_force_evolve(
+        sparse.csr_matrix((514**2, 514**2)), 0.1, fock.vacuum_state(8)),
 }
 
 

@@ -13,11 +13,9 @@ import pytest
 from scipy import linalg, sparse
 from scipy.sparse.linalg import expm_multiply
 
-from _oracles import expm_dense
-from memdomain.errors import CutoffTooSmall, ModeDead, NeverRecordable
+from _oracles import expm_dense, full_vector
+from memdomain.errors import CutoffTooSmall, DomainError, ModeDead, NeverRecordable
 from memdomain.fock import (
-    OperatorLabel,
-    OperatorMatrix,
     TwoModeState,
     bogoliubov_theta_coeffs,
     bogoliubov_time_coeffs,
@@ -79,27 +77,13 @@ class TestLadder:
 
     def test_number_operators(self):
         nA, nT = number_operators(4)
-        assert nA.label is OperatorLabel.NUMBER_A
-        dA = nA.matrix.diagonal().real
-        dT = nT.matrix.diagonal().real
+        dA = nA.diagonal().real
+        dT = nT.diagonal().real
         for ma in range(5):
             for mb in range(5):
                 j = ma * 5 + mb
                 assert dA[j] == pytest.approx(ma)
                 assert dT[j] == pytest.approx(mb)
-
-    def test_operator_matrix_validation(self):
-        bad = sparse.csr_matrix(np.triu(np.ones((25, 25))), dtype=complex)
-        with pytest.raises(ValueError):
-            OperatorMatrix(OperatorLabel.H0, 4, bad)
-        with pytest.raises(ValueError):
-            OperatorMatrix(OperatorLabel.H0, 3, sparse.identity(25, format="csr"))
-        # H0 must be real: i*identity is self-adjoint-violating anyway, use
-        # a real antisymmetric times i which is self-adjoint but imaginary
-        m = np.zeros((25, 25))
-        m[0, 1], m[1, 0] = 1.0, -1.0
-        with pytest.raises(ValueError):
-            OperatorMatrix(OperatorLabel.H0, 4, sparse.csr_matrix(1j * m))
 
     def test_ladder_validation(self):
         with pytest.raises(ValueError):
@@ -108,30 +92,62 @@ class TestLadder:
             ladder(True)
 
 
+def _joint_builders(n):
+    h0, hi1, hi2 = build_hamiltonians(P, MODE, 0.0, cutoff=n)
+    num_a, num_t = number_operators(n)
+    return {"H0": h0, "HI1": hi1, "HI2": hi2, "pair_coupling": pair_coupling(0.7, n),
+            "K2": k2_generator(n), "NumberA": num_a, "NumberTilde": num_t}
+
+
+_FORM = {"H0": "real", "HI1": "real", "HI2": "imaginary", "pair_coupling": "imaginary",
+         "K2": "imaginary", "NumberA": "number", "NumberTilde": "number"}
+
+
+@pytest.mark.parametrize("name", sorted(_FORM))
+@pytest.mark.parametrize("n", [4, 12, 60])
+def test_builders_have_their_algebraic_form(n, name):
+    # the structure each builder's construction guarantees, pinned here
+    # instead of re-checked on every build
+    m = _joint_builders(n)[name]
+    dim = (n + 1) ** 2
+    assert isinstance(m, sparse.csr_matrix) and m.shape == (dim, dim)
+    tol = 1e-12 * (abs(m).max() + 1.0)
+    assert abs(m - m.getH()).max() <= tol
+    if _FORM[name] == "real":
+        assert abs(m.imag).max() <= tol
+    elif _FORM[name] == "imaginary":
+        assert abs(m.real).max() <= tol
+    else:
+        diag = m.diagonal()
+        assert abs(m - sparse.diags(diag)).max() <= tol
+        assert diag.real.min() >= 0
+    for single in (ladder(n), *pair_ladders(n), k2_single_mode(n)):
+        assert isinstance(single, sparse.csr_matrix)
+
+
 class TestMixingAngle:
     def test_frozen_example(self):
         # L=1, w0=2, n=1, t=3 ln 2: squared common frequency 0.75
         t = 3 * math.log(2.0)
         assert common_frequency(P, MODE, t) ** 2 == pytest.approx(0.75, rel=1e-12)
-        ang = mixing_angle(P, MODE, t)
-        assert math.tanh(ang.theta) == pytest.approx(13.0 / 19.0, rel=1e-13)
-        assert math.tanh(ang.theta) == pytest.approx(0.6842105, abs=5e-8)
-        assert ang.theta == pytest.approx(math.atanh(13.0 / 19.0), rel=1e-13)
-        assert ang.theta == pytest.approx(0.8369882, abs=5e-8)
-        assert ang.mode == MODE and ang.t == t
+        theta = mixing_angle(P, MODE, t)
+        assert type(theta) is float
+        assert math.tanh(theta) == pytest.approx(13.0 / 19.0, rel=1e-13)
+        assert math.tanh(theta) == pytest.approx(0.6842105, abs=5e-8)
+        assert theta == pytest.approx(math.atanh(13.0 / 19.0), rel=1e-13)
+        assert theta == pytest.approx(0.8369882, abs=5e-8)
 
     def test_vanishes_when_frequencies_match(self):
         # the angle measures the w0 vs common-frequency mismatch, which is
         # controlled entirely by the damping
         weak = SystemParams(L=1e-9, c=1.0)
-        ang = mixing_angle(weak, MODE, 0.0)
-        assert abs(ang.theta) < 1e-18
+        assert abs(mixing_angle(weak, MODE, 0.0)) < 1e-18
 
     def test_monotone_and_divergent(self):
         T = recording_window(P, MODE)
-        thetas = [mixing_angle(P, MODE, f * T).theta for f in (0.0, 0.3, 0.6, 0.9)]
+        thetas = [mixing_angle(P, MODE, f * T) for f in (0.0, 0.3, 0.6, 0.9)]
         assert all(b > a for a, b in zip(thetas, thetas[1:]))
-        assert mixing_angle(P, MODE, T * (1 - 1e-9)).theta > 10.0
+        assert mixing_angle(P, MODE, T * (1 - 1e-9)) > 10.0
 
     def test_dead_mode(self):
         T = recording_window(P, MODE)
@@ -197,7 +213,7 @@ class TestDefaultCutoff:
         assert default_cutoff(1.5) == 139
         assert default_cutoff(0.0) == 8
         assert default_cutoff(1e-6) == 8
-        assert default_cutoff(3.0) == 256  # clamped
+        assert default_cutoff(3.0) == 2787  # no clamp below the 1e5 limit
 
     def test_tail_bound_honored(self):
         for gt in (0.3, 0.6, 0.9, 1.2, 1.5, 1.8):
@@ -212,11 +228,27 @@ class TestDefaultCutoff:
             squeezed_vacuum(1.0, 20.0, cutoff=256)
 
     def test_tail_error_names_the_unclamped_requirement(self):
-        # tanh(2) needs 378 levels; the default clamps to 256
-        assert default_cutoff(2.0) == 256
+        # tanh(2) needs 378 levels: the default gives them, a cutoff of 256
+        # is refused with the full requirement
+        assert default_cutoff(2.0) == 378
+        assert squeezed_vacuum(2.0, 1.0).cutoff == 378
         with pytest.raises(CutoffTooSmall, match="need cutoff >= 378$"):
-            squeezed_vacuum(2.0, 1.0)
+            squeezed_vacuum(2.0, 1.0, cutoff=256)
         assert math.tanh(2.0) ** (2 * 379) <= 1e-12 < math.tanh(2.0) ** (2 * 257)
+
+    def test_requirement_above_the_limit_is_refused(self):
+        # gamma t = 5 needs 152154 levels, above the 1e5 single-mode limit;
+        # the closed form serves gamma t up to about 4.78
+        with pytest.raises(DomainError, match=(
+                r"^gamma_t = 5 needs cutoff 152154 .* above the limit 100000$")):
+            default_cutoff(5.0)
+        with pytest.raises(DomainError, match="needs cutoff 152154"):
+            squeezed_vacuum(1.0, 5.0)
+        st = squeezed_vacuum(1.0, 4.79)
+        assert st.cutoff == 99_972
+        assert st.norm_sq() == pytest.approx(1.0, abs=1e-12)
+        with pytest.raises(DomainError, match="above the limit 100000"):
+            squeezed_vacuum(1.0, 4.8)
 
 
 class TestSqueezedVacuum:
@@ -257,7 +289,7 @@ class TestSqueezedVacuum:
         st = squeezed_vacuum(gamma, t, cutoff=N)
         cc, ss = bogoliubov_time_coeffs(gamma, t)
         A, At = pair_ladders(N)
-        resid = (cc * A - ss * At.getH()) @ st.full_vector()
+        resid = (cc * A - ss * At.getH()) @ full_vector(st)
         idx = _interior_indices(N, N - 2)
         assert np.linalg.norm(resid[idx]) <= 1e-9
 
@@ -286,12 +318,12 @@ class TestStateValidation:
 
     def test_embedding(self):
         st = squeezed_vacuum(0.5, 1.0, cutoff=20)
-        vec = st.full_vector(25)
+        vec = full_vector(st, 25)
         assert vec.shape == (26 * 26,)
         assert vec[0] == st.coeffs[0]
         assert vec[3 * 26 + 3] == st.coeffs[3]
         with pytest.raises(ValueError):
-            st.full_vector(10)
+            full_vector(st, 10)
 
     def test_pairing_charge_on_random_states(self):
         rng = np.random.default_rng(7)
@@ -345,8 +377,7 @@ class TestHamiltonians:
 
     def test_h0_diagonal(self):
         h0, _, _ = build_hamiltonians(P, MODE, 0.0, cutoff=5)
-        assert h0.label is OperatorLabel.H0
-        d = h0.matrix.diagonal().real
+        d = h0.diagonal().real
         for ma in range(6):
             for mb in range(6):
                 assert d[ma * 6 + mb] == pytest.approx(0.5 * 3.875 * (ma - mb))
@@ -355,10 +386,10 @@ class TestHamiltonians:
         N = 10
         h0, hi1, hi2 = build_hamiltonians(P, MODE, 0.0, cutoff=N)
         idx = _interior_indices(N, N - 2)
-        scale_0 = abs(h0.matrix).max() * abs(hi2.matrix).max()
-        scale_1 = abs(hi1.matrix).max() * abs(hi2.matrix).max()
-        c0 = (h0.matrix @ hi2.matrix - hi2.matrix @ h0.matrix).toarray()
-        c1 = (hi1.matrix @ hi2.matrix - hi2.matrix @ hi1.matrix).toarray()
+        scale_0 = abs(h0).max() * abs(hi2).max()
+        scale_1 = abs(hi1).max() * abs(hi2).max()
+        c0 = (h0 @ hi2 - hi2 @ h0).toarray()
+        c1 = (hi1 @ hi2 - hi2 @ hi1).toarray()
         assert np.abs(c0[np.ix_(idx, idx)]).max() <= 1e-10 * scale_0
         assert np.abs(c1[np.ix_(idx, idx)]).max() <= 1e-10 * scale_1
 
@@ -370,21 +401,21 @@ class TestHamiltonians:
         W = common_frequency(P, MODE, 0.0)
         h0p = W * (A.getH() @ A - At.getH() @ At)
         idx = _interior_indices(N, N - 2)
-        comm = (h0p @ hi2.matrix - hi2.matrix @ h0p).toarray()
-        scale = abs(h0p).max() * abs(hi2.matrix).max()
+        comm = (h0p @ hi2 - hi2 @ h0p).toarray()
+        scale = abs(h0p).max() * abs(hi2).max()
         assert np.abs(comm[np.ix_(idx, idx)]).max() <= 1e-10 * scale
 
     def test_rotated_vacuum_has_zero_energy(self):
         # exp(-i theta K2)|0> is annihilated by H0 + HI1 at the angle that
         # removes the off-diagonal coupling
         N = 24
-        ang = mixing_angle(P, MODE, 0.0)
+        theta = mixing_angle(P, MODE, 0.0)
         h0, hi1, _ = build_hamiltonians(P, MODE, 0.0, cutoff=N)
         k2 = k2_generator(N)
         vac = np.zeros((N + 1) ** 2, dtype=complex)
         vac[0] = 1.0
-        state = expm_apply(-1j * ang.theta * k2.matrix, vac)
-        residual = (h0.matrix + hi1.matrix) @ state
+        state = expm_apply(-1j * theta * k2, vac)
+        residual = (h0 + hi1) @ state
         assert np.linalg.norm(residual) <= 1e-8
         assert abs(np.vdot(state, residual)) <= 1e-8
 
@@ -393,8 +424,8 @@ class TestHamiltonians:
         _, _, hi2 = build_hamiltonians(P, MODE, 0.0, cutoff=N)
         vals = []
         for t in (0.0, 0.6, 1.4, 2.0):
-            vec = squeezed_vacuum(0.5, t, cutoff=N).full_vector()
-            vals.append(complex(np.vdot(vec, hi2.matrix @ vec)))
+            vec = full_vector(squeezed_vacuum(0.5, t, cutoff=N))
+            vals.append(complex(np.vdot(vec, hi2 @ vec)))
         for v in vals:
             assert abs(v - vals[0]) <= 1e-9
 
@@ -428,9 +459,8 @@ def test_window_quantities_share_one_gate(quantity, where, error):
 class TestK2:
     def test_structure(self):
         k2 = k2_generator(8)
-        assert k2.label is OperatorLabel.K2
-        assert np.abs(k2.matrix.diagonal()).max() == 0.0
-        dense = k2.dense()
+        assert np.abs(k2.diagonal()).max() == 0.0
+        dense = k2.toarray()
         assert np.abs(dense.real).max() == 0.0
         # annihilates no basis state
         norms = np.linalg.norm(dense, axis=0)
@@ -441,10 +471,10 @@ class TestK2:
         k1 = k2_single_mode(N).toarray()
         eye = np.eye(N + 1)
         expected = np.kron(k1, eye) + np.kron(eye, k1)
-        assert np.abs(k2_generator(N).dense() - expected).max() == 0.0
+        assert np.abs(k2_generator(N).toarray() - expected).max() == 0.0
         # the rotation therefore factorizes mode by mode
         th = 0.7
-        S_full = expm_dense(-1j * th * k2_generator(N).dense())
+        S_full = expm_dense(-1j * th * k2_generator(N).toarray())
         S_one = expm_dense(-1j * th * k1)
         assert np.abs(S_full - np.kron(S_one, S_one)).max() <= 1e-12
 
@@ -541,7 +571,7 @@ class TestBruteForce:
     def test_pair_coupling_is_the_third_hamiltonian(self):
         _, _, hi2 = build_hamiltonians(P, MODE, 0.0, cutoff=12)
         standalone = pair_coupling(P.L / 2, 12)
-        assert abs(hi2.matrix - standalone.matrix).max() == 0.0
+        assert abs(hi2 - standalone).max() == 0.0
         with pytest.raises(ValueError):
             pair_coupling(math.inf, 12)
         with pytest.raises(ValueError):
@@ -563,7 +593,7 @@ class TestBruteForce:
         # the kron construction is entry-for-entry the A+ At+ - A At product
         A, At = pair_ladders(12)
         want = (1j * 0.7 * (A.getH() @ At.getH() - A @ At)).tocsr()
-        got = pair_coupling(0.7, 12).matrix
+        got = pair_coupling(0.7, 12)
         want.sort_indices()
         got.sort_indices()
         assert np.array_equal(got.indptr, want.indptr)
@@ -578,13 +608,13 @@ class TestBruteForce:
         gamma, t = 0.5, gamma_t / 0.5
         n = default_cutoff(gamma_t)
         gen, vac = pair_coupling(gamma, n), vacuum_state(n)
-        full = expm_apply(-1j * t * gen.matrix, vac.full_vector())
+        full = expm_apply(-1j * t * gen, full_vector(vac))
         grid = full.reshape(n + 1, n + 1)
         assert np.count_nonzero(grid - np.diag(np.diag(grid))) == 0
         out = brute_force_evolve(gen, t, vac)
         assert np.array_equal(np.array(out.coeffs, dtype=complex), np.diag(grid))
         # and agrees with scipy's action-of-exponential on the full space
-        ref = expm_multiply(-1j * t * gen.matrix.tocsc(), vac.full_vector())
+        ref = expm_multiply(-1j * t * gen.tocsc(), full_vector(vac))
         assert np.abs(full - ref).max() <= 1e-12
 
     def test_guard_fires_where_full_space_union_does(self):
@@ -596,7 +626,7 @@ class TestBruteForce:
         gen, vac = pair_coupling(gamma, n), vacuum_state(n)
         fired = []
         for t in np.linspace(1.8, 1.95, 31):
-            grid = expm_apply(-1j * t * gen.matrix, vac.full_vector())
+            grid = expm_apply(-1j * t * gen, full_vector(vac))
             mass = np.abs(grid.reshape(n + 1, n + 1)) ** 2
             top = (
                 mass[n - 1 :, :].sum()
@@ -626,6 +656,16 @@ class TestBruteForce:
             for t in (0.0, 0.5):
                 with pytest.raises(ValueError, match="left the paired subspace"):
                     brute_force_evolve(gen, t, vacuum_state(16))
+
+    @pytest.mark.parametrize("generator,message", [
+        (lambda: np.eye(5), r"shape \(5, 5\) is not"),
+        (lambda: np.zeros(81), r"shape \(81,\) is not"),
+        # paired block i * (a self-adjoint block): not self-adjoint
+        (lambda: 1j * pair_coupling(0.5, 8), "paired block is not self-adjoint"),
+    ], ids=["5x5", "1-D", "i*pair_coupling"])
+    def test_malformed_generator_rejected(self, generator, message):
+        with pytest.raises(ValueError, match=message):
+            brute_force_evolve(generator(), 0.1, vacuum_state(4))
 
     def test_init_must_fit(self):
         _, _, hi2 = build_hamiltonians(P, MODE, 0.0, cutoff=8)

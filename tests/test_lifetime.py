@@ -9,6 +9,7 @@ import math
 import sys
 from pathlib import Path
 
+import mpmath as mp
 import pytest
 
 import memdomain.lifetime
@@ -202,6 +203,18 @@ class TestLambda:
         got = frequency_from_lambda(P, self.MODE, T21 / 2)
         assert got == pytest.approx(math.sqrt(0.75), rel=1e-12)
 
+    def test_underflowed_exponent(self):
+        # k = 1e307, n = 0: exp(-2 Lambda) at t = 500 is about e^-1000, below
+        # the floats; Lambda itself is about 500
+        mode = ModeIndex(k=1e307, n=0)
+        T, t, g = recording_window(P, mode), 500.0, P.L
+        with mp.workdps(50):
+            want = -(-t * g + mp.log(mp.sinh(mp.mpf(g) * (mp.mpf(T) - t)))
+                     - mp.log(mp.sinh(mp.mpf(g) * T))) / 2
+        got = lambda_lifetime(P, mode, t)
+        assert abs(got - float(want)) <= 1e-12 * float(want)
+        assert got == pytest.approx(500.0, rel=1e-6)
+
 
 class TestProfile:
     def test_grid_and_monotonicity(self):
@@ -217,6 +230,12 @@ class TestProfile:
         assert len(prof.times) < 2000
         assert prof.lambdas[-1] > 2.0
         assert prof.lambdas[-2] <= 2.0
+
+    def test_underflowed_exponent_profile(self):
+        prof = lifetime_profile(P, ModeIndex(k=1e307, n=0))
+        assert len(prof.lambdas) == 2000
+        assert all(math.isfinite(lam) for lam in prof.lambdas)
+        assert all(b >= a for a, b in zip(prof.lambdas, prof.lambdas[1:]))
 
     def test_too_few_points_rejected(self):
         with pytest.raises(ValueError):
