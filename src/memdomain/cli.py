@@ -18,9 +18,10 @@ Numbers in CSV output are written with 17 significant digits, comma
 separated, LF terminated, header row first.  Each command computes
 everything it writes first and then hands all of it to _Run.emit, the one
 writer.  emit refuses the request when any destination, the manifest
-included, is a directory; only then does it write the files, each by
-memdomain.memory.write_atomic (a temp file, synced to disk, and an atomic
-rename), and the manifest last.  So a request that is refused, or whose
+included, is a directory or the same file as an input the run read (only
+record and forget-sweep rewrite one, their registry); only then does it
+write the files, each by memdomain.memory.write_atomic (a temp file,
+synced to disk, and an atomic rename), and the manifest last.  So a request that is refused, or whose
 computation fails, writes no output or manifest (record and forget-sweep
 may leave the registry's lock file, which is never removed), and recall
 --out prints its result only after the write.
@@ -180,7 +181,8 @@ _COMMANDS = {
         _Opt("signal", required=True, help="replication-signal JSON file"),
         _Opt("energy", conv=float, required=True),
         _Opt("t", conv=float, required=True),
-        _Opt("out", help="optional JSON destination for the result"),
+        _Opt("out", help="optional JSON destination for the result; "
+             "not one of the inputs"),
     ),
     "forget-sweep": _PARAMS + (
         _Opt("registry", required=True),
@@ -355,12 +357,20 @@ class _Run:
         self.inputs[str(path)] = _digest(data)
         return data
 
-    def emit(self, manifest: Path, *files) -> None:
+    def emit(self, manifest: Path, *files, in_place: Path | None = None) -> None:
         """Write the (path, data) files, then the manifest, which names each
-        file relative to the manifest's directory; a destination that is a
-        directory refuses the request before the first write."""
+        file relative to the manifest's directory. Before the first write,
+        a destination that is a directory, or the same file as an input the
+        run read, refuses the request; in_place names the one input that
+        is rewritten on purpose (the registry of record and forget-sweep)."""
+        read = [Path(src) for src in self.inputs if Path(src) != in_place]
         for path in (*(path for path, _ in files), manifest):
             _refuse_directory(path)
+            for src in read:
+                if path.exists() and os.path.samefile(path, src):
+                    raise ValueError(
+                        f"{path} is the input {src}; an output may not overwrite an input"
+                    )
         outputs = {}
         for path, data in files:
             path.parent.mkdir(parents=True, exist_ok=True)
@@ -548,7 +558,6 @@ def _run_figures(run: _Run, resolved: dict) -> int:
 def _run_squeeze(run: _Run, resolved: dict) -> int:
     from .fock import (
         brute_force_evolve,
-        default_cutoff,
         expected_pair_number,
         pair_coupling,
         squeezed_vacuum,
@@ -556,11 +565,8 @@ def _run_squeeze(run: _Run, resolved: dict) -> int:
     )
 
     gamma, t = resolved["gamma"], resolved["t"]
-    cutoff = resolved["cutoff"]
-    if cutoff is None:
-        cutoff = default_cutoff(gamma * t)
-        resolved["cutoff"] = cutoff
-    state = squeezed_vacuum(gamma, t, cutoff=cutoff)
+    state = squeezed_vacuum(gamma, t, cutoff=resolved["cutoff"])
+    cutoff = resolved["cutoff"] = state.cutoff
     occupation, _ = expected_pair_number(state)
     doc = {
         "gamma": gamma,
@@ -576,8 +582,7 @@ def _run_squeeze(run: _Run, resolved: dict) -> int:
             pair_coupling(gamma, cutoff), t, vacuum_state(cutoff)
         )
         doc["oracle_max_deviation"] = max(
-            abs(complex(a) - complex(b))
-            for a, b in zip(evolved.coeffs, state.coeffs)
+            abs(a - b) for a, b in zip(evolved.coeffs, state.coeffs)
         )
     out = Path(resolved["out"])
     run.emit(_beside(out), (out, _json_bytes(doc)))
@@ -603,7 +608,7 @@ def _registry_update(run: _Run, path: str, must_exist: bool):
     with registry_lock(out):
         registry = _load(run, MemoryRegistry, out) if out.exists() else MemoryRegistry()
         yield registry
-        run.emit(_beside(out), (out, registry.dumps().encode("utf-8")))
+        run.emit(_beside(out), (out, registry.dumps().encode("utf-8")), in_place=out)
 
 
 def _run_record(run: _Run, resolved: dict) -> int:

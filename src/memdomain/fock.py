@@ -27,9 +27,14 @@ shape, that invariance entry by entry, and that the paired block is
 self-adjoint, then applies the exponential on that (cutoff+1)-dim sector
 alone, instead of on all (cutoff+1)^2 joint states.
 
+A TwoModeState is its coefficients (its cutoff is len(coeffs) - 1) and
+checks only what a caller-built state needs: numbers, finite, normalized.
+
 Truncation policy: tails scale as tanh^{2(m+1)}(G t), so the default cutoff
 is the smallest m with tanh^{2(m+1)} < 1e-12, at least 8; a default above
-the single-mode limit below is refused, not clamped. Commutator and
+the single-mode limit below is refused, not clamped. squeezed_vacuum, the
+one place an explicit cutoff meets G t, refuses one whose tail exceeds
+1e-12 (CutoffTooSmall). Commutator and
 conjugation identities are asserted on interior occupations only; the
 boundary rows of a truncated ladder matrix cannot satisfy them.
 
@@ -43,6 +48,7 @@ brute_force_evolve), whose matrices grow as its square: pair_coupling at
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -171,77 +177,75 @@ def default_cutoff(gamma_t: float) -> int:
     return max(need, _CUTOFF_MIN)
 
 
-def _pair_tail(gamma_t: float, cutoff: int) -> float:
-    return math.tanh(abs(gamma_t)) ** (2 * (cutoff + 1))
-
-
 @dataclass(frozen=True)
 class TwoModeState:
-    """Paired state sum_m c_m |m, m>; equal occupations by construction.
+    """Paired state sum_m c_m |m, m> on occupations 0..cutoff, where cutoff
+    is len(coeffs) - 1; equal occupations by construction.
 
-    gamma_t, when known, records the squeeze parameter the coefficients came
-    from and arms the truncation-tail check; oracle outputs that only know
-    their numbers carry gamma_t = None.
+    coeffs holds real or complex numbers as given; a bool, a non-number, a
+    non-finite value or a norm^2 more than 1e-7 away from 1 is refused with
+    DomainError.
     """
 
-    cutoff: int
     coeffs: tuple
-    gamma_t: float | None = None
 
     def __post_init__(self):
-        if len(self.coeffs) != self.cutoff + 1:
-            raise ValueError(
-                f"need {self.cutoff + 1} coefficients, got {len(self.coeffs)}"
+        for kind in set(map(type, self.coeffs)):
+            if issubclass(kind, bool) or not issubclass(kind, numbers.Complex):
+                bad = next(c for c in self.coeffs if type(c) is kind)
+                raise DomainError(f"coefficients must be numbers, got {bad!r}")
+        try:
+            norm = self.norm_sq()
+        except OverflowError:  # |c|^2 past the float range
+            norm = math.inf
+        if not abs(norm - 1.0) <= 1e-7:  # a nan or inf coefficient fails too
+            raise DomainError(
+                f"coefficients must be finite with norm^2 within 1e-7 of 1, got {norm!r}"
             )
-        if not all(math.isfinite(abs(complex(c))) for c in self.coeffs):
-            raise ValueError("coefficients must be finite")
-        norm = self.norm_sq()
-        if self.gamma_t is not None:
-            tail = _pair_tail(self.gamma_t, self.cutoff)
-            if tail > TAIL_BOUND:
-                raise CutoffTooSmall(
-                    f"truncation tail {tail:.3e} exceeds {TAIL_BOUND:g}; "
-                    f"need cutoff >= {_tail_cutoff(self.gamma_t)}"
-                )
-            if not (1.0 - tail - 1e-9 <= norm <= 1.0 + 1e-9):
-                raise ValueError(f"norm^2 = {norm!r} inconsistent with gamma_t")
-        elif abs(norm - 1.0) > 1e-7:
-            raise ValueError(f"state must be normalized, got norm^2 = {norm!r}")
+
+    @property
+    def cutoff(self) -> int:
+        return len(self.coeffs) - 1
 
     def norm_sq(self) -> float:
-        return float(sum(abs(complex(c)) ** 2 for c in self.coeffs))
+        return float(sum(abs(c) ** 2 for c in self.coeffs))
 
 
 def vacuum_state(cutoff: int) -> TwoModeState:
     cutoff = integer("cutoff", cutoff, 0, _MODE_CUTOFF_LIMIT)
-    return TwoModeState(
-        cutoff=cutoff, coeffs=(1.0,) + (0.0,) * cutoff, gamma_t=0.0
-    )
+    return TwoModeState((1.0,) + (0.0,) * cutoff)
 
 
 def squeezed_vacuum(gamma: float, t: float, cutoff: int | None = None) -> TwoModeState:
-    """Paired squeezed vacuum with c_m = tanh^m(gamma t)/cosh(gamma t)."""
+    """Paired squeezed vacuum with c_m = tanh^m(gamma t)/cosh(gamma t), at
+    default_cutoff(gamma t) or an explicit cutoff whose tail is within
+    TAIL_BOUND (else CutoffTooSmall)."""
     gt = finite("gamma", gamma) * finite("t", t)
-    _tail_cutoff(gt)  # CutoffTooSmall once tanh(gt) rounds to 1, before cosh(gt) overflows
+    # CutoffTooSmall once tanh(gt) rounds to 1, before cosh(gt) overflows
+    need = _tail_cutoff(gt)
     if cutoff is None:
         cutoff = default_cutoff(gt)
     cutoff = integer("cutoff", cutoff, 1, _MODE_CUTOFF_LIMIT)
     th, ch = math.tanh(gt), math.cosh(gt)
-    coeffs = tuple(th**m / ch for m in range(cutoff + 1))
-    return TwoModeState(cutoff=cutoff, coeffs=coeffs, gamma_t=gt)
+    tail = abs(th) ** (2 * (cutoff + 1))
+    if tail > TAIL_BOUND:
+        raise CutoffTooSmall(
+            f"truncation tail {tail:.3e} exceeds {TAIL_BOUND:g}; need cutoff >= {need}"
+        )
+    return TwoModeState(tuple(th**m / ch for m in range(cutoff + 1)))
 
 
 def expected_pair_number(state: TwoModeState):
     """(n_A, n_Atilde); identical by pairing, so one number is returned twice."""
-    n = float(sum(m * abs(complex(c)) ** 2 for m, c in enumerate(state.coeffs)))
+    n = float(sum(m * abs(c) ** 2 for m, c in enumerate(state.coeffs)))
     return n, n
 
 
 def inner_product(bra: TwoModeState, ket: TwoModeState):
     """<bra|ket> over the shared paired basis."""
-    acc = complex(0.0)
+    acc = 0j
     for cb, ck in zip(bra.coeffs, ket.coeffs):
-        acc += complex(cb).conjugate() * complex(ck)
+        acc += cb.conjugate() * ck
     return acc.real if acc.imag == 0.0 else acc
 
 
@@ -384,8 +388,4 @@ def brute_force_evolve(generator, t: float, init: TwoModeState) -> TwoModeState:
         raise CutoffTooSmall(
             f"{top:.3e} of the state reached the top two levels; raise the cutoff"
         )
-    coeffs = []
-    for c in out:
-        c = complex(c)
-        coeffs.append(c.real if c.imag == 0.0 else c)
-    return TwoModeState(cutoff=n, coeffs=tuple(coeffs), gamma_t=None)
+    return TwoModeState(tuple(c.real if c.imag == 0.0 else c for c in out.tolist()))

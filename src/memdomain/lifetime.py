@@ -23,7 +23,6 @@ exactly, which the tests exploit as a consistency identity.
 
 import dataclasses
 import math
-import operator
 import sys
 from dataclasses import dataclass
 
@@ -219,23 +218,14 @@ def mode_alive(params: SystemParams, mode: ModeIndex, t: float) -> bool:
 
 @dataclass(frozen=True)
 class LifetimeProfile:
-    """Sampled Lambda(t) for one mode over its recording window."""
+    """Sampled Lambda(t) for one mode over its recording window, as
+    lifetime_profile builds it: times strictly increase and lambdas never
+    decrease."""
 
     mode: ModeIndex
     window: float
     times: tuple
     lambdas: tuple
-
-    def __post_init__(self):
-        if len(self.times) != len(self.lambdas):
-            raise ValueError("times and lambdas must have equal length")
-        # neighbour comparisons, not differences: inf - inf would hide a
-        # repeat; a nan compares false either way and passes
-        ts, ls = self.times, self.lambdas
-        if any(map(operator.ge, ts, ts[1:])):
-            raise ValueError("times must be strictly increasing")
-        if any(map(operator.gt, ls, ls[1:])):
-            raise ValueError("lambdas must be non-decreasing")
 
 
 def lifetime_profile(

@@ -241,18 +241,12 @@ class MemoryCode:
 
 @dataclass(frozen=True)
 class RecallResult:
+    """What recall returns: a score in [0, 1], and a matched code id exactly
+    when the outcome is not NoMatch."""
+
     matched: "str | None"
     score: float
     outcome: RecallOutcome
-
-    def __post_init__(self):
-        if not 0.0 <= self.score <= 1.0:
-            raise ValueError(f"score must lie in [0, 1], got {self.score!r}")
-        if self.outcome is RecallOutcome.NO_MATCH:
-            if self.matched is not None:
-                raise ValueError("NoMatch carries no matched id")
-        elif self.matched is None:
-            raise ValueError(f"{self.outcome.value} requires a matched id")
 
 
 @dataclass

@@ -773,9 +773,70 @@ _REFUSALS = [
 ]
 
 
+def _recall_to(out, signal="stim.json", *extra):
+    return ["recall", "--registry", "reg.json", "--signal", signal, "--t", "1",
+            "--L", "1", "--energy", "5", "--out", out, *extra]
+
+
+# argv naming an input again as a destination; config files hold an empty
+# [memdomain] section, spectra the stimulus of stim.json, and link.json is a
+# symlink to reg.json
+_OVERWRITES = {
+    "recall-out-registry": _recall_to("reg.json"),
+    "recall-out-signal": _recall_to("stim.json"),
+    "recall-out-registry-link": _recall_to("link.json"),
+    "recall-manifest-signal": _recall_to("sig", "sig.manifest.json"),
+    "recall-out-config": _recall_to("cfg", "stim.json", "--config", "cfg"),
+    "record-manifest-spectrum": ["record", "--registry", "sig", "--spectrum",
+                                 "sig.manifest.json", "--t", "1", "--L", "1"],
+    "record-manifest-config": ["record", "--registry", "cfg", "--spectrum", "stim.json",
+                               "--t", "1", "--L", "1", "--config", "cfg.manifest.json"],
+    "sweep-manifest-config": ["forget-sweep", "--registry", "reg.json", "--t", "1",
+                              "--L", "1", "--config", "reg.json.manifest.json"],
+    "bessel-out-config": ["bessel", "--kind", "j", "--order", "1", "--z", "1",
+                          "--out", "cfg", "--config", "cfg"],
+    "evolve-sibling-config": ["evolve", "--L", "1", "--k", "2", "--n", "1", "--t-max", "1",
+                              "--points", "20", "--method", "both", "--out", "cfg.csv",
+                              "--config", "cfg.ode.csv"],
+    "lifetimes-out-config": ["lifetimes", "--L", "1", "--k", "2", "--n", "1",
+                             "--out", "cfg", "--config", "cfg"],
+    "figures-manifest-config": ["figures", "--which", "all", "--points", "20",
+                                "--out", ".", "--config", "manifest.json"],
+    "squeeze-out-config": ["squeeze", "--gamma", "0.5", "--t", "1", "--out", "cfg",
+                           "--config", "cfg"],
+}
+
+
 class TestPathErrors:
     """A path that cannot be used as the request names it exits 2, names the
     path, and leaves no temp file and no new lock file behind."""
+
+    @pytest.mark.parametrize("case", sorted(_OVERWRITES))
+    def test_output_may_not_overwrite_an_input(self, tmp_path, monkeypatch, capsys,
+                                               case):
+        # refused before anything is written or printed; only record and
+        # forget-sweep rewrite the one input they update, their registry
+        monkeypatch.chdir(tmp_path)
+        write_spectrum(tmp_path / "stim.json", (2.0, 1, 1.0))
+        write_spectrum(tmp_path / "sig.manifest.json", (2.0, 1, 1.0))
+        assert main(["record", "--registry", "reg.json", "--spectrum", "stim.json",
+                     "--t", "0", "--L", "1"]) == 0
+        (tmp_path / "link.json").symlink_to("reg.json")
+        argv = _OVERWRITES[case]
+        config = argv[argv.index("--config") + 1] if "--config" in argv else None
+        if config is not None:
+            (tmp_path / config).write_text("[memdomain]\n")
+        capsys.readouterr()
+        before = _tree(tmp_path)
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "an output may not overwrite an input" in captured.err
+        # the lock file a record takes may outlive its refusal (cli docstring)
+        after = _tree(tmp_path)
+        if argv[0] == "record":
+            after.pop(argv[2] + ".lock")
+        assert after == before
 
     @pytest.fixture
     def files(self, tmp_path):

@@ -1,12 +1,13 @@
 """One domain contract for every public scalar input of the library.
 
-Each public function of lifetime, bessel, fock and memory is fed, in every
-scalar argument, the values that broke some layer before they all went
-through memdomain.errors: nan, +-inf, -0.0, the least and the largest float,
-1e-300 and 1e300, an int beyond the float range, a bool and a string, mixed
-with ordinary numbers. The functions of a mode are also fed system and mode
-parameters L, c and k at those float extremes, where k0, c*k, 2ck/L, w^2 or
-the window T can leave the float range. Each call either returns finite
+Each public function of lifetime, bessel, fock and memory, and the
+TwoModeState constructor, is fed, in every scalar argument, the values that
+broke some layer before they all went through memdomain.errors: nan, +-inf,
+-0.0, the least and the largest float, 1e-300 and 1e300, an int beyond the
+float range, a bool and a string, mixed with ordinary numbers. The
+functions of a mode are also fed system and mode parameters L, c and k at
+those float extremes, where k0, c*k, 2ck/L, w^2 or the window T can leave
+the float range. Each call either returns finite
 numbers or raises ValueError / MemdomainError; the only infinities allowed
 are the documented ones.
 """
@@ -124,6 +125,7 @@ CALLS = {
         lambda t: fock.brute_force_evolve(
             fock.pair_coupling(0.5, 8), t, fock.vacuum_state(8)), 1, ()),
     "StimulusComponent": (memory.StimulusComponent, 3, ()),
+    "TwoModeState": (lambda a, b: fock.TwoModeState((a, b)), 2, ()),
     "is_forgotten": (
         lambda t: memory.is_forgotten(_registry().codes["code000001"], t, P), 1, ()),
 }
@@ -229,6 +231,8 @@ REFUSED = {
         P, MODE, 0.0, 513),
     "brute_force_evolve above the joint limit": lambda: fock.brute_force_evolve(
         sparse.csr_matrix((514**2, 514**2)), 0.1, fock.vacuum_state(8)),
+    **{f"TwoModeState coefficient {c!r}": functools.partial(fock.TwoModeState, (c, 0.0))
+       for c in (True, "1", None, math.nan, math.inf, 10**400, 1e300)},
 }
 
 

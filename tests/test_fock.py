@@ -10,6 +10,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 from scipy import linalg, sparse
 from scipy.sparse.linalg import expm_multiply
 
@@ -301,20 +303,29 @@ class TestSqueezedVacuum:
 
 class TestStateValidation:
     def test_length_and_norm(self):
+        assert TwoModeState((1.0, 0.0)).cutoff == 1
         with pytest.raises(ValueError):
-            TwoModeState(cutoff=3, coeffs=(1.0, 0.0))
+            TwoModeState(())
         with pytest.raises(ValueError):
-            TwoModeState(cutoff=1, coeffs=(1.0, 1.0))
+            TwoModeState((1.0, 1.0))
 
     def test_gamma_consistency(self):
-        # a wildly large gamma_t claim turns into a truncation complaint
-        st = squeezed_vacuum(0.5, 1.0, cutoff=30)
-        with pytest.raises(CutoffTooSmall):
-            TwoModeState(cutoff=30, coeffs=st.coeffs, gamma_t=1.9)
-        # valid tail but mass missing: tanh(0.1)^12 = 9.6e-13 passes the
-        # tail rule, the norm check still rejects
+        # a gamma t the cutoff cannot hold is a truncation complaint
+        squeezed_vacuum(0.5, 1.0, cutoff=30)
+        with pytest.raises(CutoffTooSmall, match="exceeds 1e-12; need cutoff >= 309$"):
+            squeezed_vacuum(0.5, 3.8, cutoff=30)
+        # mass missing: the norm check rejects
         with pytest.raises(ValueError):
-            TwoModeState(cutoff=5, coeffs=(0.7, 0.1, 0.0, 0.0, 0.0, 0.0), gamma_t=0.1)
+            TwoModeState((0.7, 0.1, 0.0, 0.0, 0.0, 0.0))
+
+    @settings(derandomize=True, database=None, max_examples=60, deadline=None)
+    @given(hs.floats(0.0, 4.78) | hs.sampled_from([0.0, 1e-300, 1.81, 2.5, 4.78]))
+    def test_norm_within_the_tail_window(self, gamma_t):
+        # 1 - tail <= norm^2 <= 1, to round-off, at the default cutoff
+        state = squeezed_vacuum(1.0, gamma_t)
+        tail = math.tanh(gamma_t) ** (2 * (state.cutoff + 1))
+        assert tail <= 1e-12
+        assert 1.0 - tail - 1e-12 <= state.norm_sq() <= 1.0 + 1e-12
 
     def test_embedding(self):
         st = squeezed_vacuum(0.5, 1.0, cutoff=20)
@@ -330,7 +341,7 @@ class TestStateValidation:
         for _ in range(50):
             raw = rng.normal(size=9)
             raw /= np.linalg.norm(raw)
-            st = TwoModeState(cutoff=8, coeffs=tuple(float(x) for x in raw))
+            st = TwoModeState(tuple(float(x) for x in raw))
             nA, nT = expected_pair_number(st)
             assert nA - nT == 0.0
 

@@ -6,11 +6,14 @@ common-frequency expression, which never sees the log formula.
 
 import ast
 import math
+import operator
 import sys
 from pathlib import Path
 
 import mpmath as mp
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 
 import memdomain.lifetime
 import memdomain.oscillator
@@ -18,7 +21,6 @@ from memdomain.errors import DomainError, ModeDead, NeverRecordable, Unsupported
 from memdomain.lifetime import (
     FIGURE_NAMES,
     FigureSpec,
-    LifetimeProfile,
     curve_table,
     default_figure_spec,
     domain_size,
@@ -245,18 +247,20 @@ class TestProfile:
         with pytest.raises(NeverRecordable):
             lifetime_profile(P, ModeIndex(k=0.5, n=1))
 
-    def test_constructor_rejects_unordered_samples(self):
-        mode = ModeIndex(k=2.0, n=1)
-        LifetimeProfile(mode, 1.0, (0.0, 0.5), (0.1, 0.1))
-        LifetimeProfile(mode, 1.0, (), ())
-        for times in ((0.0, 0.5, 0.5), (0.0, 0.6, 0.4), (math.inf, math.inf)):
-            with pytest.raises(ValueError, match="times must be strictly increasing"):
-                LifetimeProfile(mode, 1.0, times, (0.0,) * len(times))
-        for lambdas in ((0.1, 0.3, 0.2), (math.inf, 1.0)):
-            with pytest.raises(ValueError, match="lambdas must be non-decreasing"):
-                LifetimeProfile(mode, 1.0, (0.0, 0.5, 0.7)[: len(lambdas)], lambdas)
-        with pytest.raises(ValueError, match="equal length"):
-            LifetimeProfile(mode, 1.0, (0.0, 0.5), (0.1,))
+    @settings(derandomize=True, database=None, max_examples=150, deadline=None)
+    @given(
+        hs.floats(-4.0, 307.0).map(lambda e: 0.5 + 10.0**e)
+        | hs.sampled_from([1e154, 1e200, 1e307]),
+        hs.integers(0, 40) | hs.sampled_from([10**6, 10**12]),
+        hs.integers(2, 3000),
+        hs.floats(0.0, 1e3) | hs.just(math.inf),
+    )
+    def test_samples_are_ordered(self, k, n, points, ceiling):
+        # the underflow regime (2ck/L past about 1e154) included
+        prof = lifetime_profile(P, ModeIndex(k=k, n=n), points=points, ceiling=ceiling)
+        assert len(prof.times) == len(prof.lambdas)
+        assert all(map(operator.lt, prof.times, prof.times[1:]))
+        assert all(map(operator.le, prof.lambdas, prof.lambdas[1:]))
 
 
 class TestFigures:

@@ -357,6 +357,18 @@ class TestSimilarity:
         )
 
 
+_COMPONENT = st.tuples(st.floats(0.1, 60.0), st.integers(0, 4), st.floats(0.0, 5.0))
+# (op, argument, energy): record a spectrum, decay by a time step, or recall
+_STREAM = st.lists(
+    st.tuples(st.just("record"), st.lists(_COMPONENT, min_size=1, max_size=4), st.none())
+    | st.tuples(st.just("decay"), st.floats(0.0, 3.0), st.none())
+    | st.tuples(st.just("recall"),
+                st.tuples(st.none() | st.integers(0, 20), st.lists(_COMPONENT, max_size=4)),
+                st.floats(0.0, 50.0)),
+    max_size=30,
+)
+
+
 class TestRecall:
     def _registry(self):
         reg = MemoryRegistry()
@@ -461,13 +473,28 @@ class TestRecall:
         recall(reg, spectrum((2.0, 1, 1.0)), 10.0, 1.0, P)
         assert reg.dumps() == before
 
-    def test_result_validation(self):
-        with pytest.raises(ValueError):
-            RecallResult(matched=None, score=1.5, outcome=RecallOutcome.NO_MATCH)
-        with pytest.raises(ValueError):
-            RecallResult(matched="c", score=0.0, outcome=RecallOutcome.NO_MATCH)
-        with pytest.raises(ValueError):
-            RecallResult(matched=None, score=1.0, outcome=RecallOutcome.RECALLED)
+    @settings(derandomize=True, database=None, max_examples=100, deadline=None)
+    @given(_STREAM)
+    def test_results_on_a_stream(self, ops):
+        # a recall signal is fresh, or the i-th recorded stimulus with
+        # components added, which gives partial matches
+        reg, t, recorded = MemoryRegistry(), 0.0, []
+        for op, arg, energy in ops:
+            if op == "record":
+                recorded.append(spectrum(*arg))
+                record(reg, recorded[-1], t, P)
+            elif op == "decay":
+                t += arg
+                decay_codes(reg, t, P)
+            else:
+                i, extra = arg
+                replayed = ()
+                if i is not None and recorded:
+                    replayed = recorded[i % len(recorded)].components
+                res = recall(reg, spectrum(*replayed, *extra), energy, t, P)
+                assert 0.0 <= res.score <= 1.0
+                assert (res.outcome is RecallOutcome.NO_MATCH) == (res.matched is None)
+                assert res.matched is None or res.matched in reg.codes
 
 
 class TestForgotten:
