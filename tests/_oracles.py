@@ -1,14 +1,15 @@
 """Reference implementations used only by the test suite.
 
 Most of these deliberately avoid the algorithms used inside the package
-(downward recurrence, the action of a matrix exponential on one vector) so
-that agreement is evidence, not tautology; high-precision arithmetic comes
-from mpmath. Two are bit-identity references for a faster package kernel
-instead: `expm_dense`, `integrate_to_grid`, the generic numpy-vector
-form of the package's Dormand-Prince stepper (same tableau, same controller,
-arrays instead of floats), and `registry_json`, the json.dumps spelling of
-the registry's canonical text. `full_vector` embeds a paired state in the
-joint two-mode basis, which only the operator tests need.
+(downward recurrence) so that agreement is evidence, not tautology;
+high-precision arithmetic comes from mpmath, and matrix exponentials from
+scipy (`scipy.linalg.expm`, `scipy.sparse.linalg.expm_multiply`), not from
+here. Two are bit-identity references for a faster package kernel instead:
+`integrate_to_grid`, the generic numpy-vector form of the package's
+Dormand-Prince stepper (same tableau, same controller, arrays instead of
+floats), and `registry_json`, the json.dumps spelling of the registry's
+canonical text. `full_vector` embeds a paired state in the joint two-mode
+basis, which only the operator tests need.
 """
 
 import json
@@ -16,7 +17,6 @@ import math
 
 import mpmath as mp
 import numpy as np
-from scipy import sparse
 
 from memdomain.errors import StepSizeUnderflow
 from memdomain.ode import (
@@ -136,28 +136,6 @@ def bisect_root(f, lo, hi, tol=1e-10, max_iter=200):
         else:
             hi = mid
     return 0.5 * (lo + hi)
-
-
-def expm_dense(m) -> np.ndarray:
-    """exp(m) by scaling and squaring with a truncated series (1-norm scaled)."""
-    m = np.asarray(sparse.csr_matrix(m).toarray() if sparse.issparse(m) else m)
-    m = m.astype(complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError("matrix must be square")
-    norm = float(np.linalg.norm(m, 1))
-    s = max(0, math.ceil(math.log2(norm))) if norm > 1.0 else 0
-    a = m / (2**s)
-    dim = m.shape[0]
-    result = np.eye(dim, dtype=complex)
-    term = np.eye(dim, dtype=complex)
-    for k in range(1, 60):
-        term = term @ a / k
-        result += term
-        if np.abs(term).max() <= 1e-18 * max(1.0, np.abs(result).max()):
-            break
-    for _ in range(s):
-        result = result @ result
-    return result
 
 
 def full_vector(state, cutoff=None) -> np.ndarray:

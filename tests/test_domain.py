@@ -231,6 +231,9 @@ REFUSED = {
         P, MODE, 0.0, 513),
     "brute_force_evolve above the joint limit": lambda: fock.brute_force_evolve(
         sparse.csr_matrix((514**2, 514**2)), 0.1, fock.vacuum_state(8)),
+    # pair_coupling(0.5, 8) has paired-block 1-norm 7.5
+    "brute_force_evolve t * 1-norm just above 4 * 2^20": lambda: fock.brute_force_evolve(
+        fock.pair_coupling(0.5, 8), 4 * 2**20 / 7.5 * (1 + 1e-12), fock.vacuum_state(8)),
     **{f"TwoModeState coefficient {c!r}": functools.partial(fock.TwoModeState, (c, 0.0))
        for c in (True, "1", None, math.nan, math.inf, 10**400, 1e300)},
 }
