@@ -23,9 +23,9 @@ import math
 
 import numpy as np
 
-from .errors import StepSizeUnderflow
+from .errors import DomainError, StepSizeUnderflow, finite
 
-__all__ = ["integrate_oscillator"]
+__all__ = ["time_grid", "integrate_oscillator"]
 
 # Dormand-Prince 5(4) tableau
 _C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
@@ -75,34 +75,42 @@ def _initial_step(q, p, dp, tol, span):
     return min(h, 0.1 * span)
 
 
+def time_grid(t_grid, least: int) -> np.ndarray:
+    """t_grid as a 1-D float array of at least `least` finite, strictly
+    increasing times, else DomainError; bools and non-numbers are refused."""
+    grid = np.asarray(t_grid)
+    if grid.dtype.kind not in "iuf" or grid.ndim != 1 or grid.size < least:
+        raise DomainError(f"t_grid must be a 1-D array of at least {least} real times")
+    grid = grid.astype(float, copy=False)
+    if not (np.all(np.isfinite(grid)) and np.all(np.diff(grid) > 0)):
+        raise DomainError("t_grid must be finite and strictly increasing")
+    return grid
+
+
 def integrate_oscillator(omega_sq, damping, q0, p0, t_grid, rel_tol):
     """Integrate q'' + damping q' + omega_sq(t) q = 0 from (q0, p0 = q'0).
 
-    The grid must be strictly increasing; integration starts at t_grid[0].
-    omega_sq must be a pure function of t: the last two stages of a step
-    share one evaluation. Returns (q, p, stats) with q and p arrays on the
-    grid and stats = {"nfev", "accepted", "rejected", "h_min", "h_max"}:
-    right-hand-side evaluations, step counts and the smallest and largest
-    accepted step. Raises StepSizeUnderflow if the controller drives the
-    step below 1e-14 * max(1, |t|), or if non-finite data make it nan.
+    t_grid must pass time_grid(t_grid, 2), q0, p0 and damping errors.finite
+    and rel_tol lie in [1e-13, 1e-3], else DomainError before any step;
+    integration starts at t_grid[0]. omega_sq must be a pure function of t:
+    the last two stages of a step share one evaluation. Returns (q, stats):
+    q on the grid, stats = {"nfev", "accepted", "rejected", "h_min", "h_max"},
+    the RHS evaluations, step counts and smallest and largest accepted step.
+    Raises StepSizeUnderflow if a step is nan or below 1e-14 * max(1, |t|).
     """
-    t_grid = np.asarray(t_grid, dtype=float)
-    if t_grid.ndim != 1 or t_grid.size < 2:
-        raise ValueError("t_grid must contain at least two times")
-    if not np.all(np.diff(t_grid) > 0):
-        raise ValueError("t_grid must be strictly increasing")
+    times = time_grid(t_grid, 2).tolist()
+    rel_tol = finite("rel_tol", rel_tol)
     if not 1e-13 <= rel_tol <= 1e-3:
-        raise ValueError(f"rel_tol must lie in [1e-13, 1e-3], got {rel_tol!r}")
-    nd = -damping
+        raise DomainError(f"rel_tol must lie in [1e-13, 1e-3], got {rel_tol!r}")
+    nd = -finite("damping", damping)
 
-    times = t_grid.tolist()
     t = times[0]
-    q, p = float(q0), float(p0)
-    qs, ps = [q], [p]
+    q, p = finite("q0", q0), finite("p0", p0)
+    qs = [q]
     # k1 = (p, dp); the first component of every stage derivative is that
     # stage's p, so only the second one gets a name
     dp = nd * p - omega_sq(t) * q
-    h = _initial_step(q, p, dp, rel_tol, float(t_grid[-1] - t_grid[0]))
+    h = _initial_step(q, p, dp, rel_tol, times[-1] - t)
     err_prev = 1.0
     accepted = rejected = 0
     h_min, h_max = math.inf, 0.0
@@ -111,8 +119,8 @@ def integrate_oscillator(omega_sq, damping, q0, p0, t_grid, rel_tol):
         while t < target:
             lands = h >= target - t
             step = target - t if lands else h
-            # written so that a nan step (from non-finite initial data or
-            # omega_sq(t0)) fails here instead of being retried forever
+            # written so that a nan step (from a non-finite omega_sq) fails
+            # here instead of being retried forever
             if not step >= 1e-14 * max(1.0, abs(t)):
                 raise StepSizeUnderflow(
                     f"step {step:.3e} below resolution floor at t = {t:.6g}"
@@ -171,7 +179,6 @@ def integrate_oscillator(omega_sq, damping, q0, p0, t_grid, rel_tol):
                 h = step * _REJECT_BACKOFF
                 rejected += 1
         qs.append(q)
-        ps.append(p)
 
     stats = {
         "nfev": 1 + 6 * (accepted + rejected),
@@ -180,4 +187,4 @@ def integrate_oscillator(omega_sq, damping, q0, p0, t_grid, rel_tol):
         "h_min": h_min,
         "h_max": h_max,
     }
-    return np.array(qs), np.array(ps), stats
+    return np.array(qs), stats

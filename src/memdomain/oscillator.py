@@ -38,9 +38,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bessel import BesselKind, sph_deriv, sph_j, sph_j_array, sph_y, sph_y_array
-from .errors import GridTooCoarse
+from .errors import DomainError, GridTooCoarse, finite
 from .lifetime import ModeIndex, SystemParams, common_frequency, omega_mode
-from .ode import integrate_oscillator
+from .ode import integrate_oscillator, time_grid
 
 __all__ = [
     "SystemParams",
@@ -63,7 +63,6 @@ class SubstitutionParams:
 
     alpha: float  # (2n+1)/L, the mode's decay time scale
     epsilon: float  # omega0 * alpha, the t = 0 Bessel argument
-    n: int
 
     def x(self, t: float) -> float:
         return math.exp(-t / self.alpha)
@@ -74,10 +73,10 @@ class SubstitutionParams:
 
 @dataclass
 class Trajectory:
-    """Sampled pair solution. r is the parametric-oscillator radius, which
-    satisfies u * v = r^2 / 2 whenever u and v share one undamped solution,
-    as every closed-form pair does. meta is empty for the closed form and
-    holds the solver statistics of an integrated pair."""
+    """Sampled pair solution, float64 arrays on a grid that passed time_grid.
+    r is the parametric-oscillator radius: u * v = r^2 / 2 whenever u and v
+    share one undamped solution, as every closed-form pair does. meta is
+    empty for the closed form and holds an integrated pair's solver stats."""
 
     times: np.ndarray
     u: np.ndarray
@@ -85,20 +84,10 @@ class Trajectory:
     r: np.ndarray
     meta: dict = field(default_factory=dict)
 
-    def __post_init__(self):
-        self.times = np.asarray(self.times, dtype=float)
-        for name in ("u", "v", "r"):
-            arr = np.asarray(getattr(self, name), dtype=float)
-            if arr.shape != self.times.shape:
-                raise ValueError(f"{name} length does not match times")
-            setattr(self, name, arr)
-        if self.times.size >= 2 and not np.all(np.diff(self.times) > 0):
-            raise ValueError("times must be strictly increasing")
-
 
 def substitution(params: SystemParams, mode: ModeIndex) -> SubstitutionParams:
     alpha = (2 * mode.n + 1) / params.L
-    return SubstitutionParams(alpha=alpha, epsilon=params.omega0(mode.k) * alpha, n=mode.n)
+    return SubstitutionParams(alpha=alpha, epsilon=params.omega0(mode.k) * alpha)
 
 
 def _combination(j, y, mode_n: int, z, coeffs):
@@ -114,20 +103,26 @@ def closed_form_state(
     params: SystemParams, mode: ModeIndex, t: float, coeffs=(1.0, 0.0)
 ) -> tuple[float, float, float, float]:
     """(u, du/dt, v, dv/dt) at time t; derivatives via the chain rule
-    d/dt f(z) x^p = -(x^p/alpha) (z f'(z) + p f(z))."""
+    d/dt f(z) x^p = -(x^p/alpha) (z f'(z) + p f(z)). DomainError for a t
+    at which x^(n+1) or x^-n leaves the float range."""
+    t = finite("t", t)
     sub = substitution(params, mode)
-    x = sub.x(t)
-    z = sub.z(t)
     n = mode.n
+    try:
+        x = sub.x(t)
+        xu, xv = x ** (n + 1), x ** (-n)
+    except (OverflowError, ZeroDivisionError):
+        raise DomainError(f"x^(n+1) or x^-n leaves the float range at t = {t:g}") from None
+    z = sub.epsilon * x
     a, b = coeffs
     m = _combination(sph_j, sph_y, n, z, coeffs)
     mp_ = a * sph_deriv(BesselKind.FIRST, n, z)
     if b != 0.0:
         mp_ += b * sph_deriv(BesselKind.SECOND, n, z)
-    u = m * x ** (n + 1)
-    v = m * x ** (-n)
-    du = -(x ** (n + 1) / sub.alpha) * (z * mp_ + (n + 1) * m)
-    dv = -(x ** (-n) / sub.alpha) * (z * mp_ - n * m)
+    u = m * xu
+    v = m * xv
+    du = -(xu / sub.alpha) * (z * mp_ + (n + 1) * m)
+    dv = -(xv / sub.alpha) * (z * mp_ - n * m)
     return u, du, v, dv
 
 
@@ -136,19 +131,27 @@ def closed_form_trajectory(
 ) -> Trajectory:
     """Closed-form (u, v, r) on a time grid, one Bessel pass per line.
 
-    The per-point factors use `math` so each u and v sample equals
-    closed_form_state's at that time bit for bit.
+    t_grid must pass time_grid(t_grid, 1). The per-point factors use `math`
+    so each u and v sample equals closed_form_state's at that time bit for
+    bit; one that leaves the float range is a DomainError before the pass.
     """
-    t_grid = np.asarray(t_grid, dtype=float)
+    t_grid = time_grid(t_grid, 1)
     sub = substitution(params, mode)
     n = mode.n
     times = t_grid.tolist()
-    x = [sub.x(t) for t in times]
-    m = _combination(sph_j_array, sph_y_array, n, sub.epsilon * np.array(x), coeffs)
     # Python's float pow, not np.power, which can differ in the last bit
-    u = m * np.array([xi ** (n + 1) for xi in x])
-    v = m * np.array([xi ** (-n) for xi in x])
-    r = math.sqrt(2.0) * u * np.array([math.exp(params.L * t / 2) for t in times])
+    try:
+        x = [sub.x(t) for t in times]
+        xu = np.array([xi ** (n + 1) for xi in x])
+        xv = np.array([xi ** (-n) for xi in x])
+        grow = np.array([math.exp(params.L * t / 2) for t in times])
+    except (OverflowError, ZeroDivisionError):
+        raise DomainError(f"x^(n+1), x^-n or e^(Lt/2) leaves the float range"
+                          f" for t in [{times[0]:g}, {times[-1]:g}]") from None
+    m = _combination(sph_j_array, sph_y_array, n, sub.epsilon * np.array(x), coeffs)
+    u = m * xu
+    v = m * xv
+    r = math.sqrt(2.0) * u * grow
     return Trajectory(t_grid, u, v, r)
 
 
@@ -171,9 +174,10 @@ def integrate_pair(
     "u", each integrated line's step statistics (see
     memdomain.ode.integrate_oscillator); "u" is None when u was derived.
     """
-    init = tuple(float(q) for q in init)
+    init = tuple(init)
     if len(init) != 4:
         raise ValueError("init must be (u, du, v, dv)")
+    u0, du0, v0, dv0 = map(finite, ("u0", "du0", "v0", "dv0"), init)
 
     # omega_mode with its constants hoisted; the same operations in the
     # same order, so the same rounding
@@ -186,17 +190,15 @@ def integrate_pair(
         w = w0 * exp(neg_l * t / order)
         return w * w
 
-    t_grid = np.asarray(t_grid, dtype=float)
-    u0, du0, v0, dv0 = init
-    v, _, v_stats = integrate_oscillator(w2, neg_l, v0, dv0, t_grid, rel_tol)
+    v, v_stats = integrate_oscillator(w2, neg_l, v0, dv0, t_grid, rel_tol)
+    t_grid = np.asarray(t_grid, dtype=float)  # checked by integrate_oscillator
     shift = exp(neg_l * float(t_grid[0]))
     image = (shift * v0, shift * (dv0 - params.L * v0))
-    # written so that a nan start takes the integrating branch and fails there
     if all(abs(q - q_img) <= rel_tol * (1.0 + abs(q_img))
            for q, q_img in zip((u0, du0), image)):
         u, u_stats = v * np.exp(neg_l * t_grid), None
     else:
-        u, _, u_stats = integrate_oscillator(w2, params.L, u0, du0, t_grid, rel_tol)
+        u, u_stats = integrate_oscillator(w2, params.L, u0, du0, t_grid, rel_tol)
     r = math.sqrt(2.0) * v * np.exp(neg_l * t_grid / 2)
     return Trajectory(t_grid, u, v, r, meta={"rel_tol": rel_tol, "v": v_stats, "u": u_stats})
 
@@ -206,16 +208,19 @@ def residual(params: SystemParams, mode: ModeIndex, trajectory: Trajectory):
 
     Derivatives come from 4th-order central differences, so the first and
     last two samples carry no residual. Returns (times, res_u, res_v) with
-    times = trajectory.times[2:-2]. Raises GridTooCoarse for fewer than 5
-    samples, non-uniform spacing, or spacing above 1e-2 * alpha_n.
+    times = trajectory.times[2:-2]. Raises ValueError when u or v does not
+    match times in shape, and GridTooCoarse for fewer than 5 samples, a
+    spacing that is not uniform and positive, or one above 1e-2 * alpha_n.
     """
     t = trajectory.times
+    if trajectory.u.shape != t.shape or trajectory.v.shape != t.shape:
+        raise ValueError("u and v must match times in shape")
     if t.size < 5:
         raise GridTooCoarse("need at least 5 samples for the 4th-order stencil")
     steps = np.diff(t)
     h = float(np.mean(steps))
-    if np.max(np.abs(steps - h)) > 1e-8 * h:
-        raise GridTooCoarse("residual check requires a uniform grid")
+    if not (h > 0 and np.max(np.abs(steps - h)) <= 1e-8 * h):
+        raise GridTooCoarse("residual check requires a uniform, increasing grid")
     sub = substitution(params, mode)
     if h > 1e-2 * sub.alpha:
         raise GridTooCoarse(

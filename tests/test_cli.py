@@ -217,6 +217,14 @@ class TestEvolve:
             args += list(extra)
         assert main(args) == 2
 
+    def test_past_the_float_range_inside_the_window(self, tmp_path, capsys):
+        # T = 401 ln 400 = 2402.6, but e^(Lt/2) overflows from t = 1419.6
+        out = tmp_path / "x.csv"
+        assert main(["evolve", "--L", "1", "--k", "200", "--n", "200", "--t-max", "1500",
+                     "--points", "3", "--out", str(out)]) == 2
+        assert "float range for t in [0, 1500]" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_determinism(self, tmp_path):
         _, out = self._run(tmp_path)
         manifest = tmp_path / "traj.csv.manifest.json"
@@ -227,8 +235,10 @@ class TestEvolve:
 
 
 class TestGoldenBytes:
-    """CSV digests pinned from the per-point implementation, so a last-digit
-    change in any closed-form or lifetime value fails here."""
+    """Output digests pinned from earlier implementations, so a last-digit
+    change in any closed-form, integrated, lifetime or squeeze value fails
+    here. Manifests are pinned too; they name the outputs relative to the
+    working directory, so those runs write into it."""
 
     EVOLVE_SHA256 = "f3085b0f34695c1c8fb8309cb172913a033a74ceb5ed48517085bf9baadac4c7"
     FIGURES_SHA256 = {
@@ -238,15 +248,43 @@ class TestGoldenBytes:
         "fig4.csv": "79ab1b13f262cda6bbff8bb55104d1e299ce80af2d4039d6812c4b93856b6a32",
     }
 
+    EVOLVE_BOTH_SHA256 = {
+        "traj.csv": EVOLVE_SHA256,
+        "traj.csv.manifest.json":
+            "2669c7d9403a371eb4c9854e1828adc49c6985d219fb4d2ee50c6a6be377ffee",
+        "traj.ode.csv": "728079f241682a955721468d53369cdd7238cc6835ba64cfbd3610838b4c5554",
+    }
+    SQUEEZE_SHA256 = {
+        "state.json": "a65f7d326e639708e1a9cf2ce285be39adca1f3e5dee742b7dc59967f481a4af",
+        "state.json.manifest.json":
+            "682a995c0989821298f7e0f45b70e8a4977ebeaa254855b2484d9b4f853ff1f5",
+    }
+
     @staticmethod
     def _sha256(path):
         return hashlib.sha256(path.read_bytes()).hexdigest()
+
+    def _digests(self, directory):
+        return {p.name: self._sha256(p) for p in sorted(directory.iterdir())}
 
     def test_evolve_closed_form(self, tmp_path):
         out = tmp_path / "traj.csv"
         assert main(["evolve", "--L", "1", "--k", "55", "--n", "9", "--t-max", "30",
                      "--method", "closed", "--no-timestamp", "--out", str(out)]) == 0
         assert self._sha256(out) == self.EVOLVE_SHA256
+
+    def test_evolve_both(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert main(["evolve", "--L", "1", "--k", "55", "--n", "9", "--t-max", "30",
+                     "--points", "500", "--method", "both", "--no-timestamp",
+                     "--out", "traj.csv"]) == 0
+        assert self._digests(tmp_path) == self.EVOLVE_BOTH_SHA256
+
+    def test_squeeze(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert main(["squeeze", "--gamma", "0.5", "--t", "2", "--no-timestamp",
+                     "--out", "state.json"]) == 0
+        assert self._digests(tmp_path) == self.SQUEEZE_SHA256
 
     def test_figures_all(self, tmp_path):
         assert main(["figures", "--which", "all", "--no-timestamp",

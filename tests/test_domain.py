@@ -1,15 +1,19 @@
 """One domain contract for every public scalar input of the library.
 
-Each public function of lifetime, bessel, fock and memory, and the
-TwoModeState constructor, is fed, in every scalar argument, the values that
-broke some layer before they all went through memdomain.errors: nan, +-inf,
--0.0, the least and the largest float, 1e-300 and 1e300, an int beyond the
-float range, a bool and a string, mixed with ordinary numbers. The
-functions of a mode are also fed system and mode parameters L, c and k at
-those float extremes, where k0, c*k, 2ck/L, w^2 or the window T can leave
-the float range. Each call either returns finite
-numbers or raises ValueError / MemdomainError; the only infinities allowed
-are the documented ones.
+Each public function of lifetime, bessel, fock, memory, oscillator and ode,
+and the TwoModeState constructor, is fed, in every scalar argument, the
+values that broke some layer before they all went through memdomain.errors:
+nan, +-inf, -0.0, the least and the largest float, 1e-300 and 1e300, an int
+beyond the float range, a bool and a string, mixed with ordinary numbers.
+The time grids of the two pair routes (closed_form_trajectory and
+integrate_pair) are fed the same values as grid times, and 2-D, empty,
+one-point and unordered grids. The functions of a mode are also fed system
+and mode parameters L, c and k at those float extremes, where k0, c*k,
+2ck/L, w^2 or the window T can leave the float range. Each call either
+returns finite numbers or raises ValueError / MemdomainError; the only
+infinities allowed are the documented ones. Malformed grids and starts are
+refused with DomainError at entry, never by a failing Bessel pass or ODE
+step (StepSizeUnderflow).
 """
 
 import dataclasses
@@ -23,7 +27,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import sparse
 
-from memdomain import bessel, fock, lifetime, memory
+from memdomain import bessel, fock, lifetime, memory, ode, oscillator
 from memdomain.bessel import BesselKind
 from memdomain.errors import DomainError, MemdomainError
 
@@ -38,6 +42,20 @@ SCALAR = (
 P = lifetime.SystemParams(L=1.0)
 MODE = lifetime.ModeIndex(k=2.0, n=1)
 FIRST, SECOND = BesselKind.FIRST, BesselKind.SECOND
+GRID = [0.0, 0.5, 1.0]
+START = oscillator.closed_form_state(P, MODE, 0.0)
+
+
+def _w2(t):
+    return 4.0
+
+
+def _pair(start=START, grid=GRID, rel_tol=1e-10):
+    return oscillator.integrate_pair(P, MODE, start, grid, rel_tol)
+
+
+def _trajectory(grid):
+    return oscillator.closed_form_trajectory(P, MODE, grid)
 
 
 def _registry(p=P, m=MODE):
@@ -87,6 +105,7 @@ MODEL_CALLS = {
     "coupling_frequencies": (fock.coupling_frequencies, 1, ()),
     "mixing_angle": (fock.mixing_angle, 1, ()),
     "build_hamiltonians": (fock.build_hamiltonians, 2, ()),
+    "closed_form_state": (oscillator.closed_form_state, 1, ()),
     "record": (_record, 1, ()),
     "decay_codes": (_decay, 1, ()),
     "recall": (_recall, 2, ()),
@@ -128,6 +147,14 @@ CALLS = {
     "TwoModeState": (lambda a, b: fock.TwoModeState((a, b)), 2, ()),
     "is_forgotten": (
         lambda t: memory.is_forgotten(_registry().codes["code000001"], t, P), 1, ()),
+    "closed_form_trajectory grid": (lambda a, b: _trajectory([a, b]), 2, ()),
+    "closed_form_trajectory one-point grid": (lambda t: _trajectory([t]), 1, ()),
+    "integrate_pair grid end": (lambda t: _pair(grid=[0.0, 0.5, t]), 1, ()),
+    "integrate_pair start": (lambda u, du, v, dv: _pair((u, du, v, dv)), 4, ()),
+    "integrate_pair rel_tol": (lambda tol: _pair(rel_tol=tol), 1, ()),
+    "integrate_oscillator": (
+        lambda damping, q0, p0: ode.integrate_oscillator(_w2, damping, q0, p0, GRID, 1e-10),
+        3, ()),
 }
 
 
@@ -236,6 +263,26 @@ REFUSED = {
         fock.pair_coupling(0.5, 8), 4 * 2**20 / 7.5 * (1 + 1e-12), fock.vacuum_state(8)),
     **{f"TwoModeState coefficient {c!r}": functools.partial(fock.TwoModeState, (c, 0.0))
        for c in (True, "1", None, math.nan, math.inf, 10**400, 1e300)},
+    # before the grid had one rule and the pair routes joined the gate, most
+    # of these raised TypeError, ZeroDivisionError or OverflowError, stepped
+    # until StepSizeUnderflow, or named an internal variable
+    "closed_form_state t = nan": lambda: oscillator.closed_form_state(P, MODE, math.nan),
+    "closed_form_state string t": lambda: oscillator.closed_form_state(P, MODE, "1"),
+    "closed_form_state x underflows": lambda: oscillator.closed_form_state(P, MODE, 2300.0),
+    "closed_form_trajectory past the float range": lambda: _trajectory([0.0, 2000.0]),
+    **{f"{name} grid {grid!r}": functools.partial(call, grid=grid)
+       for name, call in (("closed_form_trajectory", _trajectory), ("integrate_pair", _pair))
+       for grid in ([[0.0, 1.0]], [0.0, 1.0, math.inf], [0.0, math.nan], [0.0, math.inf],
+                    [False, True], ["0", "1"], "01", [0.0, 1.0, 1.0], [])},
+    "integrate_pair one-point grid": lambda: _pair(grid=[0.0]),
+    **{f"integrate_pair start {bad!r} at {i}": functools.partial(
+        _pair, START[:i] + (bad,) + START[i + 1:])
+       for i in range(4) for bad in (math.nan, math.inf, True, "1")},
+    "integrate_pair string rel_tol": lambda: _pair(rel_tol="1e-10"),
+    "integrate_oscillator nan damping": lambda: ode.integrate_oscillator(
+        _w2, math.nan, 1.0, 0.0, GRID, 1e-10),
+    "integrate_oscillator bool q0": lambda: ode.integrate_oscillator(
+        _w2, 1.0, True, 0.0, GRID, 1e-10),
 }
 
 

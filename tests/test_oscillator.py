@@ -1,5 +1,6 @@
 """Oscillator pair: closed form vs adaptive oracle, identities, guards."""
 
+import itertools
 import math
 import random
 
@@ -37,10 +38,10 @@ MODE2 = ModeIndex(k=2.0, n=1)  # omega0 = 2, window T = 3 ln 4
 
 
 def integrate_line(omega_sq, damping, init, grid, rel_tol=1e-10):
-    """One line of the stepper as an array of (q, dq/dt) rows, the shape
-    the vector reference in _oracles returns."""
-    q, p, _ = integrate_oscillator(omega_sq, damping, *init, grid, rel_tol)
-    return np.column_stack((q, p))
+    """One line of the stepper: q on the grid, the column [:, 0] of the
+    vector reference in _oracles."""
+    q, _ = integrate_oscillator(omega_sq, damping, *init, grid, rel_tol)
+    return q
 
 
 def analytic_residuals(params, mode, t, coeffs=(1.0, 0.0)):
@@ -190,6 +191,25 @@ class TestClosedForm:
                 res_u, res_v, u, v = analytic_residuals(PARAMS, mode, t, coeffs)
                 assert abs(res_u) <= 1e-8 * (1 + abs(u)), (n, t, coeffs)
                 assert abs(res_v) <= 1e-8 * (1 + abs(v)), (n, t, coeffs)
+
+    def test_refused_before_the_bessel_pass(self, monkeypatch):
+        # malformed grids, and grids on which x^-n or e^(Lt/2) overflows
+        # (x underflows to 0 at t = 2300 here), name t and not z
+        def no_pass(*args):
+            raise AssertionError("Bessel pass on a refused input")
+
+        for name in ("sph_j", "sph_j_array"):
+            monkeypatch.setattr(f"memdomain.oscillator.{name}", no_pass)
+        for grid in ([0.0, math.nan], [0.0, 1.0, math.inf], [[0.0, 1.0]], [],
+                     [0.0, 1.0, 1.0], [False, True], ["0", "1"]):
+            with pytest.raises(DomainError, match="t_grid"):
+                closed_form_trajectory(PARAMS, MODE2, grid)
+        for grid in ([0.0, 2000.0], [2300.0], [-3000.0, 0.0]):
+            with pytest.raises(DomainError, match="float range for t in"):
+                closed_form_trajectory(PARAMS, MODE2, grid)
+        for t in (2300.0, 1e300, -1e300):
+            with pytest.raises(DomainError, match="float range at t ="):
+                closed_form_state(PARAMS, MODE2, t)
 
     def test_derivative_state_matches_finite_differences(self):
         h = 1e-6
@@ -377,9 +397,10 @@ class TestIntegration:
                     assert np.array_equal(traj.u, traj.v * np.exp(-PARAMS.L * grid))
 
     def test_non_finite_u_start_is_not_dropped(self):
+        # u is derived from v, but a nan u start is refused, not ignored
         grid = np.linspace(0.0, 1.0, 11)
         _, du0, v0, dv0 = closed_form_state(PARAMS, MODE2, 0.0)
-        with pytest.raises(StepSizeUnderflow, match="step nan"):
+        with pytest.raises(DomainError, match="u0 must be finite"):
             integrate_pair(PARAMS, MODE2, (math.nan, du0, v0, dv0), grid)
 
     def test_time_reversal_maps_lines(self):
@@ -399,7 +420,27 @@ class TestIntegration:
             return omega_mode(PARAMS, MODE2, T0 - t) ** 2
 
         back = integrate_line(w2_rev, +PARAMS.L, (vT, -dvT), grid, 1e-10)
-        assert np.max(np.abs(back[:, 0] - fwd[::-1, 0])) <= 1e-6
+        assert np.max(np.abs(back - fwd[::-1])) <= 1e-6
+
+    def test_refused_before_the_first_step(self):
+        # the grid, the start, the damping and rel_tol are checked before
+        # the stepper evaluates the frequency once
+        def no_step(t):
+            raise AssertionError("stepped on a refused input")
+
+        line = (no_step, 1.0, 1.0, 0.0)
+        for grid in ([0.0, math.inf], [0.0, math.nan], [[0.0, 1.0]], [0.0], [1.0, 0.0]):
+            with pytest.raises(DomainError, match="t_grid"):
+                integrate_oscillator(*line, grid, 1e-10)
+        grid = [0.0, 1.0]
+        for i, bad in itertools.product(range(3), (math.nan, -math.inf, True, "1")):
+            args = list(line)
+            args[i + 1] = bad
+            with pytest.raises(DomainError, match="must be"):
+                integrate_oscillator(*args, grid, 1e-10)
+        for tol in (math.nan, "1e-10", True, 1e-2):
+            with pytest.raises(DomainError, match="rel_tol"):
+                integrate_oscillator(*line, grid, tol)
 
     def test_rejects_bad_tolerance(self):
         grid = np.linspace(0.0, 1.0, 11)
@@ -443,6 +484,18 @@ class TestResidualCheck:
         far = np.abs(res_u[np.abs(np.arange(res_u.size) + 2 - 700) > 4])
         assert np.max(far) <= 1e-8
 
+    def test_refuses_caller_built_lines_off_the_grid(self):
+        # a caller-built Trajectory is checked where it enters: lines that
+        # do not match the times, and times that do not increase
+        t = np.linspace(0.0, 0.04, 5)
+        with pytest.raises(ValueError, match="match times"):
+            residual(PARAMS, MODE2, Trajectory(t, np.zeros(4), np.zeros(5), np.zeros(5)))
+        with pytest.raises(ValueError, match="match times"):
+            residual(PARAMS, MODE2, Trajectory(t, np.zeros(5), np.zeros(6), np.zeros(5)))
+        for bad in (np.zeros(5), t[::-1], np.full(5, math.nan)):
+            with pytest.raises(GridTooCoarse, match="uniform, increasing"):
+                residual(PARAMS, MODE2, Trajectory(bad, *[np.zeros(5)] * 3))
+
     def test_grid_guards(self):
         with pytest.raises(GridTooCoarse):
             residual(PARAMS, MODE2, closed_form_trajectory(PARAMS, MODE2, np.linspace(0, 1, 4)))
@@ -456,15 +509,6 @@ class TestResidualCheck:
 
 
 class TestTrajectoryType:
-    def test_validation(self):
-        t = np.linspace(0, 1, 5)
-        with pytest.raises(ValueError):
-            Trajectory(t, np.zeros(4), np.zeros(5), np.zeros(5))
-        bad = t.copy()
-        bad[3] = bad[1]
-        with pytest.raises(ValueError):
-            Trajectory(bad, np.zeros(5), np.zeros(5), np.zeros(5))
-
     def test_product_invariant_on_sampled_data(self):
         grid = np.linspace(0.0, 2.0, 101)
         traj = closed_form_trajectory(PARAMS, MODE2, grid)
@@ -527,7 +571,7 @@ class TestStepperAgainstVectorForm:
             _assert_bitwise(traj.v, v_ref[:, 0])
             for damping, line in ((params.L, init[:2]), (-params.L, init[2:])):
                 ref = vector_damped_oscillator(w2, damping, line, grid)
-                _assert_bitwise(integrate_line(w2, damping, line, grid), ref)
+                _assert_bitwise(integrate_line(w2, damping, line, grid), ref[:, 0])
             # u is derived from v, not integrated
             assert traj.meta["u"] is None
             closed = closed_form_trajectory(params, mode, grid)
@@ -539,7 +583,7 @@ class TestStepperAgainstVectorForm:
         for init in ((0.0, 0.0), (-0.0, 0.0), (0.0, -0.0), (-0.0, -0.0)):
             for damping in (PARAMS.L, -PARAMS.L):
                 ref = vector_damped_oscillator(w2, damping, init, grid)
-                _assert_bitwise(integrate_line(w2, damping, init, grid), ref)
+                _assert_bitwise(integrate_line(w2, damping, init, grid), ref[:, 0])
 
     def test_time_reversal_case(self):
         T0 = 2.5
@@ -550,7 +594,7 @@ class TestStepperAgainstVectorForm:
             return omega_mode(PARAMS, MODE2, T0 - t) ** 2
 
         ref = vector_damped_oscillator(w2_rev, +PARAMS.L, (vT, -dvT), grid)
-        _assert_bitwise(integrate_line(w2_rev, +PARAMS.L, (vT, -dvT), grid), ref)
+        _assert_bitwise(integrate_line(w2_rev, +PARAMS.L, (vT, -dvT), grid), ref[:, 0])
 
     def test_grid_landing_repro(self):
         params = SystemParams(L=1.0)
@@ -561,10 +605,10 @@ class TestStepperAgainstVectorForm:
         traj = integrate_pair(params, mode, init, grid)
         _assert_bitwise(traj.v, vector_damped_oscillator(w2, -params.L, init[2:], grid)[:, 0])
         u_ref = vector_damped_oscillator(w2, params.L, init[:2], grid)
-        _assert_bitwise(integrate_line(w2, params.L, init[:2], grid), u_ref)
+        _assert_bitwise(integrate_line(w2, params.L, init[:2], grid), u_ref[:, 0])
         assert np.max(np.abs(traj.u - closed_form_trajectory(params, mode, grid).u)) <= 1e-6
         ref = vector_damped_oscillator(w2, params.L, init[:2], grid, 1e-8)
-        _assert_bitwise(integrate_line(w2, params.L, init[:2], grid, 1e-8), ref)
+        _assert_bitwise(integrate_line(w2, params.L, init[:2], grid, 1e-8), ref[:, 0])
 
     @staticmethod
     def _outcome(fn, *args):
@@ -598,9 +642,10 @@ class TestStepperAgainstVectorForm:
         assert ours == self._outcome(vector_damped_oscillator, *args)
 
     def test_non_finite_start_raises_instead_of_looping(self):
-        # the vector form never returns here: its first step is nan
+        # the vector form never returns here: its first step is nan. A nan
+        # start is refused at entry; a nan frequency fails at the first step
         grid = np.linspace(0.0, 1.0, 11)
-        with pytest.raises(StepSizeUnderflow, match="step nan"):
+        with pytest.raises(DomainError, match="q0 must be finite"):
             integrate_line(lambda t: 1.0, 1.0, (math.nan, 0.0), grid)
         with pytest.raises(StepSizeUnderflow, match="step nan"):
             integrate_line(lambda t: math.nan, 1.0, (1.0, 0.0), grid)
