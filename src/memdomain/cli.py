@@ -485,6 +485,8 @@ def _run_evolve(run: _Run, resolved: dict) -> int:
     if method in ("ode", "both"):
         init = closed_form_state(params, mode, 0.0)
         ode = integrate_pair(params, mode, init, grid, resolved["rel_tol"])
+        # rel_tol and each integrated line's step statistics; the steps run
+        # free from 0 to --t-max, so h_min and h_max do not follow --points
         run.results["ode"] = ode.meta
 
     if method == "both":

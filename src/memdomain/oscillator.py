@@ -104,15 +104,18 @@ def closed_form_state(
 ) -> tuple[float, float, float, float]:
     """(u, du/dt, v, dv/dt) at time t; derivatives via the chain rule
     d/dt f(z) x^p = -(x^p/alpha) (z f'(z) + p f(z)). DomainError for a t
-    at which x^(n+1) or x^-n leaves the float range."""
+    at which x underflows to 0 or x^(n+1) or x^-n leaves the float range."""
     t = finite("t", t)
     sub = substitution(params, mode)
     n = mode.n
     try:
         x = sub.x(t)
         xu, xv = x ** (n + 1), x ** (-n)
+        in_range = x > 0.0  # x^-0 = 1 does not fail where x underflows
     except (OverflowError, ZeroDivisionError):
-        raise DomainError(f"x^(n+1) or x^-n leaves the float range at t = {t:g}") from None
+        in_range = False
+    if not in_range:
+        raise DomainError(f"x, x^(n+1) or x^-n leaves the float range at t = {t:g}")
     z = sub.epsilon * x
     a, b = coeffs
     m = _combination(sph_j, sph_y, n, z, coeffs)
@@ -133,7 +136,8 @@ def closed_form_trajectory(
 
     t_grid must pass time_grid(t_grid, 1). The per-point factors use `math`
     so each u and v sample equals closed_form_state's at that time bit for
-    bit; one that leaves the float range is a DomainError before the pass.
+    bit; a time at which one leaves the float range, or x underflows to 0,
+    is a DomainError before the pass.
     """
     t_grid = time_grid(t_grid, 1)
     sub = substitution(params, mode)
@@ -145,9 +149,12 @@ def closed_form_trajectory(
         xu = np.array([xi ** (n + 1) for xi in x])
         xv = np.array([xi ** (-n) for xi in x])
         grow = np.array([math.exp(params.L * t / 2) for t in times])
+        in_range = x[-1] > 0.0  # the smallest x; x^-0 = 1 does not fail at 0
     except (OverflowError, ZeroDivisionError):
-        raise DomainError(f"x^(n+1), x^-n or e^(Lt/2) leaves the float range"
-                          f" for t in [{times[0]:g}, {times[-1]:g}]") from None
+        in_range = False
+    if not in_range:
+        raise DomainError(f"x, x^(n+1), x^-n or e^(Lt/2) leaves the float range"
+                          f" for t in [{times[0]:g}, {times[-1]:g}]")
     m = _combination(sph_j_array, sph_y_array, n, sub.epsilon * np.array(x), coeffs)
     u = m * xu
     v = m * xv
@@ -170,9 +177,13 @@ def integrate_pair(
     too only when its start is not the image of v's start,
     (exp(-L t0) v0, exp(-L t0) (dv0 - L v0)), to within the stepper's own
     error scale rel_tol (1 + |image|); closed_form_state starts always are.
-    r comes from v in either case. meta holds rel_tol and, under "v" and
-    "u", each integrated line's step statistics (see
-    memdomain.ode.integrate_oscillator); "u" is None when u was derived.
+    r comes from v in either case. Each line steps freely from the first
+    grid time to the last, and its values in between come from the dense
+    output (memdomain.ode.integrate_oscillator), so the steps do not depend
+    on the grid times between. meta holds rel_tol and, under "v" and "u",
+    each integrated line's step statistics; "u" is None when u was derived.
+    A v that leaves the float range before the last grid time is a
+    DomainError naming the time.
     """
     init = tuple(init)
     if len(init) != 4:

@@ -7,7 +7,7 @@ scipy (`scipy.linalg.expm`, `scipy.sparse.linalg.expm_multiply`), not from
 here. Two are bit-identity references for a faster package kernel instead:
 `integrate_to_grid`, the generic numpy-vector form of the package's
 Dormand-Prince stepper (same tableau, same controller, arrays instead of
-floats), and `registry_json`, the json.dumps spelling of the registry's
+floats, and its dense output one grid time at a time), and `registry_json`, the json.dumps spelling of the registry's
 canonical text. `full_vector` embeds a paired state in the joint two-mode
 basis, which only the operator tests need.
 """
@@ -30,6 +30,7 @@ from memdomain.ode import (
     _MIN_FACTOR,
     _REJECT_BACKOFF,
     _SAFETY,
+    _TOL_SHARE,
 )
 
 
@@ -163,13 +164,17 @@ def _initial_step(f, t0, y0, tol, span):
 
 
 def integrate_to_grid(f, t_grid, y0, rel_tol):
-    """Integrate y' = f(t, y) and return the states at each grid time.
+    """Integrate y' = f(t, y) for a state y = (q, q') and return q at each
+    grid time.
 
-    The grid must be strictly increasing; integration starts at t_grid[0]
-    with state y0. Steps are chosen adaptively and clipped so every grid
-    point is hit exactly; rel_tol is also the absolute tolerance. Raises
-    StepSizeUnderflow if the controller drives the step below
-    1e-14 * max(1, |t|).
+    The grid must be strictly increasing. Integration starts at t_grid[0]
+    with state y0 and runs in free steps to t_grid[-1]; only the last step
+    is clipped to end there. The controller's tolerance is
+    rel_tol * _TOL_SHARE, relative and absolute. Each grid time is then read,
+    one at a time in Python floats, from the quintic Hermite interpolant on
+    q of the accepted step that holds it, from (q, q' = y[1],
+    q'' = f(t, y)[1]) at both step ends. Raises StepSizeUnderflow if the
+    controller drives the step below 1e-14 * max(1, |t|).
     """
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.ndim != 1 or t_grid.size < 2:
@@ -178,50 +183,65 @@ def integrate_to_grid(f, t_grid, y0, rel_tol):
         raise ValueError("t_grid must be strictly increasing")
     if not 1e-13 <= rel_tol <= 1e-3:
         raise ValueError(f"rel_tol must lie in [1e-13, 1e-3], got {rel_tol!r}")
+    tol = rel_tol * _TOL_SHARE
     y = np.array(y0, dtype=float)
-    out = np.empty((t_grid.size, y.size))
-    out[0] = y
-    t = float(t_grid[0])
-    span = float(t_grid[-1] - t_grid[0])
-    h, k1 = _initial_step(f, t, y, rel_tol, span)
+    t, t_end = float(t_grid[0]), float(t_grid[-1])
+    h, k1 = _initial_step(f, t, y, tol, t_end - t)
     err_prev = 1.0
     k = [None] * 7
     k[0] = k1
+    nodes = [(t, float(y[0]), float(y[1]), float(k1[1]))]
 
-    for idx in range(1, t_grid.size):
-        target = float(t_grid[idx])
-        while t < target:
-            lands = h >= target - t
-            clipped = target - t if lands else h
-            if clipped < 1e-14 * max(1.0, abs(t)):
-                raise StepSizeUnderflow(
-                    f"step {clipped:.3e} below resolution floor at t = {t:.6g}"
-                )
-            for i in range(1, 7):
-                yi = y + clipped * sum(a * k[j] for j, a in enumerate(_A[i]) if a)
-                k[i] = f(t + _C[i] * clipped, yi)
-            y5 = y + clipped * sum(b * k[i] for i, b in enumerate(_B5) if b)
-            y4 = y + clipped * sum(b * k[i] for i, b in enumerate(_B4) if b)
-            sc = rel_tol + rel_tol * np.maximum(np.abs(y), np.abs(y5))
-            err = math.sqrt(float(np.mean(((y5 - y4) / sc) ** 2)))
-            if err <= 1.0:
-                # t + (target - t) can fall one ulp short of target, which
-                # would leave a step below the resolution floor
-                t = target if lands else t + clipped
-                y = y5
-                k[0] = k[6]  # first-same-as-last
-                factor = _SAFETY * (err + 1e-300) ** -_ALPHA * err_prev**_BETA
-                h = clipped * min(_MAX_FACTOR, max(_MIN_FACTOR, factor))
-                err_prev = max(err, 1e-4)
-            else:
-                h = clipped * _REJECT_BACKOFF
-        out[idx] = y
-    return out
+    while t < t_end:
+        lands = h >= t_end - t
+        clipped = t_end - t if lands else h
+        if clipped < 1e-14 * max(1.0, abs(t)):
+            raise StepSizeUnderflow(
+                f"step {clipped:.3e} below resolution floor at t = {t:.6g}"
+            )
+        for i in range(1, 7):
+            yi = y + clipped * sum(a * k[j] for j, a in enumerate(_A[i]) if a)
+            k[i] = f(t + _C[i] * clipped, yi)
+        y5 = y + clipped * sum(b * k[i] for i, b in enumerate(_B5) if b)
+        y4 = y + clipped * sum(b * k[i] for i, b in enumerate(_B4) if b)
+        sc = tol + tol * np.maximum(np.abs(y), np.abs(y5))
+        err = math.sqrt(float(np.mean(((y5 - y4) / sc) ** 2)))
+        if err <= 1.0:
+            # t + (t_end - t) can fall one ulp short of t_end, which would
+            # leave a step below the resolution floor
+            t = t_end if lands else t + clipped
+            y = y5
+            k[0] = k[6]  # first-same-as-last
+            nodes.append((t, float(y[0]), float(y[1]), float(k[0][1])))
+            factor = _SAFETY * (err + 1e-300) ** -_ALPHA * err_prev**_BETA
+            h = clipped * min(_MAX_FACTOR, max(_MIN_FACTOR, factor))
+            err_prev = max(err, 1e-4)
+        else:
+            h = clipped * _REJECT_BACKOFF
+
+    out = []
+    j = 0
+    for time in t_grid.tolist():
+        while j < len(nodes) - 2 and nodes[j + 1][0] <= time:
+            j += 1
+        (t0, q0, p0, a0), (t1, q1, p1, a1) = nodes[j], nodes[j + 1]
+        h = t1 - t0
+        th = (time - t0) / h
+        mu = 1.0 - th
+        th2, mu2 = th * th, mu * mu
+        th3, mu3 = th2 * th, mu2 * mu
+        out.append(
+            mu3 * (1.0 + 3.0 * th + 6.0 * th2) * q0
+            + th3 * (1.0 + 3.0 * mu + 6.0 * mu2) * q1
+            + h * (th * mu3 * (1.0 + 3.0 * th) * p0 - th3 * mu * (1.0 + 3.0 * mu) * p1)
+            + 0.5 * h * h * (th2 * mu3 * a0 + th3 * mu2 * a1)
+        )
+    return np.array(out)
 
 
 def vector_damped_oscillator(omega_sq, damping, init, t_grid, rel_tol=1e-10):
-    """q'' + damping q' + omega_sq(t) q = 0 through integrate_to_grid:
-    the (len(t_grid), 2) array of (q, dq/dt)."""
+    """q'' + damping q' + omega_sq(t) q = 0 through integrate_to_grid: q on
+    the grid."""
 
     def rhs(t, y):
         return np.array([y[1], -damping * y[1] - omega_sq(t) * y[0]])

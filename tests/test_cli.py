@@ -251,8 +251,8 @@ class TestGoldenBytes:
     EVOLVE_BOTH_SHA256 = {
         "traj.csv": EVOLVE_SHA256,
         "traj.csv.manifest.json":
-            "2669c7d9403a371eb4c9854e1828adc49c6985d219fb4d2ee50c6a6be377ffee",
-        "traj.ode.csv": "728079f241682a955721468d53369cdd7238cc6835ba64cfbd3610838b4c5554",
+            "d1549fd1d01a34e03ac313f6d047433e2b032e006c5b8db010bf6d326e160522",
+        "traj.ode.csv": "6e34adb4ba141fdddcc2331cd720d32d4d960a51575400a4526122c45ff355eb",
     }
     SQUEEZE_SHA256 = {
         "state.json": "a65f7d326e639708e1a9cf2ce285be39adca1f3e5dee742b7dc59967f481a4af",

@@ -41,6 +41,7 @@ SCALAR = (
 
 P = lifetime.SystemParams(L=1.0)
 MODE = lifetime.ModeIndex(k=2.0, n=1)
+MODE0 = lifetime.ModeIndex(k=2.0, n=0)
 FIRST, SECOND = BesselKind.FIRST, BesselKind.SECOND
 GRID = [0.0, 0.5, 1.0]
 START = oscillator.closed_form_state(P, MODE, 0.0)
@@ -270,6 +271,13 @@ REFUSED = {
     "closed_form_state string t": lambda: oscillator.closed_form_state(P, MODE, "1"),
     "closed_form_state x underflows": lambda: oscillator.closed_form_state(P, MODE, 2300.0),
     "closed_form_trajectory past the float range": lambda: _trajectory([0.0, 2000.0]),
+    # for n = 0 no power of x fails where x = e^(-Lt) underflows to 0
+    "closed_form_state n = 0, x underflows": lambda: oscillator.closed_form_state(
+        P, MODE0, 800.0),
+    "closed_form_trajectory n = 0, x underflows": lambda: oscillator.closed_form_trajectory(
+        P, MODE0, [0.0, 800.0]),
+    # v overflows near t = 735; this stepped until StepSizeUnderflow
+    "integrate_pair past the float range": lambda: _pair(grid=[0.0, 0.5, 1e4]),
     **{f"{name} grid {grid!r}": functools.partial(call, grid=grid)
        for name, call in (("closed_form_trajectory", _trajectory), ("integrate_pair", _pair))
        for grid in ([[0.0, 1.0]], [0.0, 1.0, math.inf], [0.0, math.nan], [0.0, math.inf],
