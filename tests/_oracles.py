@@ -7,9 +7,10 @@ scipy (`scipy.linalg.expm`, `scipy.sparse.linalg.expm_multiply`), not from
 here. Two are bit-identity references for a faster package kernel instead:
 `integrate_to_grid`, the generic numpy-vector form of the package's
 Dormand-Prince stepper (same tableau, same controller, arrays instead of
-floats, and its dense output one grid time at a time), and `registry_json`, the json.dumps spelling of the registry's
-canonical text. `full_vector` embeds a paired state in the joint two-mode
-basis, which only the operator tests need.
+floats, and its dense output one grid time at a time), and
+`registry_json`, the json.dumps spelling of the registry's canonical text.
+`full_vector` embeds a paired state in the joint two-mode basis, which only
+the operator tests need.
 """
 
 import json

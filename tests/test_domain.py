@@ -276,7 +276,7 @@ REFUSED = {
         P, MODE0, 800.0),
     "closed_form_trajectory n = 0, x underflows": lambda: oscillator.closed_form_trajectory(
         P, MODE0, [0.0, 800.0]),
-    # v overflows near t = 735; this stepped until StepSizeUnderflow
+    # v overflows near t = 735
     "integrate_pair past the float range": lambda: _pair(grid=[0.0, 0.5, 1e4]),
     **{f"{name} grid {grid!r}": functools.partial(call, grid=grid)
        for name, call in (("closed_form_trajectory", _trajectory), ("integrate_pair", _pair))
