@@ -21,12 +21,16 @@ operators diagonal and non-negative) is pinned by the tests, not re-checked
 on every build.
 
 The oracle uses structure, not formulas: HI2 conserves m_A - m_Atilde, so
-it maps the paired states |m, m> into themselves. brute_force_evolve, the
-one function that takes a matrix from its caller, checks the generator's
-shape, that invariance entry by entry, and that the paired block is
-self-adjoint, then exponentiates that (cutoff+1)-dim Hermitian block by
-its eigendecomposition (numpy.linalg.eigh), instead of working on all
-(cutoff+1)^2 joint states.
+it maps the paired states |m, m> into themselves and couples |m, m> only
+to |m+-1, m+-1>. brute_force_evolve, the one function that takes a matrix
+from its caller, checks in one pass over the generator's entries its
+shape, that invariance, that the paired block is tridiagonal (a wider
+band is refused) and that it is self-adjoint. A diagonal unitary of
+phases turns t times that (cutoff+1)-dim block into a real symmetric
+tridiagonal matrix, which it exponentiates by a real eigendecomposition
+(numpy.linalg.eigh), instead of working on all (cutoff+1)^2 joint states.
+pair_coupling writes its entries directly, bit for bit the Kronecker
+product of the ladders that the tests keep as its reference.
 
 A TwoModeState is its coefficients (its cutoff is len(coeffs) - 1) and
 checks only what a caller-built state needs: numbers, finite, normalized.
@@ -291,11 +295,28 @@ def pair_coupling(gamma: float, cutoff: int) -> sparse.csr_matrix:
     the same matrix as its third element with gamma = L/2.
     """
     cutoff = _joint_cutoff(cutoff)
-    # A+ At+ = kron(a+, a+) and A At = kron(a, a), entry for entry
-    a = ladder(cutoff)
-    ad = a.getH()
-    hi2 = 1j * finite("gamma", gamma) * (sparse.kron(ad, ad) - sparse.kron(a, a))
-    return hi2.tocsr()
+    coef = 1j * finite("gamma", gamma)
+    side = cutoff + 1
+    # A+ At+ takes |m, m'> (joint index m side + m', m and m' below cutoff)
+    # to |m+1, m'+1> with sqrt(m+1) sqrt(m'+1), and A At takes it back. The
+    # entries are the complex products and difference of the Kronecker
+    # build, so even their signed zeros match it; they are written into one
+    # array, as large temporaries cost more than the arithmetic here
+    amp = np.sqrt(np.arange(1, side, dtype=float)) + 0j  # the ladder's entries
+    count = cutoff * cutoff
+    data = np.empty(2 * count, dtype=complex)
+    raised, lowered = data[:count].reshape(cutoff, cutoff), data[count:].reshape(cutoff, cutoff)
+    np.multiply.outer(amp.conj(), amp.conj(), out=raised)
+    np.multiply.outer(amp, amp, out=lowered)
+    np.subtract(0, lowered, out=lowered)
+    data *= coef
+    below = np.arange(cutoff, dtype=np.int32)
+    low = (below[:, None] * side + below).ravel()
+    high = low + (side + 1)
+    return sparse.csr_matrix(
+        (data, (np.concatenate((high, low)), np.concatenate((low, high)))),
+        shape=(side * side, side * side),
+    )
 
 
 def k2_single_mode(cutoff: int) -> sparse.csr_matrix:
@@ -323,22 +344,29 @@ def brute_force_evolve(generator, t: float, init: TwoModeState) -> TwoModeState:
     Used as the independent oracle for the closed-form squeezed vacuum; no
     coefficient formula enters. The generator is a matrix on the joint
     basis; its cutoff n is read from its shape ((n+1)^2, (n+1)^2), with n in
-    [1, 512] and at least init.cutoff, else ValueError. It is then checked
-    entry by entry: no nonzero may take a paired column |m, m> to an
-    unpaired row, and the paired block must be self-adjoint, else
-    ValueError. The paired states then span an invariant subspace, so
-    exp(-i t generator) restricted to them is the exponential of the
-    restricted generator. That (n+1)-dim block B is Hermitian, so
-    exp(-i t B) v = U diag(exp(-i lam)) U^H v with t B = U diag(lam) U^H from
-    numpy.linalg.eigh (LAPACK); the coefficients still come from the matrix
-    alone. ||t B||_1 above 4 * 2^20 is refused with DomainError before the
-    decomposition: each phase lam is accurate to about ||t B|| 2^-52, about
-    1e-9 rad at that bound. Where the exact flow is real (as under
-    pair_coupling) the coefficients carry round-off imaginary parts of about
-    1e-15, and at large cutoffs their last bits can depend on the BLAS
-    thread count. Raises CutoffTooSmall when the evolved state
-    puts more than 1e-8 of its mass on the top two occupation levels of
-    either mode (the truncated dynamics is untrustworthy past that point).
+    [1, 512] and at least init.cutoff, else ValueError. One pass over its
+    entries (as COO) then checks, else ValueError: no nonzero takes a
+    paired column |m, m> to an unpaired row; the paired block B couples
+    |m, m> only to |m+-1, m+-1> (tridiagonal; a wider block is refused,
+    naming its band); and B is self-adjoint. The paired states then span an
+    invariant subspace, so exp(-i t generator) restricted to them is
+    exp(-i t B). ||t B||_1 above 4 * 2^20 is refused with DomainError
+    before the decomposition: each phase lam below is accurate to about
+    ||t B|| 2^-52, about 1e-9 rad at that bound.
+
+    With b_m = B[m+1, m], the diagonal unitary D of phases d_0 = 1,
+    d_{m+1} = d_m b_m/|b_m| (d_{m+1} = d_m where b_m = 0) turns t B into the
+    real symmetric tridiagonal T = D^H t B D, with diagonal t Re B[m, m] and
+    off-diagonal t |b_m| (read, as LAPACK reads a Hermitian matrix, from
+    the diagonal's real part and the lower triangle). T = U diag(lam) U^T
+    comes from numpy.linalg.eigh on a real matrix, and exp(-i t B) v =
+    D U diag(exp(-i lam)) U^T D^H v; the coefficients still come from the
+    matrix alone. Where the exact flow is real (as under pair_coupling) the
+    coefficients carry round-off imaginary parts of about 1e-15, and at
+    large cutoffs their last bits can depend on the BLAS thread count.
+    Raises CutoffTooSmall when the evolved state puts more than 1e-8 of its
+    mass on the top two occupation levels of either mode (the truncated
+    dynamics is untrustworthy past that point).
     """
     t = finite("t", t)
     shape = np.shape(generator)
@@ -348,28 +376,59 @@ def brute_force_evolve(generator, t: float, init: TwoModeState) -> TwoModeState:
     n = _joint_cutoff(math.isqrt(side) - 1, 1)
     if init.cutoff > n:
         raise ValueError("initial state does not fit inside the generator cutoff")
-    paired = np.arange(n + 1) * (n + 2)  # joint index of |m, m>
-    cols = sparse.csr_matrix(generator)[:, paired]
-    entries = cols.tocoo()
-    stray = (entries.row % (n + 2) != 0) & (entries.data != 0)
+    k = n + 2  # |m, m> has joint index m k
+    entries = sparse.coo_matrix(generator)
+    in_paired = entries.col % k == 0
+    row, col, val = entries.row[in_paired], entries.col[in_paired] // k, entries.data[in_paired]
+    in_row = row % k == 0
+    stray = ~in_row & (val != 0)
     if stray.any():
         raise ValueError(
             f"evolution left the paired subspace ({int(stray.sum())} generator "
             "entries lead from |m, m> to unpaired states); "
             "the result cannot be represented as a paired state"
         )
-    block = cols[paired]
-    if abs(block - block.getH()).max() > 1e-12 * (abs(block).max() + 1.0):
+    row, col, val = row[in_row] // k, col[in_row], val[in_row]
+    offset = col - row
+    band = int(np.abs(offset[val != 0]).max(initial=0))
+    if band > 1:
+        raise ValueError(
+            f"the generator's paired block has band {band}; the oracle needs "
+            "a tridiagonal one (|m, m> coupled to |m+-1, m+-1> only)"
+        )
+    # B[m, m], B[m, m+1] and B[m+1, m], duplicate entries summed
+    diag, upper, lower = np.zeros(n + 1, complex), np.zeros(n, complex), np.zeros(n, complex)
+    for band_vals, at, where in ((diag, row, 0), (upper, row, 1), (lower, col, -1)):
+        np.add.at(band_vals, at[offset == where], val[offset == where])
+    asym = np.abs(np.concatenate((diag - diag.conj(), upper - lower.conj()))).max()
+    if asym > 1e-12 * (np.abs(np.concatenate((diag, upper, lower))).max() + 1.0):
         raise ValueError("the generator's paired block is not self-adjoint")
     with np.errstate(over="ignore"):  # an overflowed t * block fails the norm check
-        tb = t * block
-    norm = float(abs(tb).sum(axis=0).max())
+        t_diag, t_upper, t_lower = t * diag, t * upper, t * lower
+    col_sums = np.abs(t_diag)  # the 1-norm of t B, column by column
+    col_sums[1:] += np.abs(t_upper)
+    col_sums[:-1] += np.abs(t_lower)
+    norm = float(col_sums.max())
     if not norm <= _PHASE_NORM_LIMIT:  # nan and inf too
         raise DomainError(f"1-norm {norm:g} of t times the paired block is above 4 * 2^20")
-    lam, u = np.linalg.eigh(tb.toarray())
+    # the phase of each b_m = B[m+1, m], from its parts scaled to at most 1
+    # in size, so that neither a subnormal nor a huge b_m loses it
+    big = np.maximum(np.abs(lower.real), np.abs(lower.imag))
+    linked = big != 0
+    re, im = lower.real[linked] / big[linked], lower.imag[linked] / big[linked]
+    size = np.hypot(re, im)
+    unit = np.ones(n, complex)
+    unit.real[linked], unit.imag[linked] = re / size, im / size
+    phase = np.concatenate(([1.0 + 0j], np.cumprod(unit)))
+    off = np.copysign(np.abs(t_lower), t)  # t |b_m|
+    tri = np.zeros((n + 1, n + 1))
+    tri.flat[:: n + 2] = t_diag.real
+    tri.flat[1 :: n + 2] = off
+    tri.flat[n + 1 :: n + 2] = off
+    lam, u = np.linalg.eigh(tri)
     vec = np.zeros(n + 1, dtype=complex)
     vec[: init.cutoff + 1] = init.coeffs
-    out = u @ (np.exp(-1j * lam) * (u.conj().T @ vec))
+    out = phase * (u @ (np.exp(-1j * lam) * (u.T @ (phase.conj() * vec))))
     mass = np.abs(out) ** 2
     # for a paired state the top-two-level union of either mode is these two
     top = mass[n - 1] + mass[n]

@@ -74,8 +74,11 @@ _C2, _C3, _C4, _C5 = _C[1:5]
 _E1, _, _E3, _E4, _E5, _E6, _E7 = _B4
 
 
-def _initial_step(q, p, dp, tol, span):
-    """First trial step from the scaled sizes of y0 and y0' = (p, dp)."""
+def _initial_step(q, p, dp, tol, span, floor):
+    """First trial step from the scaled sizes of y0 and y0' = (p, dp), at
+    most a tenth of the span but at least min(floor, span): a shorter first
+    step would fail the step floor at once, and a span below the floor is
+    taken in one landing step."""
     sq = tol + tol * abs(q)
     sp = tol + tol * abs(p)
     e0, e1 = q / sq, p / sp
@@ -86,7 +89,7 @@ def _initial_step(q, p, dp, tol, span):
         h = 1e-6 * span
     else:
         h = 0.01 * d0 / d1
-    return min(h, 0.1 * span)
+    return max(min(h, 0.1 * span), min(floor, span))
 
 
 def _dense_q(times, nodes):
@@ -141,7 +144,9 @@ def integrate_oscillator(omega_sq, damping, q0, p0, t_grid, rel_tol):
     smallest and largest accepted step (the clipped last step included).
     Raises DomainError, naming t, when a trial step leaves the float range
     although omega_sq is finite at all its stages, and StepSizeUnderflow
-    otherwise if a step is nan or below 1e-14 * max(1, |t|).
+    otherwise if a step is nan or below the floor 1e-14 * max(1, |t|). The
+    step that lands on the last grid time is exempt from the floor, so a
+    span below it is integrated in that one step.
     """
     grid = time_grid(t_grid, 2)
     rel_tol = finite("rel_tol", rel_tol)
@@ -155,7 +160,7 @@ def integrate_oscillator(omega_sq, damping, q0, p0, t_grid, rel_tol):
     # stage's p, so only the second one gets a name
     dp = nd * p - omega_sq(t) * q
     tol = rel_tol * _TOL_SHARE
-    h = _initial_step(q, p, dp, tol, t_end - t)
+    h = _initial_step(q, p, dp, tol, t_end - t, 1e-14 * max(1.0, abs(t)))
     err = err_prev = 1.0
     accepted = rejected = 0
     h_min, h_max = math.inf, 0.0
@@ -165,8 +170,9 @@ def integrate_oscillator(omega_sq, damping, q0, p0, t_grid, rel_tol):
         lands = h >= t_end - t
         step = t_end - t if lands else h
         # written so that a nan step (from a non-finite omega_sq) fails
-        # here instead of being retried forever
-        if not step >= 1e-14 * max(1.0, abs(t)):
+        # here instead of being retried forever; the step that lands on
+        # t_end may be shorter than the floor, as it is the last
+        if not (step >= 1e-14 * max(1.0, abs(t)) or lands):
             # a last trial that went non-finite although omega_sq was finite
             # at each of its stage times means the solution itself overflows
             last = step / _REJECT_BACKOFF

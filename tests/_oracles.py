@@ -4,11 +4,12 @@ Most of these deliberately avoid the algorithms used inside the package
 (downward recurrence) so that agreement is evidence, not tautology;
 high-precision arithmetic comes from mpmath, and matrix exponentials from
 scipy (`scipy.linalg.expm`, `scipy.sparse.linalg.expm_multiply`), not from
-here. Two are bit-identity references for a faster package kernel instead:
+here. Three are bit-identity references for a faster package kernel instead:
 `integrate_to_grid`, the generic numpy-vector form of the package's
 Dormand-Prince stepper (same tableau, same controller, arrays instead of
-floats, and its dense output one grid time at a time), and
-`registry_json`, the json.dumps spelling of the registry's canonical text.
+floats, and its dense output one grid time at a time),
+`registry_json`, the json.dumps spelling of the registry's canonical text,
+and `kron_pair_coupling`, the Kronecker-product build of the pair coupling.
 `full_vector` embeds a paired state in the joint two-mode basis, which only
 the operator tests need.
 """
@@ -18,8 +19,10 @@ import math
 
 import mpmath as mp
 import numpy as np
+from scipy import sparse
 
 from memdomain.errors import StepSizeUnderflow
+from memdomain.fock import ladder
 from memdomain.ode import (
     _A,
     _ALPHA,
@@ -152,7 +155,16 @@ def full_vector(state, cutoff=None) -> np.ndarray:
     return vec
 
 
-def _initial_step(f, t0, y0, tol, span):
+def kron_pair_coupling(gamma, cutoff):
+    """i*gamma*(A+ At+ - A At) as kron(a+, a+) - kron(a, a) of the
+    single-mode ladder a: the reference for fock.pair_coupling, which
+    writes the same entries directly."""
+    a = ladder(cutoff)
+    ad = a.getH()
+    return (1j * gamma * (sparse.kron(ad, ad) - sparse.kron(a, a))).tocsr()
+
+
+def _initial_step(f, t0, y0, tol, span, floor):
     sc = tol + tol * np.abs(y0)
     f0 = f(t0, y0)
     d0 = math.sqrt(float(np.mean((y0 / sc) ** 2)))
@@ -161,7 +173,7 @@ def _initial_step(f, t0, y0, tol, span):
         h = 1e-6 * span
     else:
         h = 0.01 * d0 / d1
-    return min(h, 0.1 * span), f0
+    return max(min(h, 0.1 * span), min(floor, span)), f0
 
 
 def integrate_to_grid(f, t_grid, y0, rel_tol):
@@ -175,7 +187,9 @@ def integrate_to_grid(f, t_grid, y0, rel_tol):
     one at a time in Python floats, from the quintic Hermite interpolant on
     q of the accepted step that holds it, from (q, q' = y[1],
     q'' = f(t, y)[1]) at both step ends. Raises StepSizeUnderflow if the
-    controller drives the step below 1e-14 * max(1, |t|).
+    controller drives the step below 1e-14 * max(1, |t|); the first step is
+    at least min(that floor, span), and the step that lands on the last
+    grid time is exempt from it.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.ndim != 1 or t_grid.size < 2:
@@ -187,7 +201,7 @@ def integrate_to_grid(f, t_grid, y0, rel_tol):
     tol = rel_tol * _TOL_SHARE
     y = np.array(y0, dtype=float)
     t, t_end = float(t_grid[0]), float(t_grid[-1])
-    h, k1 = _initial_step(f, t, y, tol, t_end - t)
+    h, k1 = _initial_step(f, t, y, tol, t_end - t, 1e-14 * max(1.0, abs(t)))
     err_prev = 1.0
     k = [None] * 7
     k[0] = k1
@@ -196,7 +210,7 @@ def integrate_to_grid(f, t_grid, y0, rel_tol):
     while t < t_end:
         lands = h >= t_end - t
         clipped = t_end - t if lands else h
-        if clipped < 1e-14 * max(1.0, abs(t)):
+        if clipped < 1e-14 * max(1.0, abs(t)) and not lands:
             raise StepSizeUnderflow(
                 f"step {clipped:.3e} below resolution floor at t = {t:.6g}"
             )

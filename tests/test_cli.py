@@ -181,6 +181,13 @@ class TestEvolve:
         _, rows = read_csv(out)
         assert len(rows) == 60
 
+    def test_ode_span_below_the_step_floor(self, tmp_path):
+        # the whole 1e-14 span is one landing step, not StepSizeUnderflow
+        out = tmp_path / "x.csv"
+        assert main(["evolve", "--L", "1", "--k", "2", "--n", "1", "--t-max", "1e-14",
+                     "--points", "2", "--method", "ode", "--out", str(out)]) == 0
+        assert [float(row[0]) for row in read_csv(out)[1]] == [0.0, 1e-14]
+
     def test_momentum_frequency_consistency(self, tmp_path, capsys):
         out = tmp_path / "x.csv"
         assert main(["evolve", "--L", "1", "--omega0", "2", "--k", "3",
@@ -1059,6 +1066,16 @@ class TestFreshProcess:
             f"import sys; from memdomain.cli import main; rc = main({argv!r}); "
             "print(rc, 'scipy' in sys.modules)"
         ) == "0 False"
+
+    def test_squeeze_oracle_loads_no_scipy_linalg(self, tmp_path):
+        # the oracle needs numpy.linalg only; scipy.linalg would add about
+        # a tenth of a second to every squeeze --oracle start
+        argv = ["squeeze", "--gamma", "0.5", "--t", "2", "--oracle",
+                "--out", str(tmp_path / "sq.json")]
+        assert _child(
+            f"import sys; from memdomain.cli import main; rc = main({argv!r}); "
+            "print(rc, 'scipy.sparse' in sys.modules, 'scipy.linalg' in sys.modules)"
+        ) == "0 True False"
 
     @pytest.mark.parametrize("module", ["memdomain.lifetime", "memdomain.memory"])
     def test_scalar_model_loads_no_numeric_module(self, module):

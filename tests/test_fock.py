@@ -15,7 +15,7 @@ from hypothesis import strategies as hs
 from scipy import linalg, sparse
 from scipy.sparse.linalg import expm_multiply
 
-from _oracles import full_vector
+from _oracles import full_vector, kron_pair_coupling
 from memdomain.errors import CutoffTooSmall, DomainError, ModeDead, NeverRecordable
 from memdomain.fock import (
     TwoModeState,
@@ -573,16 +573,22 @@ class TestBruteForce:
             )
             assert worst <= 1e-8
 
-    def test_pair_coupling_equals_ladder_products(self):
-        # the kron construction is entry-for-entry the A+ At+ - A At product
-        A, At = pair_ladders(12)
-        want = (1j * 0.7 * (A.getH() @ At.getH() - A @ At)).tocsr()
-        got = pair_coupling(0.7, 12)
-        want.sort_indices()
-        got.sort_indices()
-        assert np.array_equal(got.indptr, want.indptr)
-        assert np.array_equal(got.indices, want.indices)
-        assert np.array_equal(got.data, want.data)
+    @pytest.mark.parametrize("cutoff", [4, 12, 97, 253, 512])
+    def test_pair_coupling_equals_ladder_products(self, cutoff):
+        # written entry by entry, pair_coupling is the Kronecker build bit
+        # for bit (signed zeros included, for either sign of gamma), and
+        # that build is entry for entry the A+ At+ - A At product
+        for gamma in (0.7, -0.3):
+            got, want = pair_coupling(gamma, cutoff), kron_pair_coupling(gamma, cutoff)
+            assert got.indptr.tobytes() == want.indptr.tobytes()
+            assert got.indices.tobytes() == want.indices.tobytes()
+            assert got.data.tobytes() == want.data.tobytes()
+        A, At = pair_ladders(cutoff)
+        products = (1j * -0.3 * (A.getH() @ At.getH() - A @ At)).tocsr()
+        products.sort_indices()
+        assert np.array_equal(products.indptr, got.indptr)
+        assert np.array_equal(products.indices, got.indices)
+        assert np.array_equal(products.data, got.data)
 
     @pytest.mark.parametrize("gamma_t", [0.3, 1.0, 1.5])
     def test_block_matches_full_space(self, gamma_t):
@@ -612,6 +618,63 @@ class TestBruteForce:
         grid = full.reshape(n + 1, n + 1)
         out = brute_force_evolve(gen, t, vac)
         assert np.abs(np.array(out.coeffs, dtype=complex) - np.diag(grid)).max() <= 1e-12
+
+    @settings(derandomize=True, database=None, max_examples=40, deadline=None)
+    @given(hs.data())
+    def test_tridiagonal_block_matches_full_space(self, data):
+        # a random paired block on the joint basis: real diagonal, complex
+        # off-diagonals of any phase, some exactly 0 (stored as explicit
+        # zeros), and b_{n-2} = 0 so that the top two levels stay empty;
+        # an optional N_A - N_At part acts only on unpaired states
+        n = data.draw(hs.integers(4, 60), label="cutoff")
+        diag = data.draw(hs.lists(hs.floats(-2.0, 2.0), min_size=n + 1, max_size=n + 1))
+        mags = data.draw(hs.lists(hs.just(0.0) | hs.floats(0.0, 2.0), min_size=n, max_size=n))
+        angles = data.draw(hs.lists(hs.floats(-math.pi, math.pi), min_size=n, max_size=n))
+        start = data.draw(hs.lists(hs.complex_numbers(max_magnitude=1.0), min_size=1,
+                                   max_size=n - 1).filter(lambda c: sum(map(abs, c)) > 0.1))
+        # expm_multiply divides by zero for a subnormal t; the oracle's own
+        # subnormal cases are pinned in the test below
+        t = data.draw(hs.floats(-3.0, 3.0, allow_subnormal=False), label="t")
+        b = np.array(mags) * np.exp(1j * np.array(angles))
+        b[n - 2] = 0.0
+        idx = np.arange(n + 1) * (n + 2)
+        dim = (n + 1) ** 2
+        gen = sparse.csr_matrix(
+            (np.concatenate((diag, b, b.conj())),
+             (np.concatenate((idx, idx[1:], idx[:-1])), np.concatenate((idx, idx[:-1], idx[1:])))),
+            shape=(dim, dim),
+        )
+        if data.draw(hs.booleans(), label="unpaired part"):
+            na, nat = number_operators(n)
+            gen = (gen + 0.3 * (na - nat)).tocsr()
+        coeffs = np.array(start, dtype=complex)
+        init = TwoModeState(tuple(coeffs / np.linalg.norm(coeffs)))
+        full = expm_multiply(-1j * t * gen.tocsc(), full_vector(init, n))
+        grid = full.reshape(n + 1, n + 1)
+        out = brute_force_evolve(gen, t, init)
+        assert np.abs(np.array(out.coeffs, dtype=complex) - np.diag(grid)).max() <= 1e-12
+        assert np.abs(grid - np.diag(np.diag(grid))).max() == 0.0
+
+    @pytest.mark.parametrize("t,coupling", [(2.2250738585e-313, 1.0), (1.0, 1e-310)],
+                             ids=["subnormal t", "subnormal coupling"])
+    def test_subnormal_coupling_keeps_its_phase(self, t, coupling):
+        # t * b_1 is subnormal, with about 11 significant digits; the phase
+        # is taken from b_1 itself, so exp(-i t B) v stays v to round-off
+        n = 13
+        idx = np.arange(n + 1) * (n + 2)
+        b = coupling * np.exp(1j)
+        gen = sparse.csr_matrix(([b, np.conj(b)], ([idx[2], idx[1]], [idx[1], idx[2]])),
+                                shape=((n + 1) ** 2,) * 2)
+        init = TwoModeState((0.0, 0.6, 0.8j))
+        out = np.array(brute_force_evolve(gen, t, init).coeffs, dtype=complex)
+        assert np.abs(out[:3] - np.array(init.coeffs)).max() <= 1e-15
+
+    def test_wider_than_tridiagonal_block_rejected(self):
+        # the square of the pair coupling keeps pairing and is self-adjoint,
+        # but couples |m, m> to |m+-2, m+-2> as well
+        gen = (pair_coupling(0.5, 8) @ pair_coupling(0.5, 8)).tocsr()
+        with pytest.raises(ValueError, match="band 2"):
+            brute_force_evolve(gen, 0.1, vacuum_state(8))
 
     def test_real_flow_has_round_off_imaginary_parts(self):
         # exp(-i t pair_coupling) is a real matrix; the eigendecomposition

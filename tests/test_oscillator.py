@@ -752,6 +752,22 @@ class TestDenseOutput:
                                                     [t0, t1], 1e-3))
         assert stats["h_max"] == 0.28465281503381545
 
+    @pytest.mark.parametrize("grid", [
+        [1.0, math.nextafter(1.0, 2.0)],   # one ulp, below the step floor
+        [0.0, 1e-14],                      # the floor itself
+        [0.0, 5e-14, 6e-14],               # a tenth of the span below it
+    ], ids=["one ulp", "1e-14", "6e-14"])
+    def test_span_at_the_step_floor(self, grid):
+        # the first step is at least min(floor, span), and a span under the
+        # floor is one landing step; neither ends in StepSizeUnderflow
+        init = closed_form_state(PARAMS, MODE2, grid[0])
+        traj = integrate_pair(PARAMS, MODE2, init, grid)
+        closed = closed_form_trajectory(PARAMS, MODE2, np.array(grid))
+        assert np.abs(traj.v - closed.v).max() <= 1e-15
+        assert traj.meta["v"]["rejected"] == 0
+        w2 = _mode_w2(PARAMS, MODE2)
+        _assert_bitwise(traj.v, vector_damped_oscillator(w2, -PARAMS.L, init[2:], grid))
+
     def test_solution_past_the_float_range(self):
         # v grows like e^(Lt) from the integrator's own error once the
         # frequency has decayed, and overflows near t = 735
