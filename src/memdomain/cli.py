@@ -57,11 +57,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 from . import __version__
-from .errors import (
-    GridTooCoarse,
-    MemdomainError,
-    StepSizeUnderflow,
-)
+from .errors import MemdomainError, StepSizeUnderflow
 from .lifetime import (
     FIGURE_NAMES,
     ModeIndex,
@@ -441,20 +437,6 @@ def _run_bessel(run: _Run, resolved: dict) -> int:
     return 0
 
 
-def _evolve_rows(params, mode, grid, traj):
-    rows = []
-    for i, t in enumerate(grid):
-        rows.append((
-            t,
-            traj.u[i],
-            traj.v[i],
-            traj.r[i],
-            omega_mode(params, mode, float(t)),
-            common_frequency(params, mode, float(t)),
-        ))
-    return rows
-
-
 def _run_evolve(run: _Run, resolved: dict) -> int:
     import numpy as np
 
@@ -475,7 +457,6 @@ def _run_evolve(run: _Run, resolved: dict) -> int:
         )
     grid = np.linspace(0.0, t_max, resolved["points"])
     out = Path(resolved["out"])
-    header = ("t", "u", "v", "r", "omega", "Omega")
     method = resolved["method"]
 
     closed = ode = None
@@ -489,9 +470,17 @@ def _run_evolve(run: _Run, resolved: dict) -> int:
         # free from 0 to --t-max, so h_min and h_max do not follow --points
         run.results["ode"] = ode.meta
 
+    times = grid.tolist()
+    # the omega and Omega columns, shared by both files of --method both
+    freqs = ([omega_mode(params, mode, t) for t in times],
+             [common_frequency(params, mode, t) for t in times])
+
+    def csv(traj) -> bytes:
+        return _csv_bytes(("t", "u", "v", "r", "omega", "Omega"),
+                          zip(times, traj.u, traj.v, traj.r, *freqs))
+
     if method == "both":
-        ode_csv = _csv_bytes(header, _evolve_rows(params, mode, grid, ode))
-        files.append((out.with_name(out.stem + ".ode" + out.suffix), ode_csv))
+        files.append((out.with_name(out.stem + ".ode" + out.suffix), csv(ode)))
         lines = {name: (getattr(closed, name), getattr(ode, name)) for name in "uvr"}
         dev = {name: float(np.max(np.abs(c - o))) for name, (c, o) in lines.items()}
         run.results["max_abs_deviation"] = max(dev.values())
@@ -501,7 +490,7 @@ def _run_evolve(run: _Run, resolved: dict) -> int:
             name: dev[name] / float(np.max(np.abs(c))) for name, (c, _) in lines.items()
         }
     primary = closed if closed is not None else ode
-    files.append((out, _csv_bytes(header, _evolve_rows(params, mode, grid, primary))))
+    files.append((out, csv(primary)))
     run.emit(_beside(out), *files)
     return 0
 
@@ -707,7 +696,7 @@ def main(argv=None) -> int:
     try:
         resolved = _resolve(command, ns)
         return _RUNNERS[command](_Run(command, resolved), resolved)
-    except (StepSizeUnderflow, GridTooCoarse) as exc:
+    except StepSizeUnderflow as exc:
         print(f"computation error: {exc}", file=sys.stderr)
         return 1
     except _PATH_ERRORS as exc:

@@ -15,20 +15,23 @@ checked against a brute-force evolution under the matrix generator, so the
 closed forms and the matrix layer validate each other.
 
 The builders return plain scipy.sparse csr matrices on the joint basis and
-mixing_angle returns theta as a float. Their algebraic form (self-adjoint;
-H0 and HI1 real symmetric; HI2 and K2 i times a real matrix; number
-operators diagonal and non-negative) is pinned by the tests, not re-checked
-on every build.
+mixing_angle returns theta as a float. Each joint operator but the pair
+coupling is a single-mode one (a, a^. a, a^2 + a^.2, the K2 factor) placed
+on both modes by one Kronecker embedding, (s (x) 1, 1 (x) s). Their
+algebraic form (self-adjoint; H0 and HI1 real symmetric; HI2 and K2 i times
+a real matrix; number operators diagonal and non-negative) is pinned by the
+tests, not re-checked on every build.
 
 The oracle uses structure, not formulas: HI2 conserves m_A - m_Atilde, so
 it maps the paired states |m, m> into themselves and couples |m, m> only
 to |m+-1, m+-1>. brute_force_evolve, the one function that takes a matrix
-from its caller, checks in one pass over the generator's entries its
-shape, that invariance, that the paired block is tridiagonal (a wider
-band is refused) and that it is self-adjoint. A diagonal unitary of
-phases turns t times that (cutoff+1)-dim block into a real symmetric
-tridiagonal matrix, which it exponentiates by a real eigendecomposition
-(numpy.linalg.eigh), instead of working on all (cutoff+1)^2 joint states.
+from its caller, reads the generator's paired columns and their paired
+block by sparse indexing and checks its shape, that invariance, that the
+paired block is tridiagonal (a wider band is refused) and that it is
+self-adjoint. A diagonal unitary of phases turns t times that
+(cutoff+1)-dim block into a real symmetric tridiagonal matrix, which it
+exponentiates by a real eigendecomposition (numpy.linalg.eigh), instead of
+working on all (cutoff+1)^2 joint states.
 pair_coupling writes its entries directly, bit for bit the Kronecker
 product of the ladders that the tests keep as its reference.
 
@@ -110,21 +113,22 @@ def ladder(cutoff: int) -> sparse.csr_matrix:
     return sparse.diags(amp, offsets=1, format="csr", dtype=complex)
 
 
+def _on_each_mode(single):
+    """(s (x) 1, 1 (x) s): the single-mode operator s placed on mode A and on
+    its mirror Atilde in the joint |m_A, m_At> basis, A-index major."""
+    eye = sparse.identity(single.shape[0], format="csr", dtype=complex)
+    return sparse.kron(single, eye, format="csr"), sparse.kron(eye, single, format="csr")
+
+
 def pair_ladders(cutoff: int):
     """(A, Atilde) acting on the joint |m_A, m_At> basis, A-index major."""
-    cutoff = _joint_cutoff(cutoff, 1)
-    a = ladder(cutoff)
-    eye = sparse.identity(cutoff + 1, format="csr", dtype=complex)
-    return (
-        sparse.kron(a, eye, format="csr"),
-        sparse.kron(eye, a, format="csr"),
-    )
+    return _on_each_mode(ladder(_joint_cutoff(cutoff, 1)))
 
 
 def number_operators(cutoff: int):
     """(N_A, N_Atilde) = (A^. A, At^. At) on the joint basis."""
-    A, At = pair_ladders(cutoff)
-    return (A.getH() @ A).tocsr(), (At.getH() @ At).tocsr()
+    a = ladder(_joint_cutoff(cutoff, 1))
+    return _on_each_mode(a.getH() @ a)
 
 
 def coupling_frequencies(params: SystemParams, mode: ModeIndex, t: float):
@@ -280,11 +284,13 @@ def build_hamiltonians(params: SystemParams, mode: ModeIndex, t: float, cutoff: 
     cutoff = _joint_cutoff(cutoff)
     open_window(params, mode, t)
     w0_sum, w0_diff = coupling_frequencies(params, mode, t)
-    A, At = pair_ladders(cutoff)
-    Ad, Atd = A.getH(), At.getH()
-    h0 = 0.5 * w0_sum * (Ad @ A - Atd @ At)
-    hi1 = -0.25 * w0_diff * ((A @ A + Ad @ Ad) - (At @ At + Atd @ Atd))
-    return h0.tocsr(), hi1.tocsr(), pair_coupling(params.L / 2, cutoff)
+    a = ladder(cutoff)
+    ad = a.getH()
+    num, num_t = _on_each_mode(ad @ a)
+    squares, squares_t = _on_each_mode(a @ a + ad @ ad)
+    h0 = 0.5 * w0_sum * (num - num_t)
+    hi1 = -0.25 * w0_diff * (squares - squares_t)
+    return h0, hi1, pair_coupling(params.L / 2, cutoff)
 
 
 def pair_coupling(gamma: float, cutoff: int) -> sparse.csr_matrix:
@@ -332,10 +338,8 @@ def k2_generator(cutoff: int) -> sparse.csr_matrix:
     adjoint with weights cosh(theta/2), sinh(theta/2); the sign of the
     quadratic form was fixed by that requirement.
     """
-    cutoff = _joint_cutoff(cutoff)
-    k = k2_single_mode(cutoff)
-    eye = sparse.identity(cutoff + 1, format="csr", dtype=complex)
-    return sparse.kron(k, eye, format="csr") + sparse.kron(eye, k, format="csr")
+    k, k_t = _on_each_mode(k2_single_mode(_joint_cutoff(cutoff)))
+    return k + k_t
 
 
 def brute_force_evolve(generator, t: float, init: TwoModeState) -> TwoModeState:
@@ -344,9 +348,10 @@ def brute_force_evolve(generator, t: float, init: TwoModeState) -> TwoModeState:
     Used as the independent oracle for the closed-form squeezed vacuum; no
     coefficient formula enters. The generator is a matrix on the joint
     basis; its cutoff n is read from its shape ((n+1)^2, (n+1)^2), with n in
-    [1, 512] and at least init.cutoff, else ValueError. One pass over its
-    entries (as COO) then checks, else ValueError: no nonzero takes a
-    paired column |m, m> to an unpaired row; the paired block B couples
+    [1, 512] and at least init.cutoff, else ValueError. Its paired columns
+    |m, m> and, among their rows, the paired block B are read by sparse
+    indexing, duplicate entries summed, and checked, else ValueError: no
+    nonzero of those columns lies outside B (an unpaired row); B couples
     |m, m> only to |m+-1, m+-1> (tridiagonal; a wider block is refused,
     naming its band); and B is self-adjoint. The paired states then span an
     invariant subspace, so exp(-i t generator) restricted to them is
@@ -376,30 +381,27 @@ def brute_force_evolve(generator, t: float, init: TwoModeState) -> TwoModeState:
     n = _joint_cutoff(math.isqrt(side) - 1, 1)
     if init.cutoff > n:
         raise ValueError("initial state does not fit inside the generator cutoff")
-    k = n + 2  # |m, m> has joint index m k
-    entries = sparse.coo_matrix(generator)
-    in_paired = entries.col % k == 0
-    row, col, val = entries.row[in_paired], entries.col[in_paired] // k, entries.data[in_paired]
-    in_row = row % k == 0
-    stray = ~in_row & (val != 0)
-    if stray.any():
+    paired = np.arange(n + 1) * (n + 2)  # the joint index of |m, m>
+    columns = sparse.csr_matrix(generator)[:, paired]
+    columns.sum_duplicates()
+    block = columns[paired]
+    stray = columns.count_nonzero() - block.count_nonzero()
+    if stray:
         raise ValueError(
-            f"evolution left the paired subspace ({int(stray.sum())} generator "
+            f"evolution left the paired subspace ({stray} generator "
             "entries lead from |m, m> to unpaired states); "
             "the result cannot be represented as a paired state"
         )
-    row, col, val = row[in_row] // k, col[in_row], val[in_row]
-    offset = col - row
-    band = int(np.abs(offset[val != 0]).max(initial=0))
+    row = np.repeat(np.arange(n + 1), np.diff(block.indptr))  # of each entry of B
+    band = int(np.abs(block.indices - row)[block.data != 0].max(initial=0))
     if band > 1:
         raise ValueError(
             f"the generator's paired block has band {band}; the oracle needs "
             "a tridiagonal one (|m, m> coupled to |m+-1, m+-1> only)"
         )
-    # B[m, m], B[m, m+1] and B[m+1, m], duplicate entries summed
-    diag, upper, lower = np.zeros(n + 1, complex), np.zeros(n, complex), np.zeros(n, complex)
-    for band_vals, at, where in ((diag, row, 0), (upper, row, 1), (lower, col, -1)):
-        np.add.at(band_vals, at[offset == where], val[offset == where])
+    # B[m, m], B[m, m+1] and B[m+1, m] as complex numbers; + 0 makes each
+    # -0.0 part 0.0, so that no zero part carries a sign into the phases
+    diag, upper, lower = (block.diagonal(d) + complex(0) for d in (0, 1, -1))
     asym = np.abs(np.concatenate((diag - diag.conj(), upper - lower.conj()))).max()
     if asym > 1e-12 * (np.abs(np.concatenate((diag, upper, lower))).max() + 1.0):
         raise ValueError("the generator's paired block is not self-adjoint")

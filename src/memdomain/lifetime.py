@@ -39,7 +39,6 @@ __all__ = [
     "momentum_threshold",
     "domain_size",
     "lambda_lifetime",
-    "frequency_from_lambda",
     "mode_alive",
     "LifetimeProfile",
     "lifetime_profile",
@@ -198,12 +197,6 @@ def _log_sinh(x: float) -> float:
     if x < 1.0:
         return math.log(math.sinh(x))
     return x + math.log1p(-math.exp(-2.0 * x)) - math.log(2.0)
-
-
-def frequency_from_lambda(params: SystemParams, mode: ModeIndex, t: float) -> float:
-    """Omega(0) * exp(-Lambda(t)); equals the direct common frequency."""
-    lam = lambda_lifetime(params, mode, t)
-    return common_frequency(params, mode, 0.0) * math.exp(-lam)
 
 
 def mode_alive(params: SystemParams, mode: ModeIndex, t: float) -> bool:

@@ -259,23 +259,6 @@ class MemoryRegistry:
 
     # -- persistence ------------------------------------------------------
 
-    def to_json_dict(self) -> dict:
-        return {
-            "schema": SCHEMA_VERSION,
-            "last_decay_t": self.last_decay_t,
-            "next_id": self.next_id,
-            "codes": {
-                cid: {
-                    "status": code.status.value,
-                    "entries": {
-                        repr(k): {"weight": e.weight, "n": e.n, "t_rec": e.t_rec}
-                        for k, e in code.entries.items()
-                    },
-                }
-                for cid, code in self.codes.items()
-            },
-        }
-
     @classmethod
     def from_json_dict(cls, doc: dict) -> "MemoryRegistry":
         if not isinstance(doc, dict):
@@ -330,13 +313,16 @@ class MemoryRegistry:
     def dumps(self) -> str:
         """Canonical serialization: sorted keys, two-space indent, final LF.
 
-        The text is json.dumps(self.to_json_dict(), sort_keys=True, indent=2)
-        + "\n", written directly for this fixed schema: given an indent,
-        json.dumps runs its pure-Python encoder, several times slower.  Keys
-        sort as strings, as json.dumps sorts them.  Numbers are spelled by
-        repr(), which is json.dumps's spelling for the plain ints and finite
-        floats a registry holds.  Float values round-trip exactly
-        (shortest-repr JSON floats), so load -> dumps is byte-identical.
+        The text is json.dumps(doc, sort_keys=True, indent=2) + "\n" of the
+        document {"schema", "last_decay_t", "next_id", "codes": {id:
+        {"status", "entries": {repr(k): {"weight", "n", "t_rec"}}}}} that
+        from_json_dict reads, written directly for this fixed schema: given
+        an indent, json.dumps runs its pure-Python encoder, several times
+        slower.  Keys sort as strings, as json.dumps sorts them.  Numbers
+        are spelled by repr(), which is json.dumps's spelling for the plain
+        ints and finite floats a registry holds.  Float values round-trip
+        exactly (shortest-repr JSON floats), so load -> dumps is
+        byte-identical.
         """
         codes = []
         for cid in sorted(self.codes):

@@ -42,6 +42,13 @@ from .errors import DomainError, GridTooCoarse, finite
 from .lifetime import ModeIndex, SystemParams, common_frequency, omega_mode
 from .ode import integrate_oscillator, time_grid
 
+# The largest phase (integral of w dt) integrate_pair steps through: about
+# 29 steps a radian, each kept for the dense output. evolve --method ode at
+# L 1, n 0, k 1e9 took 3.1 s and 88 MB peak RSS at 1e4, and 29.8 s and 574
+# MB at 1e5, the closed form's z limit (2-core Xeon, Python 3.11). The test
+# suite and the benchmark inputs reach 830 (L 1, k 55, n 9, t to 30).
+_PHASE_MAX = 1e4
+
 __all__ = [
     "SystemParams",
     "ModeIndex",
@@ -183,12 +190,25 @@ def integrate_pair(
     on the grid times between. meta holds rel_tol and, under "v" and "u",
     each integrated line's step statistics; "u" is None when u was derived.
     A v that leaves the float range before the last grid time is a
-    DomainError naming the time.
+    DomainError naming the time. So is, before the first step, a grid whose
+    phase, the integral of w dt from the first grid time to the last, is
+    above 1e4: with z = epsilon x(t) that phase is exactly z(t_0) - z(t_end),
+    the fall of the Bessel argument.
     """
     init = tuple(init)
     if len(init) != 4:
         raise ValueError("init must be (u, du, v, dv)")
     u0, du0, v0, dv0 = map(finite, ("u0", "du0", "v0", "dv0"), init)
+    t_grid = time_grid(t_grid, 2)
+    sub = substitution(params, mode)
+    with np.errstate(over="ignore", invalid="ignore"):  # inf and nan are refused
+        z_start, z_end = sub.epsilon * np.exp(-t_grid[[0, -1]] / sub.alpha)
+    phase = float(z_start - z_end)
+    if not phase <= _PHASE_MAX:
+        raise DomainError(
+            f"the phase of w over [{t_grid[0]:g}, {t_grid[-1]:g}] is {phase:.6g} rad"
+            f" (the fall of z), above the integrator's limit {_PHASE_MAX:g}"
+        )
 
     # omega_mode with its constants hoisted; the same operations in the
     # same order, so the same rounding
@@ -202,7 +222,6 @@ def integrate_pair(
         return w * w
 
     v, v_stats = integrate_oscillator(w2, neg_l, v0, dv0, t_grid, rel_tol)
-    t_grid = np.asarray(t_grid, dtype=float)  # checked by integrate_oscillator
     shift = exp(neg_l * float(t_grid[0]))
     image = (shift * v0, shift * (dv0 - params.L * v0))
     if all(abs(q - q_img) <= rel_tol * (1.0 + abs(q_img))

@@ -23,6 +23,7 @@ from scipy import sparse
 
 from memdomain.errors import StepSizeUnderflow
 from memdomain.fock import ladder
+from memdomain.memory import SCHEMA_VERSION
 from memdomain.ode import (
     _A,
     _ALPHA,
@@ -268,4 +269,19 @@ def registry_json(registry) -> str:
     """The canonical registry text as json.dumps spells the registry's
     document: the reference for MemoryRegistry.dumps, which writes the same
     bytes directly."""
-    return json.dumps(registry.to_json_dict(), sort_keys=True, indent=2) + "\n"
+    doc = {
+        "schema": SCHEMA_VERSION,
+        "last_decay_t": registry.last_decay_t,
+        "next_id": registry.next_id,
+        "codes": {
+            cid: {
+                "status": code.status.value,
+                "entries": {
+                    repr(k): {"weight": e.weight, "n": e.n, "t_rec": e.t_rec}
+                    for k, e in code.entries.items()
+                },
+            }
+            for cid, code in registry.codes.items()
+        },
+    }
+    return json.dumps(doc, sort_keys=True, indent=2) + "\n"

@@ -236,6 +236,9 @@ class TestDomain:
             sph_deriv(BesselKind.FIRST, 1, 0.0)
         with pytest.raises(DomainError):
             sph_j(1.5, 1.0)  # type: ignore[arg-type]
+        # the kind is a BesselKind, not its letter
+        with pytest.raises(DomainError, match="unknown kind 'j'"):
+            sph_deriv("j", 2, 1.0)
 
     @pytest.mark.parametrize("n", [2, 3, 5, 9, 12])
     def test_first_kind_at_the_z_limit(self, n):
@@ -387,3 +390,7 @@ class TestArrayKernel:
                 sph_y_array(n, z)
         with pytest.raises(DomainError):
             sph_y_array(3, [1.0, 0.0])
+        # a ragged list is no array at all
+        for fn in (sph_j_array, sph_y_array):
+            with pytest.raises(DomainError, match="z must be an array of real numbers"):
+                fn(2, [[1.0], [1.0, 2.0]])

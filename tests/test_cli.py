@@ -188,6 +188,25 @@ class TestEvolve:
                      "--points", "2", "--method", "ode", "--out", str(out)]) == 0
         assert [float(row[0]) for row in read_csv(out)[1]] == [0.0, 1e-14]
 
+    def test_ode_phase_above_the_limit(self, tmp_path, capsys):
+        # the phase of w over [0, 1e-3] is 9.995e5 rad, above the 1e4 the
+        # integrator takes: refused before the first step, nothing written
+        out = tmp_path / "x.csv"
+        assert main(["evolve", "--L", "1", "--k", "1e9", "--n", "0", "--t-max", "1e-3",
+                     "--points", "3", "--method", "ode", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "is 999500 rad" in err and "limit 10000" in err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_ode_step_underflow_is_a_computation_error(self, tmp_path, capsys):
+        # a phase of 100 rad over 1e-11: the first step falls below the floor
+        out = tmp_path / "x.csv"
+        assert main(["evolve", "--L", "1", "--k", "1e13", "--n", "0", "--t-max", "1e-11",
+                     "--points", "3", "--method", "ode", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "computation error: step 5.000e-15 below resolution floor at t = 0\n")
+        assert list(tmp_path.iterdir()) == []
+
     def test_momentum_frequency_consistency(self, tmp_path, capsys):
         out = tmp_path / "x.csv"
         assert main(["evolve", "--L", "1", "--omega0", "2", "--k", "3",
@@ -597,6 +616,13 @@ class TestRegistryFlow:
                      "--signal", str(sig), "--t", "1", "--L", "1",
                      "--energy", "5"]) == 2
 
+    def test_forget_sweep_missing_registry(self, tmp_path, capsys):
+        # refused before the lock file is made: nothing is left behind
+        assert main(["forget-sweep", "--registry", str(tmp_path / "none.json"),
+                     "--t", "1", "--L", "1"]) == 2
+        assert "registry file not found" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_forget_sweep(self, tmp_path, capsys):
         _, reg = self._record(tmp_path)
         capsys.readouterr()
@@ -775,6 +801,28 @@ class TestConfig:
         assert main([section, "--config", str(cfg), "--out", str(out), *args]) == 2
         assert f"--{key} must be" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_no_section_header(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.ini"
+        cfg.write_text("L = 1\n")
+        assert main(["lifetimes", "--config", str(cfg), "--k", "2", "--n", "1"]) == 2
+        assert "File contains no section headers" in capsys.readouterr().err
+
+    def test_false_boolean(self, tmp_path):
+        cfg = tmp_path / "cfg.ini"
+        cfg.write_text("[memdomain]\nno-timestamp = off\n")
+        out = tmp_path / "x.csv"
+        assert main(["lifetimes", "--config", str(cfg), "--L", "1", "--k", "2",
+                     "--n", "1", "--out", str(out)]) == 0
+        manifest = json.loads((tmp_path / "x.csv.manifest.json").read_text())
+        assert manifest["config"]["no-timestamp"] is False
+        assert "timestamp" in manifest
+
+    def test_empty_list(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.ini"
+        cfg.write_text("[lifetimes]\nk = ,\n")
+        assert main(["lifetimes", "--config", str(cfg), "--L", "1", "--n", "1"]) == 2
+        assert "config key 'k': empty list" in capsys.readouterr().err
 
     def test_bad_boolean(self, tmp_path):
         cfg = tmp_path / "cfg.ini"

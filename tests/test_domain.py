@@ -27,7 +27,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import sparse
 
-from memdomain import bessel, fock, lifetime, memory, ode, oscillator
+from memdomain import bessel, errors, fock, lifetime, memory, ode, oscillator
 from memdomain.bessel import BesselKind
 from memdomain.errors import DomainError, MemdomainError
 
@@ -97,7 +97,6 @@ MODEL_CALLS = {
         lambda p, m, n, t: lifetime.momentum_threshold(p, n, t), 2, (math.inf,)),
     "domain_size": (lambda p, m, n, t: lifetime.domain_size(p, n, t), 2, ()),
     "lambda_lifetime": (lifetime.lambda_lifetime, 1, ()),
-    "frequency_from_lambda": (lifetime.frequency_from_lambda, 1, ()),
     "mode_alive": (lifetime.mode_alive, 1, ()),
     "lifetime_profile": (lifetime.lifetime_profile, 2, ()),
     "domain_snapshot": (
@@ -278,6 +277,9 @@ REFUSED = {
         P, MODE0, [0.0, 800.0]),
     # v overflows near t = 735
     "integrate_pair past the float range": lambda: _pair(grid=[0.0, 0.5, 1e4]),
+    # a phase of about 1e6 rad, which would take some 3e7 steps
+    "integrate_pair phase above its limit": lambda: oscillator.integrate_pair(
+        P, lifetime.ModeIndex(k=1e9, n=0), START, [0.0, 1e-3]),
     **{f"{name} grid {grid!r}": functools.partial(call, grid=grid)
        for name, call in (("closed_form_trajectory", _trajectory), ("integrate_pair", _pair))
        for grid in ([[0.0, 1.0]], [0.0, 1.0, math.inf], [0.0, math.nan], [0.0, math.inf],
@@ -298,3 +300,9 @@ REFUSED = {
 def test_refused_with_domain_error(name):
     with pytest.raises(DomainError):
         REFUSED[name]()
+
+
+def test_numpy_integer_is_a_plain_int():
+    # numpy integers pass the integer gate and come back as Python ints
+    got = errors.integer("n", np.int64(3))
+    assert type(got) is int and got == 3

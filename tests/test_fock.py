@@ -676,6 +676,28 @@ class TestBruteForce:
         with pytest.raises(ValueError, match="band 2"):
             brute_force_evolve(gen, 0.1, vacuum_state(8))
 
+    def test_duplicate_entries_are_summed(self):
+        # the generator is the matrix its entries sum to: a paired entry
+        # split in two halves evolves as the whole, a stray pair that
+        # cancels is no stray, and one that does not counts once
+        gen = pair_coupling(0.5, 8).tocoo()
+        want = brute_force_evolve(gen, 0.3, vacuum_state(8)).coeffs
+
+        def with_entries(data, row, col):
+            return sparse.coo_matrix((data, (row, col)), shape=gen.shape)
+
+        split = with_entries(np.tile(gen.data / 2, 2), np.tile(gen.row, 2), np.tile(gen.col, 2))
+        assert brute_force_evolve(split, 0.3, vacuum_state(8)).coeffs == want
+        for values, refused in (((0.25, -0.25), False), ((0.25, 0.25), True)):
+            # two entries from |0, 0> to |0, 1>: joint column 0, row 1
+            gen2 = with_entries(np.append(gen.data, values), np.append(gen.row, [1, 1]),
+                                np.append(gen.col, [0, 0]))
+            if refused:
+                with pytest.raises(ValueError, match=r"\(1 generator entries"):
+                    brute_force_evolve(gen2, 0.3, vacuum_state(8))
+            else:
+                assert brute_force_evolve(gen2, 0.3, vacuum_state(8)).coeffs == want
+
     def test_real_flow_has_round_off_imaginary_parts(self):
         # exp(-i t pair_coupling) is a real matrix; the eigendecomposition
         # leaves imaginary parts at round-off, which the oracle keeps

@@ -25,7 +25,6 @@ from memdomain.lifetime import (
     default_figure_spec,
     domain_size,
     domain_snapshot,
-    frequency_from_lambda,
     lambda_lifetime,
     lifetime_profile,
     mode_alive,
@@ -54,6 +53,14 @@ class TestWindow:
     def test_boundary_is_degenerate_not_fatal(self):
         # 2 omega0 == L exactly: zero-length window, not an error
         assert recording_window(P, ModeIndex(k=0.5, n=3)) == 0.0
+
+    def test_rounded_negative_frequency_is_clamped_at_the_window_end(self):
+        # at L 1, k 55, n 0, w(T)^2 - L^2/4 rounds to -2.2e-16, inside the
+        # 1e-12 slack: the window end evaluates to 0, not RealityViolation
+        mode = ModeIndex(k=55.0, n=0)
+        T = recording_window(P, mode)
+        assert omega_mode(P, mode, T) ** 2 - P.L**2 / 4 < 0
+        assert common_frequency(P, mode, T) == 0.0
 
     def test_below_threshold_raises(self):
         with pytest.raises(NeverRecordable):
@@ -198,11 +205,12 @@ class TestLambda:
             for frac in (0.0, 0.05, 0.31, 0.5, 0.77, 0.95, 0.999):
                 t = frac * T
                 direct = common_frequency(P, mode, t)
-                via_lam = frequency_from_lambda(P, mode, t)
+                via_lam = w_start * math.exp(-lambda_lifetime(P, mode, t))
                 assert abs(via_lam - direct) <= 1e-10 * w_start
 
     def test_frozen_midpoint_frequency(self):
-        got = frequency_from_lambda(P, self.MODE, T21 / 2)
+        lam = lambda_lifetime(P, self.MODE, T21 / 2)
+        got = common_frequency(P, self.MODE, 0.0) * math.exp(-lam)
         assert got == pytest.approx(math.sqrt(0.75), rel=1e-12)
 
     def test_underflowed_exponent(self):

@@ -563,14 +563,14 @@ class TestPersistence:
         assert a.dumps() == b.dumps()
 
     def test_schema_pinned(self):
-        doc = self._populated().to_json_dict()
+        doc = json.loads(self._populated().dumps())
         assert doc["schema"] == 1
         doc["schema"] = 2
         with pytest.raises(ValueError):
             MemoryRegistry.from_json_dict(doc)
 
     def test_rejects_malformed(self):
-        base = self._populated().to_json_dict()
+        base = json.loads(self._populated().dumps())
         missing = dict(base)
         del missing["next_id"]
         with pytest.raises(ValueError):
@@ -587,6 +587,10 @@ class TestPersistence:
         }
         with pytest.raises(ValueError):
             MemoryRegistry.from_json_dict(zombie)
+        nameless = json.loads(json.dumps(base))
+        nameless["codes"][""] = nameless["codes"].pop(first)
+        with pytest.raises(ValueError, match="^code id must be a non-empty string, got ''$"):
+            MemoryRegistry.from_json_dict(nameless)
 
     @pytest.mark.parametrize("keys,message", [
         (("2", "2.0"), r"^code000001 entry key '2.0' names momentum 2.0 twice$"),
@@ -604,7 +608,7 @@ class TestPersistence:
     def test_float_keys_exact(self):
         reg = MemoryRegistry()
         record(reg, spectrum((1.0 / 3.0 + 1.0, 1, 1.0)), 0.0, P)
-        doc = reg.to_json_dict()
+        doc = json.loads(reg.dumps())
         (code_doc,) = doc["codes"].values()
         (key,) = code_doc["entries"]
         assert float(key) == 1.0 / 3.0 + 1.0
@@ -791,8 +795,9 @@ _VALID_REGISTRY = st.fixed_dictionaries({
 
 
 class TestCanonicalWriter:
-    """dumps writes json.dumps(to_json_dict(), sort_keys=True, indent=2) + LF
-    directly; json.dumps itself is the reference."""
+    """dumps writes json.dumps(doc, sort_keys=True, indent=2) + LF of the
+    registry document directly; json.dumps itself, through
+    _oracles.registry_json, is the reference."""
 
     @_FUZZ
     @given(_VALID_REGISTRY)

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import memdomain.oscillator
 from memdomain.bessel import BesselKind, sph_deriv, sph_j, sph_second_deriv, sph_y
 from memdomain.errors import (
     DomainError,
@@ -451,6 +452,22 @@ class TestIntegration:
         for tol in (math.nan, "1e-10", True, 1e-2):
             with pytest.raises(DomainError, match="rel_tol"):
                 integrate_oscillator(*line, grid, tol)
+
+    def test_phase_limit_refused_before_the_first_step(self, monkeypatch):
+        # at L 1, k 1e9, n 0 the phase of w over [0, t] is 1e9 (1 - e^-t);
+        # t_limit makes it 1e4. Just above, the grid is refused before the
+        # stepper is called; just below, the stepper is reached
+        def no_step(*args):
+            raise AssertionError("reached the stepper")
+
+        monkeypatch.setattr(memdomain.oscillator, "integrate_oscillator", no_step)
+        mode = ModeIndex(k=1e9, n=0)
+        start = closed_form_state(PARAMS, mode, 0.0)
+        t_limit = -math.log1p(-1e4 / 1e9)
+        with pytest.raises(DomainError, match=r"is 10000 rad .* limit 10000$"):
+            integrate_pair(PARAMS, mode, start, [0.0, t_limit * (1 + 1e-6)])
+        with pytest.raises(AssertionError, match="reached the stepper"):
+            integrate_pair(PARAMS, mode, start, [0.0, t_limit * (1 - 1e-6)])
 
     def test_rejects_bad_tolerance(self):
         grid = np.linspace(0.0, 1.0, 11)
