@@ -9,7 +9,6 @@ __version__ = "0.1.0"
 from .errors import (
     CutoffTooSmall,
     DomainError,
-    GridTooCoarse,
     MemdomainError,
     ModeDead,
     NeverRecordable,
@@ -27,6 +26,5 @@ __all__ = [
     "NeverRecordable",
     "ModeDead",
     "StepSizeUnderflow",
-    "GridTooCoarse",
     "CutoffTooSmall",
 ]

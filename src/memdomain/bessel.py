@@ -34,7 +34,7 @@ import math
 
 import numpy as np
 
-from .errors import POSITIVE, DomainError, finite, integer
+from .errors import POSITIVE, DomainError, finite, integer, reals
 
 __all__ = [
     "BesselKind",
@@ -76,15 +76,7 @@ class BesselKind(enum.Enum):
 
 
 def _check_z_array(z, positive_only):
-    try:
-        arr = np.asarray(z)
-    except (TypeError, ValueError) as exc:
-        raise DomainError(f"z must be an array of real numbers: {exc}") from None
-    if arr.dtype.kind not in "iuf":
-        raise DomainError(f"z must hold real numbers, got dtype {arr.dtype}")
-    arr = arr.astype(float)
-    if not np.all(np.isfinite(arr)):
-        raise DomainError("z must be finite")
+    arr = reals("z", z)
     if np.any(arr < 0):
         raise DomainError("z must be non-negative")
     if positive_only and np.any(arr == 0):
@@ -152,18 +144,15 @@ def sph_j(n: int, z: float) -> float:
     start = _start_order(n, z)
     fk1 = 0.0          # f_{start+1}
     fk = _SEED         # f_{start}
-    saved = 0.0
-    saved_set = False
+    saved = 0.0        # f_n once the descent reaches it; rescaling 0.0 keeps it 0.0
     for m in range(start, 0, -1):
         fk1, fk = fk, (2 * m + 1) / z * fk - fk1
         if m - 1 == n:
             saved = fk
-            saved_set = True
         if abs(fk) > _RESCALE_AT:
             fk = fk * _RESCALE_BY
             fk1 = fk1 * _RESCALE_BY
-            if saved_set:
-                saved = saved * _RESCALE_BY
+            saved = saved * _RESCALE_BY
     # After the loop fk is the unnormalised f_0 and fk1 is f_1.
     # Normalise against whichever closed form is better conditioned.
     if abs(j0) >= abs(j1):
@@ -261,8 +250,7 @@ def _miller_j(n, z, j0, j1):
                 if big.size:
                     f[big] *= _RESCALE_BY
                     f1[big] *= _RESCALE_BY
-                    if m - 1 <= n:
-                        saved[big] *= _RESCALE_BY
+                    saved[big] *= _RESCALE_BY
                 bound = float(np.abs(f).max())
                 bound1 = float(np.abs(f1).max())
         fk1, fk = full[0], full[1]

@@ -2,8 +2,9 @@
 
 Every error raised on a violated contract derives from MemdomainError so
 callers can distinguish library failures from programming mistakes. Each
-public scalar input passes `finite` or `integer` once per call; one outside
-its domain raises DomainError, which is also a ValueError.
+public scalar input passes `finite` or `integer` once per call, and each
+array input `reals`; one outside its domain raises DomainError, which is
+also a ValueError.
 """
 
 import math
@@ -47,10 +48,6 @@ class StepSizeUnderflow(MemdomainError):
     """Adaptive integrator pushed the step size below the resolvable floor."""
 
 
-class GridTooCoarse(MemdomainError):
-    """Sample grid too coarse (or too short) for finite-difference checks."""
-
-
 class CutoffTooSmall(MemdomainError):
     """Fock-space truncation cannot hold the requested state accurately."""
 
@@ -81,3 +78,21 @@ def integer(name: str, n, lo: float = 0, hi: float = _MAX) -> int:
     if not lo <= n <= hi:
         raise DomainError(f"{name} must be in [{lo:g}, {hi:g}], got {n!r}")
     return int(n)
+
+
+def reals(name: str, x):
+    """x as a float array of finite reals (a float64 array as itself), else
+    DomainError for ragged nestings, bools, complex numbers and non-numbers.
+    numpy is imported here, so the scalar gates load no numeric module."""
+    import numpy as np
+
+    try:
+        arr = np.asarray(x)
+    except (TypeError, ValueError) as exc:
+        raise DomainError(f"{name} must be an array of real numbers: {exc}") from None
+    if arr.dtype.kind not in "iuf":
+        raise DomainError(f"{name} must be an array of real numbers, got dtype {arr.dtype}")
+    arr = arr.astype(float, copy=False)
+    if not np.all(np.isfinite(arr)):
+        raise DomainError(f"{name} must be finite")
+    return arr

@@ -263,7 +263,7 @@ class MemoryRegistry:
     def from_json_dict(cls, doc: dict) -> "MemoryRegistry":
         if not isinstance(doc, dict):
             raise ValueError("registry document must be a JSON object")
-        if doc.get("schema") != SCHEMA_VERSION:
+        if type(doc.get("schema")) is not int or doc["schema"] != SCHEMA_VERSION:
             raise ValueError(
                 f"unsupported registry schema {doc.get('schema')!r}; "
                 f"this build reads schema {SCHEMA_VERSION}"

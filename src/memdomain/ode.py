@@ -31,7 +31,7 @@ import math
 
 import numpy as np
 
-from .errors import DomainError, StepSizeUnderflow, finite
+from .errors import DomainError, StepSizeUnderflow, finite, reals
 
 __all__ = ["time_grid", "integrate_oscillator"]
 
@@ -119,14 +119,12 @@ def _dense_q(times, nodes):
 
 
 def time_grid(t_grid, least: int) -> np.ndarray:
-    """t_grid as a 1-D float array of at least `least` finite, strictly
-    increasing times, else DomainError; bools and non-numbers are refused."""
-    grid = np.asarray(t_grid)
-    if grid.dtype.kind not in "iuf" or grid.ndim != 1 or grid.size < least:
-        raise DomainError(f"t_grid must be a 1-D array of at least {least} real times")
-    grid = grid.astype(float, copy=False)
-    if not (np.all(np.isfinite(grid)) and np.all(np.diff(grid) > 0)):
-        raise DomainError("t_grid must be finite and strictly increasing")
+    """t_grid as errors.reals returns it, if 1-D with at least `least`
+    strictly increasing times, else DomainError."""
+    grid = reals("t_grid", t_grid)
+    if grid.ndim != 1 or grid.size < least or not np.all(np.diff(grid) > 0):
+        raise DomainError(
+            f"t_grid must be a 1-D array of at least {least} strictly increasing times")
     return grid
 
 

@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bessel import BesselKind, sph_deriv, sph_j, sph_j_array, sph_y, sph_y_array
-from .errors import DomainError, GridTooCoarse, finite
+from .errors import DomainError, finite
 from .lifetime import ModeIndex, SystemParams, common_frequency, omega_mode
 from .ode import integrate_oscillator, time_grid
 
@@ -239,21 +239,21 @@ def residual(params: SystemParams, mode: ModeIndex, trajectory: Trajectory):
     Derivatives come from 4th-order central differences, so the first and
     last two samples carry no residual. Returns (times, res_u, res_v) with
     times = trajectory.times[2:-2]. Raises ValueError when u or v does not
-    match times in shape, and GridTooCoarse for fewer than 5 samples, a
+    match times in shape, and DomainError for fewer than 5 samples, a
     spacing that is not uniform and positive, or one above 1e-2 * alpha_n.
     """
     t = trajectory.times
     if trajectory.u.shape != t.shape or trajectory.v.shape != t.shape:
         raise ValueError("u and v must match times in shape")
     if t.size < 5:
-        raise GridTooCoarse("need at least 5 samples for the 4th-order stencil")
+        raise DomainError("need at least 5 samples for the 4th-order stencil")
     steps = np.diff(t)
     h = float(np.mean(steps))
     if not (h > 0 and np.max(np.abs(steps - h)) <= 1e-8 * h):
-        raise GridTooCoarse("residual check requires a uniform, increasing grid")
+        raise DomainError("residual check requires a uniform, increasing grid")
     sub = substitution(params, mode)
     if h > 1e-2 * sub.alpha:
-        raise GridTooCoarse(
+        raise DomainError(
             f"spacing {h:.3g} exceeds 1e-2 * alpha_n = {1e-2 * sub.alpha:.3g}"
         )
 

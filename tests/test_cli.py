@@ -1,6 +1,7 @@
 """End-to-end command-line tests: files, manifests, exit codes, config."""
 
 import hashlib
+import importlib
 import json
 import math
 import os
@@ -1125,7 +1126,8 @@ class TestFreshProcess:
             "print(rc, 'scipy.sparse' in sys.modules, 'scipy.linalg' in sys.modules)"
         ) == "0 True False"
 
-    @pytest.mark.parametrize("module", ["memdomain.lifetime", "memdomain.memory"])
+    @pytest.mark.parametrize("module", ["memdomain.errors", "memdomain.lifetime",
+                                        "memdomain.memory"])
     def test_scalar_model_loads_no_numeric_module(self, module):
         assert _child(
             f"import sys, {module}; "
@@ -1193,7 +1195,19 @@ class TestFreshProcess:
         assert (tmp_path / "reg.json.lock").exists()
 
 
-README = Path(__file__).resolve().parents[1] / "README.md"
+ROOT = Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
+
+
+class TestPackaging:
+    def test_script_and_version_match_pyproject(self):
+        # the tests run from the source tree, so nothing else checks the
+        # metadata an installed package is built from
+        tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+        project = tomllib.loads((ROOT / "pyproject.toml").read_text(encoding="utf-8"))
+        module, _, name = project["project"]["scripts"]["memdomain"].partition(":")
+        assert getattr(importlib.import_module(module), name) is main
+        assert project["project"]["version"] == memdomain.__version__
 
 
 def _readme_block(section, lang):

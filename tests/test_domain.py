@@ -283,7 +283,8 @@ REFUSED = {
     **{f"{name} grid {grid!r}": functools.partial(call, grid=grid)
        for name, call in (("closed_form_trajectory", _trajectory), ("integrate_pair", _pair))
        for grid in ([[0.0, 1.0]], [0.0, 1.0, math.inf], [0.0, math.nan], [0.0, math.inf],
-                    [False, True], ["0", "1"], "01", [0.0, 1.0, 1.0], [])},
+                    [False, True], ["0", "1"], "01", [0.0, 1.0, 1.0], [],
+                    [0.0, [1.0, 2.0]])},
     "integrate_pair one-point grid": lambda: _pair(grid=[0.0]),
     **{f"integrate_pair start {bad!r} at {i}": functools.partial(
         _pair, START[:i] + (bad,) + START[i + 1:])

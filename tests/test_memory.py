@@ -565,9 +565,11 @@ class TestPersistence:
     def test_schema_pinned(self):
         doc = json.loads(self._populated().dumps())
         assert doc["schema"] == 1
-        doc["schema"] = 2
-        with pytest.raises(ValueError):
-            MemoryRegistry.from_json_dict(doc)
+        # the int 1 only: True and 1.0 compare equal to it
+        for schema in (2, True, 1.0):
+            doc["schema"] = schema
+            with pytest.raises(ValueError, match="unsupported registry schema"):
+                MemoryRegistry.from_json_dict(doc)
 
     def test_rejects_malformed(self):
         base = json.loads(self._populated().dumps())
