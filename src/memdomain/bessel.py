@@ -1,32 +1,36 @@
 """Spherical Bessel functions of integer order, first and second kind.
 
 These are the radial building blocks for the closed-form oscillator pair.
-Evaluation is recurrence-based and self-contained:
+Evaluation is recurrence-based and self-contained, with one rule for each
+direction of the three-term recurrence:
 
-* first kind j_n: downward (Miller) recurrence from a padded start order,
-  normalised against the closed forms of j_0 and j_1. Upward recurrence is
-  unstable for j_n once n exceeds z, downward is stable everywhere. Below
-  z = 1 the ascending power series is used instead, for every order: the
-  closed form j_1 = sin z/z^2 - cos z/z cancels as z -> 0, and the
-  downward pass overflows once z is far below n.
-* second kind y_n: upward recurrence seeded with the closed forms of y_0
-  and y_1; y is the dominant solution so upward is stable. y_n(z) is
-  negative and grows in size with n for z < n, and goes to -inf as z -> 0;
-  where it passes the float range the result is -inf: y_1 once z*z
-  underflows to 0, and y_n once the recurrence overflows (which would
-  otherwise go on to inf - inf = nan two orders later).
+* first kind j_n, by where z lies against the order n:
+  - below z = 1, the ascending power series, for every order: the closed
+    form j_1 = sin z/z^2 - cos z/z cancels as z -> 0;
+  - where z >= n, the upward recurrence from the closed forms of j_0 and
+    j_1. It is stable while the order stays below z (Gautschi, SIAM Review
+    9 (1967) 24-82; DLMF 10.51), and costs n steps at any finite z;
+  - where 1 <= z < n, Miller's downward recurrence from a padded start
+    order, normalised against j_0 or j_1. The closed-form pair never needs
+    it: inside a mode's recording window its argument stays at or above
+    n + 1/2.
+* second kind y_n: the same upward recurrence seeded with the closed forms
+  of y_0 and y_1; y is the dominant solution so upward is stable for every
+  z. y_n(z) is negative and grows in size with n for z < n, and goes to
+  -inf as z -> 0; where it passes the float range the result is -inf: y_1
+  once z*z underflows to 0, and y_n once the recurrence overflows (which
+  would otherwise go on to inf - inf = nan two orders later).
 
 Derivatives use f_n' = f_{n-1} - ((n+1)/z) f_n (and f_0' = -f_1); f_n''
 comes, for both kinds, from the values of f_{n-2}, f_n and f_{n+2}, which
 do not cancel at small z. Past the float range y_n' is +inf and y_n'' is
 -inf.
 
-sph_j_array / sph_y_array evaluate one order over a whole array of z with a
-single vectorised recurrence. They perform the same IEEE operations per
-element as the scalar functions, so their results are bitwise equal. The
-series and the upward recurrence are one function each, serving a float or
-an array z; the scalar j_n keeps its own downward loop because a one-point
-call through the array path costs tens of times more.
+sph_j_array / sph_y_array evaluate one order over a whole array of z. They
+perform the same IEEE operations per element as the scalar functions, so
+their results are bitwise equal. The series and the upward recurrence are
+one function each, serving a float or an array z; the descent is one
+scalar loop, which sph_j_array runs over its points with 1 <= z < n only.
 """
 
 import enum
@@ -50,24 +54,20 @@ __all__ = [
 # cannot overflow even for z << n.
 _RESCALE_AT = 1e250
 _RESCALE_BY = 1e-250
-# The array pass tests columns against _RESCALE_AT only once a running upper
-# bound passes this; the margin absorbs rounding in the bound itself.
-_CHECK_AT = _RESCALE_AT / 16
 # Unnormalised value seeded at the start order of the downward pass.
 _SEED = 1e-30
-# j_n(z) comes from its ascending series for 0 < z < _SERIES_BELOW. There
+# j_n(z) comes from its ascending series for 0 <= z < _SERIES_BELOW. There
 # z^2/2 < 0.5, so the first omitted term, the tenth, is below 1e-19 of the
 # sum for every n. Above the threshold the closed-form j_1 =
-# sin z/z^2 - cos z/z, which normalises the downward pass, no longer
-# cancels. Worst relative error of j_1 on 300 log-spaced z in [0.05, 1.5)
-# against the 40-digit series: 7.5e-14 with the series below 0.08 (5
-# terms), 4.1e-15 below 0.3 (6 terms), 3.0e-15 below 0.5 (7 terms) and
-# 5.3e-16 below 1 (9 terms), where every order n <= 12 is within 8.4e-16.
+# sin z/z^2 - cos z/z, which seeds both recurrences, no longer cancels.
+# Worst relative error of j_1 on 300 log-spaced z in [0.05, 1.5) against
+# the 40-digit series: 7.5e-14 with the series below 0.08 (5 terms), 4.1e-15
+# below 0.3 (6 terms), 3.0e-15 below 0.5 (7 terms) and 5.3e-16 below 1 (9
+# terms), where every order n <= 12 is within 8.4e-16.
 _SERIES_BELOW = 1.0
 _SERIES_TERMS = 9
-# Each pass is linear in the order, the downward one in z too: both are bounded.
+# Every pass is linear in the order, so the order is bounded.
 _ORDER_MAX = 100_000
-_Z_MAX = 1e5
 
 
 class BesselKind(enum.Enum):
@@ -85,21 +85,16 @@ def _check_z_array(z, positive_only):
 
 
 def _start_order(n: int, z: float) -> int:
-    """Order at which the downward pass for j_n(z) is seeded.
+    """Order at which the downward pass for j_n(z), 1 <= z < n, is seeded.
 
     Miller's algorithm: seed a tiny value above the padded start order and
     recur down; the minimal solution j dominates the descent. The pad must
-    clear the turning point m ~ z with room to spare. 20 extra orders on top
-    of 1.5 z are enough over n <= 12 and 1 <= z <= 1.2e3: the tests hold
-    each order within 1e-12 of its largest value against scipy.special
-    there (below 2e-14 for n >= 2), and an mpmath probe found 2e-14 relative
-    error at z = 1045, which large-momentum modes reach at t = 0.
-    z above _Z_MAX = 1e5 (about 1.5 z steps) is refused; at 1e5 the tests hold
-    j_n, n in {2, 3, 5, 9, 12}, within 1e-13 of mpmath relative to 1/z.
+    clear the turning point m ~ z with room to spare: 20 extra orders on
+    top of 1.5 z, and at least 40. With z < n the pass starts below order
+    2.5 n + 41. Against 40-digit mpmath on 60 log-spaced z in [1, n), the
+    error relative to max(|j_n|, 1/z) was at most 1.7e-15 for n in
+    {2, 3, 5, 9, 12, 30, 100, 150}.
     """
-    if z > _Z_MAX:
-        raise DomainError(f"z = {z:g} is above {_Z_MAX:g}, the limit of the "
-                          "first-kind downward recurrence")
     return n + max(40, math.ceil(1.5 * z) + 20)
 
 
@@ -113,9 +108,9 @@ def _series_j(n, z):
     """j_n(z) = z^n/(2n+1)!! * sum_s (-z^2/2)^s / (s! (2n+3)(2n+5)...(2n+2s+1)).
 
     The same +, *, / sequence serves a float or an array z, so sph_j and
-    sph_j_array agree bit for bit. The leading factor goes last, one
-    z/(2i+1) at a time, so a result below the float range underflows
-    gradually instead of through z^n.
+    sph_j_array agree bit for bit; at z = 0 it gives j_0 = 1 and j_n = 0.
+    The leading factor goes last, one z/(2i+1) at a time, so a result below
+    the float range underflows gradually instead of through z^n.
     """
     x = -0.5 * z * z
     term = total = 1.0
@@ -127,25 +122,12 @@ def _series_j(n, z):
     return total
 
 
-def sph_j(n: int, z: float) -> float:
-    """First-kind spherical Bessel j_n(z), 0 <= n <= 1e5, z >= 0 (<= 1e5 for n >= 2)."""
-    n, z = integer("order", n, 0, _ORDER_MAX), finite("z", z, 0.0)
-    if z == 0.0:
-        return 1.0 if n == 0 else 0.0
-    if z < _SERIES_BELOW:
-        return _series_j(n, z)
-
-    j0, j1 = _seeds_j(z)
-    if n == 0:
-        return j0
-    if n == 1:
-        return j1
-
-    start = _start_order(n, z)
+def _descent(n: int, z: float) -> float:
+    """j_n(z) for 1 <= z < n by Miller's downward recurrence."""
     fk1 = 0.0          # f_{start+1}
     fk = _SEED         # f_{start}
     saved = 0.0        # f_n once the descent reaches it; rescaling 0.0 keeps it 0.0
-    for m in range(start, 0, -1):
+    for m in range(_start_order(n, z), 0, -1):
         fk1, fk = fk, (2 * m + 1) / z * fk - fk1
         if m - 1 == n:
             saved = fk
@@ -155,11 +137,37 @@ def sph_j(n: int, z: float) -> float:
             saved = saved * _RESCALE_BY
     # After the loop fk is the unnormalised f_0 and fk1 is f_1.
     # Normalise against whichever closed form is better conditioned.
+    j0, j1 = _seeds_j(z)
     if abs(j0) >= abs(j1):
         scale = j0 / fk
     else:
         scale = j1 / fk1
     return saved * scale
+
+
+def _upward(n, z, f0, f1):
+    """f_n from f_0 and f_1 by the upward recurrence, for j or y.
+
+    The same +, *, / sequence serves a float or an array z, so the scalar
+    and array functions agree bit for bit. An overflowed y recurrence is
+    left as it ends, -inf or nan; the callers map nan to -inf.
+    """
+    if n == 0:
+        return f0
+    prev, cur = f0, f1
+    for m in range(1, n):
+        prev, cur = cur, (2 * m + 1) / z * cur - prev
+    return cur
+
+
+def sph_j(n: int, z: float) -> float:
+    """First-kind spherical Bessel j_n(z) for 0 <= n <= 1e5 and finite z >= 0."""
+    n, z = integer("order", n, 0, _ORDER_MAX), finite("z", z, 0.0)
+    if z < _SERIES_BELOW:
+        return _series_j(n, z)
+    if z < n:
+        return _descent(n, z)
+    return _upward(n, z, *_seeds_j(z))
 
 
 def _seeds_y(z):
@@ -170,27 +178,12 @@ def _seeds_y(z):
     return -c / z, (-c / zz if zz else -math.inf) - s / z
 
 
-def _upward_y(n, z, y0, y1):
-    """y_n from y_0 and y_1 by the upward recurrence.
-
-    The same +, *, / sequence serves a float or an array z, so sph_y and
-    sph_y_array agree bit for bit. An overflowed recurrence is left as it
-    ends, -inf or nan; the callers map nan to -inf.
-    """
-    if n == 0:
-        return y0
-    prev, cur = y0, y1
-    for m in range(1, n):
-        prev, cur = cur, (2 * m + 1) / z * cur - prev
-    return cur
-
-
 def sph_y(n: int, z: float) -> float:
     """Second-kind spherical Bessel y_n(z) for 0 <= n <= 1e5, z > 0."""
     n, z = integer("order", n, 0, _ORDER_MAX), finite("z", z, 0.0)
     if z == 0.0:
         raise DomainError("second-kind functions are singular at z = 0")
-    y = _upward_y(n, z, *_seeds_y(z))
+    y = _upward(n, z, *_seeds_y(z))
     # nan only from -inf - (-inf) after the recurrence overflowed
     return -math.inf if math.isnan(y) else y
 
@@ -206,87 +199,23 @@ def _seed_columns(seeds, z):
     return pairs.reshape(-1, 2).T
 
 
-def _miller_j(n, z, j0, j1):
-    """Downward pass for j_n (n >= 2) at every z > 0 at once.
-
-    Each column runs the scalar recurrence from its own start order. Columns
-    are sorted by z, descending, so the columns already seeded at order m
-    form a prefix; the rest are still zero in every buffer, and zero stays
-    zero under the recurrence. The overflow rescale is applied per column.
-    """
-    order = np.argsort(-z, kind="stable")
-    zs = z[order]
-    starts = [_start_order(n, x) for x in zs.tolist()]  # non-increasing
-    size = zs.size
-    full = [np.zeros(size) for _ in range(3)]  # f_{m+1}, f_m, scratch
-    coef = np.zeros(size)
-    saved = np.zeros(size)
-    active = 0
-    # Upper bound on |f_m| and |f_{m+1}| over the seeded columns; the exact
-    # per-column overflow test runs only once the bound could reach it.
-    bound = bound1 = 0.0
-    # overflow to inf / nan stays silent, as in float arithmetic
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        for m in range(starts[0], 0, -1):
-            if active < size and starts[active] == m:
-                first = active
-                while active < size and starts[active] == m:
-                    active += 1
-                full[1][first:active] = _SEED
-                bound = max(bound, _SEED)
-                zv, cv = zs[:active], coef[:active]
-                zmin = zs[active - 1]
-                f1, f, out = (buf[:active] for buf in full)
-            np.divide(2 * m + 1, zv, out=cv)
-            np.multiply(cv, f, out=out)
-            np.subtract(out, f1, out=out)
-            f1, f, out = f, out, f1
-            full = [full[1], full[2], full[0]]
-            bound, bound1 = (2 * m + 1) / zmin * bound + bound1, bound
-            if m - 1 == n:
-                saved[:] = full[1]
-            if not bound <= _CHECK_AT:  # also once a column has gone inf / nan
-                big = np.flatnonzero(np.abs(f) > _RESCALE_AT)
-                if big.size:
-                    f[big] *= _RESCALE_BY
-                    f1[big] *= _RESCALE_BY
-                    saved[big] *= _RESCALE_BY
-                bound = float(np.abs(f).max())
-                bound1 = float(np.abs(f1).max())
-        fk1, fk = full[0], full[1]
-        j0, j1 = j0[order], j1[order]
-        scale = np.where(np.abs(j0) >= np.abs(j1), j0 / fk, j1 / fk1)
-        result = np.empty(size)
-        result[order] = saved * scale
-    return result
-
-
 def sph_j_array(n: int, z) -> np.ndarray:
     """j_n at every element of z (z >= 0), shaped like z.
 
-    One downward recurrence covers the whole array; each element gets the
-    scalar start order and rescaling, so the result equals sph_j(n, x)
-    bit for bit at every x.
+    Each element takes sph_j's rule for its z: the series and the upward
+    recurrence run vectorised over their points, the descent point by
+    point, so the result equals sph_j(n, x) bit for bit at every x.
     """
     n = integer("order", n, 0, _ORDER_MAX)
     z = _check_z_array(z, positive_only=False)
     flat = z.ravel()
-    out = np.zeros(flat.size)
-    if n == 0:
-        out[flat == 0] = 1.0
-    small = np.flatnonzero((flat > 0) & (flat < _SERIES_BELOW))
-    if small.size:
-        out[small] = _series_j(n, flat[small])
-    pos = np.flatnonzero(flat >= _SERIES_BELOW)
-    if pos.size:
-        zs = flat[pos]
-        j0, j1 = _seed_columns(_seeds_j, zs)
-        if n == 0:
-            out[pos] = j0
-        elif n == 1:
-            out[pos] = j1
-        else:
-            out[pos] = _miller_j(n, zs, j0, j1)
+    out = np.empty(flat.size)
+    small = flat < _SERIES_BELOW
+    out[small] = _series_j(n, flat[small])
+    up = flat >= max(n, _SERIES_BELOW)
+    out[up] = _upward(n, flat[up], *_seed_columns(_seeds_j, flat[up]))
+    down = ~(small | up)
+    out[down] = [_descent(n, x) for x in flat[down].tolist()]
     return out.reshape(z.shape)
 
 
@@ -300,7 +229,7 @@ def sph_y_array(n: int, z) -> np.ndarray:
     flat = z.ravel()
     # overflow to inf / nan stays silent, as in float arithmetic
     with np.errstate(over="ignore", invalid="ignore"):
-        y = _upward_y(n, flat, *_seed_columns(_seeds_y, flat))
+        y = _upward(n, flat, *_seed_columns(_seeds_y, flat))
     y[np.isnan(y)] = -np.inf
     return y.reshape(z.shape)
 

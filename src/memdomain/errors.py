@@ -83,6 +83,8 @@ def integer(name: str, n, lo: float = 0, hi: float = _MAX) -> int:
 def reals(name: str, x):
     """x as a float array of finite reals (a float64 array as itself), else
     DomainError for ragged nestings, bools, complex numbers and non-numbers.
+    numpy holds ints beyond int64 as objects; an object array passes
+    `finite` element by element, so it agrees with the scalar gate.
     numpy is imported here, so the scalar gates load no numeric module."""
     import numpy as np
 
@@ -90,6 +92,8 @@ def reals(name: str, x):
         arr = np.asarray(x)
     except (TypeError, ValueError) as exc:
         raise DomainError(f"{name} must be an array of real numbers: {exc}") from None
+    if arr.dtype.kind == "O":
+        return np.array([finite(name, v) for v in arr.flat]).reshape(arr.shape)
     if arr.dtype.kind not in "iuf":
         raise DomainError(f"{name} must be an array of real numbers, got dtype {arr.dtype}")
     arr = arr.astype(float, copy=False)

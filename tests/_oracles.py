@@ -1,7 +1,7 @@
 """Reference implementations used only by the test suite.
 
 Most of these deliberately avoid the algorithms used inside the package
-(downward recurrence) so that agreement is evidence, not tautology;
+(the first kind's recurrences) so that agreement is evidence, not tautology;
 high-precision arithmetic comes from mpmath, and matrix exponentials from
 scipy (`scipy.linalg.expm`, `scipy.sparse.linalg.expm_multiply`), not from
 here. Three are bit-identity references for a faster package kernel instead:

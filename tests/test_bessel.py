@@ -54,6 +54,12 @@ def _value(kind, n, z):
     return sph_j(n, z) if kind is BesselKind.FIRST else sph_y(n, z)
 
 
+def _mp_j(n, z):
+    """j_n(z) from mpmath's cylinder function, at the caller's precision."""
+    z = mp.mpf(z)
+    return mp.sqrt(mp.pi / (2 * z)) * mp.besselj(n + mp.mpf(1) / 2, z)
+
+
 class TestFrozenValues:
     @pytest.mark.parametrize("key,expected", sorted(FROZEN_J.items()))
     def test_first_kind(self, key, expected):
@@ -242,22 +248,31 @@ class TestDomain:
 
     @pytest.mark.parametrize("n", [2, 3, 5, 9, 12])
     def test_first_kind_at_the_z_limit(self, n):
-        # z = 1e5 is the largest z the downward pass takes; error relative to
-        # the 1/z envelope of j_n, against mpmath
+        # z = 1e5, far above n, where the upward pass serves; error relative
+        # to the 1/z envelope of j_n, against mpmath (at most 1.7e-16 here)
         z = 1e5
-        ref = mp.sqrt(mp.pi / (2 * z)) * mp.besselj(n + mp.mpf(1) / 2, z)
-        assert abs(sph_j(n, z) - float(ref)) * z <= 1e-13
+        assert abs(sph_j(n, z) - float(_mp_j(n, z))) * z <= 5e-16
         assert sph_j_array(n, [z, 2.0]).tolist() == [sph_j(n, z), sph_j(n, 2.0)]
 
     @pytest.mark.parametrize("z", [math.nextafter(1e5, math.inf), 1e20, 1e308])
-    def test_first_kind_above_the_z_limit_refused(self, z):
-        for call in (lambda: sph_j(3, z), lambda: sph_j_array(3, [2.0, z]),
-                     lambda: sph_deriv(BesselKind.FIRST, 3, z),
-                     lambda: sph_second_deriv(BesselKind.FIRST, 0, z)):
-            with pytest.raises(DomainError, match="above 100000"):
-                call()
-        # the closed forms of j_0 and j_1 need no downward pass
-        assert math.isfinite(sph_j(1, z))
+    def test_first_kind_at_huge_z(self, z):
+        # no z limit: the upward pass takes n steps at any finite z. The
+        # reference is mpmath's j_n at 1e5 and above that the leading
+        # asymptotic form sin(z - n pi/2)/z, whose k-th derivative shifts
+        # the phase by k pi/2 and whose next term is n(n+1)/(2z) of it. The
+        # working precision keeps z - pi from rounding back to z.
+        n = 3
+        got = {0: sph_j(n, z), 1: sph_deriv(BesselKind.FIRST, n, z),
+               2: sph_second_deriv(BesselKind.FIRST, n, z)}
+        assert sph_j_array(n, [2.0, z]).tolist() == [sph_j(n, 2.0), got[0]]
+        with mp.workdps(int(math.log10(z)) + 40):
+            for order, value in got.items():
+                if z < 1e6:
+                    ref = _mp_j(n, z) if order == 0 else bessel_deriv("j", n, z, order, dps=40)
+                else:
+                    ref = mp.sin(mp.mpf(z) - (n - order) * mp.pi / 2) / z
+                assert math.isfinite(value)
+                assert abs(mp.mpf(value) - ref) * z <= 1e-15, order
 
     def test_order_limit(self):
         for call in (lambda: sph_j(10**5 + 1, 1.0), lambda: sph_y(10**400, 1.0),
@@ -287,12 +302,23 @@ class TestDomain:
         assert sph_y(0, 1e-300) == -math.cos(1e-300) / 1e-300
 
 
+# orders at whose z = n the first kind switches from the descent to the
+# upward pass
+SWITCH_N = (2, 5, 12, 30, 150)
+
+
+def _switch_points(n):
+    return [math.nextafter(n, 0), float(n), math.nextafter(n, math.inf)]
+
+
 def _array_grid():
     """Log grid over [1e-3, 1.2e3] with the awkward cases mixed in: points
-    out of order, repeated points, and points below the series threshold
-    (z < 1) interleaved with points of the downward pass."""
+    out of order, repeated points, points below the series threshold
+    (z < 1) interleaved with points of both recurrences, and z = n with its
+    two float neighbours, either side of the switch between them."""
     z = np.geomspace(1e-3, 1.2e3, 241)
-    extra = np.array([1e-8, 0.3, 2.0, 5.0, 5.0, 1045.0, 1e-3])
+    extra = np.array([1e-8, 0.3, 2.0, 5.0, 5.0, 1045.0, 1e-3,
+                      *(x for n in SWITCH_N for x in _switch_points(n))])
     z = np.concatenate([z, extra, z[::7]])
     return np.random.default_rng(7).permutation(z)
 
@@ -306,6 +332,14 @@ class TestArrayKernel:
         z = np.concatenate([self.Z, [0.0, 0.0]])
         ref = np.array([sph_j(n, float(x)) for x in z])
         assert np.array_equal(sph_j_array(n, z), ref)
+        if n in SWITCH_N:
+            # both sides of the switch against mpmath, relative to
+            # max(|j_n|, 1/z); the worst read 3.1e-15, at z = n = 150
+            with mp.workdps(40):
+                for x in _switch_points(n):
+                    exact = _mp_j(n, x)
+                    err = abs(sph_j(n, x) - exact) / max(abs(exact), 1 / mp.mpf(x))
+                    assert err <= 1e-14, x
 
     # z at which the downward pass would rescale on the very step that
     # yields j_n. They lie below 1, so they pin the series branch's
@@ -322,8 +356,8 @@ class TestArrayKernel:
 
     def test_overflowed_column_leaves_others_exact(self):
         # j_5(1e-100) would overflow the downward pass; the series branch
-        # takes it (and underflows to 0), and the downward-pass columns
-        # beside it must still match the scalar loop
+        # takes it (and underflows to 0), and the recurrence points beside
+        # it must still match the scalar loop
         z = np.concatenate([[1e-100], self.Z])
         for n in (5, 12, 30, 150):
             ref = np.array([sph_j(n, float(x)) for x in z])
@@ -353,8 +387,8 @@ class TestArrayKernel:
 
     @pytest.mark.parametrize("n", [*range(13), 30])
     def test_small_z_against_references(self, n):
-        # the series branch below z = 1 and the closed forms and downward
-        # pass just above it, down to z = 1e-300
+        # the series branch below z = 1 and the closed forms, the upward
+        # pass and the descent just above it, down to z = 1e-300
         z = np.concatenate([np.geomspace(1e-300, 0.5, 151),
                             [0.08 * (1 - 2**-52), 0.08, 1 - 2**-53, 1.0]])
         ours = sph_j_array(n, z)

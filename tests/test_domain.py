@@ -303,6 +303,22 @@ def test_refused_with_domain_error(name):
         REFUSED[name]()
 
 
+def test_array_gate_agrees_with_scalar_gate_past_int64():
+    # numpy holds such ints as objects; each passes errors.finite as a scalar would
+    got = errors.reals("t", [10**20])
+    assert got.dtype == float and got.tolist() == [1e20]
+    assert errors.reals("t", [[1], [10**20]]).tolist() == [[1.0], [1e20]]
+    for bad, message in (([1, 10**400], "t must be finite"),
+                         ([True, 10**20], "t must be a real number, got True"),
+                         ([None, 10**20], "t must be a real number, got None"),
+                         ([1j, 10**20], "t must be a real number")):
+        with pytest.raises(DomainError, match=message):
+            errors.reals("t", bad)
+    # the time itself is what leaves the float range, not its element type
+    with pytest.raises(DomainError, match=r"float range for t in \[0, 1e\+20\]"):
+        _trajectory([0, 10**20])
+
+
 def test_numpy_integer_is_a_plain_int():
     # numpy integers pass the integer gate and come back as Python ints
     got = errors.integer("n", np.int64(3))

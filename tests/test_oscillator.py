@@ -30,6 +30,7 @@ from memdomain.oscillator import (
     residual,
     substitution,
 )
+from memdomain.cli import main
 from memdomain.lifetime import recording_window
 from memdomain.ode import _A, _B4, _B5, _C, integrate_oscillator
 
@@ -219,6 +220,22 @@ class TestClosedForm:
             closed_form_state(PARAMS, mode0, 800.0)
         with pytest.raises(DomainError, match=r"float range for t in \[0, 800\]"):
             closed_form_trajectory(PARAMS, mode0, [0.0, 800.0])
+
+    def test_window_never_reaches_the_descent(self, monkeypatch, tmp_path):
+        # inside the window z = epsilon e^(-t/alpha) falls to n + 1/2 at T,
+        # so j_n comes from the series or the upward pass, never the descent
+        def no_descent(*args):
+            raise AssertionError("first-kind descent inside a recording window")
+
+        monkeypatch.setattr("memdomain.bessel._descent", no_descent)
+        for k, n in itertools.product(np.geomspace(0.6, 1e3, 9).tolist(), range(13)):
+            mode = ModeIndex(k=k, n=n)
+            end = 0.999 * recording_window(PARAMS, mode)
+            closed_form_trajectory(PARAMS, mode, np.linspace(0.0, end, 50))
+            closed_form_state(PARAMS, mode, end)
+        monkeypatch.chdir(tmp_path)
+        assert main(["evolve", "--L", "1", "--omega0", "2", "--n", "1", "--t-max", "3",
+                     "--points", "60", "--method", "both", "--out", "traj.csv"]) == 0
 
     def test_derivative_state_matches_finite_differences(self):
         h = 1e-6
