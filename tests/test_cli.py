@@ -1,5 +1,6 @@
 """End-to-end command-line tests: files, manifests, exit codes, config."""
 
+import builtins
 import hashlib
 import importlib
 import json
@@ -269,10 +270,10 @@ class TestGoldenBytes:
 
     EVOLVE_SHA256 = "b93f773dc31a44f01be8e6ae7e929ae506ce6adba335006179626e7dc79d0ab7"
     FIGURES_SHA256 = {
-        "fig1.csv": "0d3e0d8fa615197069fb00ead6ef33ff2676004f66d17ef957e25f3accc903b3",
-        "fig2.csv": "810b80e9b48392d8e4b6a6121629de6ea5774eed8763ca0e32edcf572958bb6a",
-        "fig3.csv": "792a42a7f7981d2def5b58e1fbc7fc57af34f8279b3fbb9deb31f6b13b3657d2",
-        "fig4.csv": "79ab1b13f262cda6bbff8bb55104d1e299ce80af2d4039d6812c4b93856b6a32",
+        "fig1.csv": "944619a363f047ae4ff62cc6608dc55e0123b63df911c59fef4f6236146bdfe4",
+        "fig2.csv": "937e217980b6dbeb5c13d0681ca75357508feeade19a520c3bda48071f074ea9",
+        "fig3.csv": "3798e99496dacae7d5cce83daa96823029e9a8eab5ba01f015fd5e3bad64474f",
+        "fig4.csv": "9daa0e79db42331bc653a4bb232f517d714b03f9265fddd60d66b3e16490ca2b",
     }
 
     EVOLVE_BOTH_SHA256 = {
@@ -424,7 +425,7 @@ class TestFigures:
 
     @pytest.mark.parametrize("extra", [
         ("--ordinate-scale", "nan"), ("--ordinate-scale", "inf"),
-        ("--ordinate-scale", "-inf"), ("--ceiling", "nan"),
+        ("--ordinate-scale", "-inf"), ("--ceiling", "nan"), ("--ceiling", "-inf"),
     ])
     def test_non_numeric_scale_or_ceiling_refused(self, tmp_path, capsys, extra):
         out = tmp_path / "figs"
@@ -478,6 +479,19 @@ class TestSqueeze:
         doc = json.loads(out.read_text())
         # truncation back-reaction at the boundary coefficients dominates
         assert 0.0 < doc["oracle_max_deviation"] < 1e-5
+
+    def test_oracle_at_a_small_cutoff(self, tmp_path, capsys):
+        # the joint basis takes any cutoff from 1; one too small for the
+        # evolved state is refused by the oracle's top-two-level check
+        out = tmp_path / "sq.json"
+        assert main(["squeeze", "--gamma", "0.001", "--t", "1", "--cutoff", "3",
+                     "--oracle", "--out", str(out), "--no-timestamp"]) == 0
+        doc = json.loads(out.read_text())
+        assert doc["cutoff"] == 3
+        assert 0.0 <= doc["oracle_max_deviation"] < 1e-14
+        assert main(["squeeze", "--gamma", "1", "--t", "0.01", "--cutoff", "2",
+                     "--oracle", "--out", str(tmp_path / "x.json")]) == 2
+        assert "reached the top two levels" in capsys.readouterr().err
 
     def test_explicit_cutoff_too_small(self, tmp_path, capsys):
         assert main(["squeeze", "--gamma", "0.5", "--t", "2", "--cutoff", "40",
@@ -721,6 +735,28 @@ class TestConfig:
         assert main(["evolve", "--config", str(cfg), "--out", str(out2),
                      "--points", "30"]) == 0
         assert len(read_csv(out2)[1]) == 30
+
+    def test_config_read_once(self, tmp_path, monkeypatch):
+        # the bytes parsed are the bytes the manifest digests: one read
+        cfg = tmp_path / "cfg.ini"
+        cfg.write_text("[memdomain]\nL = 1\n[lifetimes]\nk = 2\nn = 1\n")
+        reads = []
+
+        def counted(read):
+            def wrapper(file, *args, **kwargs):
+                if str(file) == str(cfg):
+                    reads.append(read)
+                return read(file, *args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(builtins, "open", counted(builtins.open))
+        monkeypatch.setattr(Path, "read_bytes", counted(Path.read_bytes))
+        out = tmp_path / "life.csv"
+        assert main(["lifetimes", "--config", str(cfg), "--out", str(out)]) == 0
+        assert len(reads) == 1
+        manifest = json.loads((tmp_path / "life.csv.manifest.json").read_text())
+        digest = hashlib.sha256(cfg.read_bytes()).hexdigest()
+        assert manifest["inputs"] == {str(cfg): "sha256:" + digest}
 
     def test_command_section_beats_global(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.ini"

@@ -440,14 +440,16 @@ class TestHamiltonians:
             assert abs(v - vals[0]) <= 1e-9
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            build_hamiltonians(P, MODE, 0.0, cutoff=3)
+        for cutoff in (0, 513):
+            with pytest.raises(ValueError):
+                build_hamiltonians(P, MODE, 0.0, cutoff=cutoff)
         T = recording_window(P, MODE)
         with pytest.raises(ModeDead):
             build_hamiltonians(P, MODE, T + 0.1, cutoff=8)
         # the cutoff is checked before the window
-        with pytest.raises(ValueError, match="cutoff"):
-            build_hamiltonians(P, MODE, -1.0, cutoff=3)
+        for cutoff in (0, 513):
+            with pytest.raises(ValueError, match="cutoff"):
+                build_hamiltonians(P, MODE, -1.0, cutoff=cutoff)
 
 
 @pytest.mark.parametrize("quantity", [
@@ -558,8 +560,9 @@ class TestBruteForce:
         assert abs(hi2 - standalone).max() == 0.0
         with pytest.raises(ValueError):
             pair_coupling(math.inf, 12)
-        with pytest.raises(ValueError):
-            pair_coupling(0.5, 3)
+        for cutoff in (0, 513):
+            with pytest.raises(ValueError):
+                pair_coupling(0.5, cutoff)
 
     def test_matches_closed_form_state(self):
         for gamma_t, cutoff in ((0.25, 48), (1.0, 80)):

@@ -7,6 +7,7 @@ common-frequency expression, which never sees the log formula.
 import ast
 import math
 import operator
+import random
 import sys
 from pathlib import Path
 
@@ -224,6 +225,29 @@ class TestLambda:
         got = lambda_lifetime(P, mode, t)
         assert abs(got - float(want)) <= 1e-12 * float(want)
         assert got == pytest.approx(500.0, rel=1e-6)
+
+    def test_accuracy_against_mpmath(self):
+        # seeded draws over the whole window range: omega0 = L (0.5 + 10^e)
+        # puts ln(2 omega0 / L) = g T anywhere in [2e-6, 707], and t sits
+        # uniformly in the window or log-close to either end. The reference
+        # is the sinh form at 50 digits on the same float t, T and g; the
+        # error is scaled to max(Lambda, 1), as Lambda grows from 0
+        rng = random.Random(20261019)
+        worst = 0.0
+        for i in range(450):
+            L = rng.choice((0.3, 1.0, 7.0))
+            n = rng.choice((0, 1, 2, 5, 9, 40, 10**6))
+            k = L * (0.5 + 10 ** rng.uniform(-6, 307))
+            params, mode = SystemParams(L=L), ModeIndex(k=k, n=n)
+            T, g = recording_window(params, mode), L / (2 * n + 1)
+            u = rng.uniform(1, 15)
+            t = T * (rng.random(), 10**-u, 1 - 10**-u)[i % 3]
+            got = lambda_lifetime(params, mode, t)
+            with mp.workdps(50):
+                tt, TT, gg = mp.mpf(t), mp.mpf(T), mp.mpf(g)
+                want = float((gg * tt - mp.log(mp.sinh(gg * (TT - tt)) / mp.sinh(gg * TT))) / 2)
+            worst = max(worst, abs(got - want) / max(want, 1.0))
+        assert worst <= 4e-16
 
 
 class TestProfile:

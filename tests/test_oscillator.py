@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+import tracemalloc
 
 import mpmath as mp
 import numpy as np
@@ -485,6 +486,23 @@ class TestIntegration:
             integrate_pair(PARAMS, mode, start, [0.0, t_limit * (1 + 1e-6)])
         with pytest.raises(AssertionError, match="reached the stepper"):
             integrate_pair(PARAMS, mode, start, [0.0, t_limit * (1 - 1e-6)])
+
+    def test_step_ends_kept_in_a_flat_buffer(self):
+        # the stepper keeps (t, q, p, dp) at every accepted step end for the
+        # dense output: 32 bytes a step as doubles in one buffer, about 128
+        # as Python floats in a list
+        mode = ModeIndex(k=1e5, n=0)
+        start = closed_form_state(PARAMS, mode, 0.0)
+        grid = np.linspace(0.0, 1e-3, 200)
+        tracemalloc.start()
+        try:
+            traj = integrate_pair(PARAMS, mode, start, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        accepted = traj.meta["v"]["accepted"]
+        assert traj.meta["u"] is None and accepted > 2000
+        assert peak / accepted < 64
 
     def test_rejects_bad_tolerance(self):
         grid = np.linspace(0.0, 1.0, 11)
