@@ -279,11 +279,11 @@ def _convert(opt: _Opt, raw: str):
 
 
 def _resolve(command: str, ns, read) -> dict:
-    """Option values: flags, then the config file whose bytes read(path)
+    """Option values: flags, then the config file whose text read(path)
     returns, then defaults."""
     file_values = {}
     if ns.config is not None:
-        text = read(Path(ns.config)).decode("utf-8")
+        text = read(Path(ns.config))
         file_values = _load_config(ns.config, text, command)
     resolved = {}
     for opt in _options(command):
@@ -349,10 +349,16 @@ class _Run:
         self.results: dict = {}
         self.resolved = _resolve(command, ns, self.read_input)
 
-    def read_input(self, path: Path) -> bytes:
+    def read_input(self, path: Path) -> str:
+        """The text of an input file, whose digest the manifest records;
+        bytes that are not UTF-8 are a ValueError naming the file."""
         data = Path(path).read_bytes()
         self.inputs[str(path)] = _digest(data)
-        return data
+        try:
+            return data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ValueError(
+                f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
 
     def emit(self, manifest: Path, *files, in_place: Path | None = None) -> None:
         """Write the (path, data) files, then the manifest, which names each
@@ -417,7 +423,7 @@ def _momenta(omega0s, ks, c) -> list:
 
 def _load(run: _Run, cls, path):
     """cls.loads of the JSON file at path, recorded as an input."""
-    return cls.loads(run.read_input(Path(path)).decode("utf-8"))
+    return cls.loads(run.read_input(Path(path)))
 
 
 # ---------------------------------------------------------------------------

@@ -43,11 +43,12 @@ from .lifetime import ModeIndex, SystemParams, common_frequency, omega_mode
 from .ode import integrate_oscillator, time_grid
 
 # The largest phase (integral of w dt) integrate_pair steps through: about
-# 29 steps a radian, each kept for the dense output as 32 bytes. evolve
-# --method ode at L 1, n 0, k 1e9 took 1.8 s and 43 MB peak RSS at 1e4, and
-# 16.7 s and 124 MB at 1e5 (2-core Xeon, Python 3.11). The test suite and
-# the benchmark inputs reach 830 (L 1, k 55, n 9, t to 30).
-_PHASE_MAX = 1e4
+# 3.2 DOP853 steps a radian, at about 15 us of Python each; the memory
+# follows the grid, not the steps. evolve --method ode --points 500 at L 1,
+# n 0, k 1e9 took 0.8-1.0 s and 34 MB peak RSS at 1e4 rad, and 7.8 s and
+# 34 MB at 1e5 (2-core Xeon, Python 3.11). The benchmark inputs reach 830
+# (L 1, k 55, n 9, t to 30) and the test suite 1.2e4 (k 1e9, t to 1.2e-5).
+_PHASE_MAX = 1e5
 
 __all__ = [
     "SystemParams",
@@ -192,7 +193,7 @@ def integrate_pair(
     A v that leaves the float range before the last grid time is a
     DomainError naming the time. So is, before the first step, a grid whose
     phase, the integral of w dt from the first grid time to the last, is
-    above 1e4: with z = epsilon x(t) that phase is exactly z(t_0) - z(t_end),
+    above 1e5: with z = epsilon x(t) that phase is exactly z(t_0) - z(t_end),
     the fall of the Bessel argument.
     """
     init = tuple(init)

@@ -6,8 +6,8 @@ high-precision arithmetic comes from mpmath, and matrix exponentials from
 scipy (`scipy.linalg.expm`, `scipy.sparse.linalg.expm_multiply`), not from
 here. Three are bit-identity references for a faster package kernel instead:
 `integrate_to_grid`, the generic numpy-vector form of the package's
-Dormand-Prince stepper (same tableau, same controller, arrays instead of
-floats, and its dense output one grid time at a time),
+DOP853 stepper (same tableau, same controller, arrays instead of floats,
+and its dense output one grid time at a time),
 `registry_json`, the json.dumps spelling of the registry's canonical text,
 and `kron_pair_coupling`, the Kronecker-product build of the pair coupling.
 `full_vector` embeds a paired state in the joint two-mode basis, which only
@@ -26,16 +26,19 @@ from memdomain.fock import ladder
 from memdomain.memory import SCHEMA_VERSION
 from memdomain.ode import (
     _A,
+    _A_DENSE,
     _ALPHA,
-    _B4,
-    _B5,
+    _B,
     _BETA,
     _C,
+    _C_DENSE,
+    _D,
+    _E3,
+    _E5,
     _MAX_FACTOR,
     _MIN_FACTOR,
     _REJECT_BACKOFF,
     _SAFETY,
-    _TOL_SHARE,
 )
 
 
@@ -177,20 +180,26 @@ def _initial_step(f, t0, y0, tol, span, floor):
     return max(min(h, 0.1 * span), min(floor, span)), f0
 
 
+def _weighted(weights, k):
+    """sum_j w_j k_j over the nonzero weights in index order."""
+    return sum(w * k[j] for j, w in enumerate(weights) if w)
+
+
 def integrate_to_grid(f, t_grid, y0, rel_tol):
     """Integrate y' = f(t, y) for a state y = (q, q') and return q at each
     grid time.
 
     The grid must be strictly increasing. Integration starts at t_grid[0]
-    with state y0 and runs in free steps to t_grid[-1]; only the last step
-    is clipped to end there. The controller's tolerance is
-    rel_tol * _TOL_SHARE, relative and absolute. Each grid time is then read,
-    one at a time in Python floats, from the quintic Hermite interpolant on
-    q of the accepted step that holds it, from (q, q' = y[1],
-    q'' = f(t, y)[1]) at both step ends. Raises StepSizeUnderflow if the
-    controller drives the step below 1e-14 * max(1, |t|); the first step is
-    at least min(that floor, span), and the step that lands on the last
-    grid time is exempt from it.
+    with state y0 and runs in DOP853 steps to t_grid[-1]; only the last step
+    is clipped to end there. The controller's tolerance is rel_tol, relative
+    and absolute. Each accepted step evaluates the end value and the dense
+    stages, and every grid time between the ends is read, one at a time in
+    Python floats, from the 7th-order interpolant on q of the accepted step
+    that holds it (t <= time < t + h); the first and last grid values are
+    the start and end states. Raises StepSizeUnderflow if the controller
+    drives the step below 1e-14 * max(1, |t|); the first step is at least
+    min(that floor, span), and the step that lands on the last grid time is
+    exempt from it.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.ndim != 1 or t_grid.size < 2:
@@ -199,14 +208,13 @@ def integrate_to_grid(f, t_grid, y0, rel_tol):
         raise ValueError("t_grid must be strictly increasing")
     if not 1e-13 <= rel_tol <= 1e-3:
         raise ValueError(f"rel_tol must lie in [1e-13, 1e-3], got {rel_tol!r}")
-    tol = rel_tol * _TOL_SHARE
     y = np.array(y0, dtype=float)
     t, t_end = float(t_grid[0]), float(t_grid[-1])
-    h, k1 = _initial_step(f, t, y, tol, t_end - t, 1e-14 * max(1.0, abs(t)))
+    h, k1 = _initial_step(f, t, y, rel_tol, t_end - t, 1e-14 * max(1.0, abs(t)))
     err_prev = 1.0
-    k = [None] * 7
-    k[0] = k1
-    nodes = [(t, float(y[0]), float(y[1]), float(k1[1]))]
+    k = [k1]
+    times = t_grid.tolist()
+    out = [float(y[0])]
 
     while t < t_end:
         lands = h >= t_end - t
@@ -215,43 +223,48 @@ def integrate_to_grid(f, t_grid, y0, rel_tol):
             raise StepSizeUnderflow(
                 f"step {clipped:.3e} below resolution floor at t = {t:.6g}"
             )
-        for i in range(1, 7):
-            yi = y + clipped * sum(a * k[j] for j, a in enumerate(_A[i]) if a)
-            k[i] = f(t + _C[i] * clipped, yi)
-        y5 = y + clipped * sum(b * k[i] for i, b in enumerate(_B5) if b)
-        y4 = y + clipped * sum(b * k[i] for i, b in enumerate(_B4) if b)
-        sc = tol + tol * np.maximum(np.abs(y), np.abs(y5))
-        err = math.sqrt(float(np.mean(((y5 - y4) / sc) ** 2)))
+        del k[1:]
+        for i in range(1, 12):
+            k.append(f(t + _C[i] * clipped, y + clipped * _weighted(_A[i], k)))
+        y_new = y + clipped * _weighted(_B, k)
+        sc = rel_tol + rel_tol * np.maximum(np.abs(y), np.abs(y_new))
+        e5 = _weighted(_E5, k) / sc
+        e3 = _weighted(_E3, k) / sc
+        n5, n3 = float(np.sum(e5 * e5)), float(np.sum(e3 * e3))
+        den = n5 + 0.01 * n3
+        err = clipped * n5 / math.sqrt(den * 2) if den else 0.0
         if err <= 1.0:
+            # the end value k_13, then the dense stages 14 and 15; of stage
+            # 16 the q-interpolant reads only q' = its state's p
+            k.append(f(t + clipped, y_new))
+            for c, row in zip(_C_DENSE, _A_DENSE):
+                k.append(f(t + c * clipped, y + clipped * _weighted(row, k)))
+            y16 = y + clipped * _weighted(_A_DENSE[2], k)
+            kq = [float(ki[0]) for ki in k] + [float(y16[1])]
+            q, p = float(y[0]), float(y[1])
+            f0 = float(y_new[0]) - q
+            f1 = clipped * p - f0
+            f2 = 2.0 * f0 - clipped * (float(y_new[1]) + p)
+            f3, f4, f5, f6 = (clipped * _weighted(row, kq) for row in _D)
             # t + (t_end - t) can fall one ulp short of t_end, which would
             # leave a step below the resolution floor
-            t = t_end if lands else t + clipped
-            y = y5
-            k[0] = k[6]  # first-same-as-last
-            nodes.append((t, float(y[0]), float(y[1]), float(k[0][1])))
+            t_next = t_end if lands else t + clipped
+            while len(out) < len(times) - 1 and times[len(out)] < t_next:
+                th = (times[len(out)] - t) / clipped
+                mu = 1.0 - th
+                out.append(q + th * (f0 + mu * (f1 + th * (
+                    f2 + mu * (f3 + th * (f4 + mu * (f5 + th * f6))))))
+                )
+            t = t_next
+            y = y_new
+            k = [k[12]]  # first-same-as-last
             factor = _SAFETY * (err + 1e-300) ** -_ALPHA * err_prev**_BETA
             h = clipped * min(_MAX_FACTOR, max(_MIN_FACTOR, factor))
             err_prev = max(err, 1e-4)
         else:
             h = clipped * _REJECT_BACKOFF
 
-    out = []
-    j = 0
-    for time in t_grid.tolist():
-        while j < len(nodes) - 2 and nodes[j + 1][0] <= time:
-            j += 1
-        (t0, q0, p0, a0), (t1, q1, p1, a1) = nodes[j], nodes[j + 1]
-        h = t1 - t0
-        th = (time - t0) / h
-        mu = 1.0 - th
-        th2, mu2 = th * th, mu * mu
-        th3, mu3 = th2 * th, mu2 * mu
-        out.append(
-            mu3 * (1.0 + 3.0 * th + 6.0 * th2) * q0
-            + th3 * (1.0 + 3.0 * mu + 6.0 * mu2) * q1
-            + h * (th * mu3 * (1.0 + 3.0 * th) * p0 - th3 * mu * (1.0 + 3.0 * mu) * p1)
-            + 0.5 * h * h * (th2 * mu3 * a0 + th3 * mu2 * a1)
-        )
+    out.append(float(y[0]))
     return np.array(out)
 
 
