@@ -129,8 +129,7 @@ _COMMANDS = {
         _Opt("out", help="optional CSV destination; default prints to stdout"),
     ),
     "evolve": _PARAMS + (
-        _Opt("omega0", conv=float, help="reference frequency c*k"),
-        _Opt("k", conv=float, help="mode momentum"),
+        _Opt("k", conv=float, required=True, help="mode momentum"),
         _Opt("n", conv=int, required=True),
         _Opt("t-max", conv=float, required=True, check=_POSITIVE),
         _Opt("method", check=_one_of("closed", "ode", "both"), default="closed"),
@@ -140,8 +139,7 @@ _COMMANDS = {
         _Opt("out", required=True),
     ),
     "lifetimes": _PARAMS + (
-        _Opt("omega0", conv=float, multi=True),
-        _Opt("k", conv=float, multi=True),
+        _Opt("k", conv=float, multi=True, required=True),
         _Opt("n", conv=int, multi=True, required=True),
         _Opt("t", conv=float, default=0.0, check=_NON_NEGATIVE),
         _Opt("out", help="optional CSV destination; default prints to stdout"),
@@ -155,7 +153,6 @@ _COMMANDS = {
         _Opt("points", conv=int, default=2000, check=_TWO_OR_MORE),
         _Opt("ceiling", conv=float, default=10.0,
              check=(lambda x: -math.inf < x <= math.inf, "finite or inf")),
-        _Opt("ordinate-scale", conv=float, default=1.0, check=_FINITE),
     ),
     "squeeze": (
         _Opt("gamma", conv=float, required=True, check=_FINITE),
@@ -401,26 +398,6 @@ class _Run:
 # shared parameter plumbing
 
 
-def _momenta(omega0s, ks, c) -> list:
-    """The --k list, or --omega0 / c; both given must agree item by item."""
-    if omega0s is None and ks is None:
-        raise ValueError("one of --omega0 or --k is required")
-    if ks is None:
-        return [w / c for w in omega0s]
-    if omega0s is not None:
-        if len(omega0s) != len(ks):
-            raise ValueError(
-                f"--omega0 lists {len(omega0s)} values but --k lists {len(ks)}"
-            )
-        for w, k in zip(omega0s, ks):
-            if not abs(w - c * k) <= 1e-12 * max(1.0, abs(w)):
-                raise ValueError(
-                    f"inconsistent frequencies: omega0={w:g} but "
-                    f"c*k={c * k:g}; they must agree to 1e-12"
-                )
-    return ks
-
-
 def _load(run: _Run, cls, path):
     """cls.loads of the JSON file at path, recorded as an input."""
     return cls.loads(run.read_input(Path(path)))
@@ -450,11 +427,7 @@ def _run_evolve(run: _Run, resolved: dict) -> int:
     from .oscillator import closed_form_state, closed_form_trajectory, integrate_pair
 
     params = SystemParams(L=resolved["L"], c=resolved["c"])
-    listed = [None if v is None else [v] for v in (resolved["omega0"], resolved["k"])]
-    (k,) = _momenta(*listed, params.c)
-    resolved["k"] = k
-    resolved["omega0"] = params.omega0(k)
-    mode = ModeIndex(k=k, n=resolved["n"])
+    mode = ModeIndex(k=resolved["k"], n=resolved["n"])
     window = recording_window(params, mode)
     t_max = resolved["t_max"]
     if t_max > window:
@@ -504,10 +477,9 @@ def _run_evolve(run: _Run, resolved: dict) -> int:
 
 def _run_lifetimes(run: _Run, resolved: dict) -> int:
     params = SystemParams(L=resolved["L"], c=resolved["c"])
-    ks = _momenta(resolved["omega0"], resolved["k"], params.c)
     t = resolved["t"]
     rows = []
-    for k in sorted(set(ks)):
+    for k in sorted(set(resolved["k"])):
         for n in sorted(set(resolved["n"])):
             mode = ModeIndex(k=k, n=n)
             rows.append((
@@ -541,7 +513,6 @@ def _run_figures(run: _Run, resolved: dict) -> int:
         "c": resolved["c"],
         "points": resolved["points"],
         "ceiling": resolved["ceiling"],
-        "ordinate_scale": resolved["ordinate_scale"],
     }
     files = []
     for name in names:

@@ -272,12 +272,9 @@ _FIGURE_MODES = {
 
 @dataclass(frozen=True)
 class FigureSpec:
-    """Full description of one lifetime figure.
-
-    ordinate_scale converts the decay exponent into a recall time; only the
-    proportionality is modelled, so the constant defaults to 1.0 and is kept
-    here so downstream consumers can see it was a choice.
-    """
+    """Full description of one lifetime figure: its (k, n) modes, the
+    system, and the t grid of lifetime_profile (points, ceiling). The
+    ordinate is the decay exponent Lambda itself."""
 
     figure: str
     L: float = 1.0
@@ -285,7 +282,6 @@ class FigureSpec:
     modes: tuple = ()
     ceiling: float = 10.0
     points: int = 2000
-    ordinate_scale: float = 1.0
 
     def curve_id(self, k: float, n: int) -> str:
         return f"k{k:g}_n{n}"
@@ -304,14 +300,13 @@ def default_figure_spec(name: str, **overrides) -> FigureSpec:
 
 
 def curve_table(spec: FigureSpec):
-    """Rows (curve_id, t, scaled Lambda) for every curve of the figure.
+    """Rows (curve_id, t, Lambda) for every curve of the figure.
 
     Curves are ordered by curve_id and rows by t; every mode must be
     recordable (lifetime_profile's NeverRecordable propagates, no partial
-    table), and each scaled Lambda must be finite.
+    table).
     """
     params = spec.params()
-    scale = finite("ordinate_scale", spec.ordinate_scale)
     rows = []
     curves = sorted(spec.modes, key=lambda kn: spec.curve_id(*kn))
     for k, n in curves:
@@ -319,8 +314,5 @@ def curve_table(spec: FigureSpec):
         profile = lifetime_profile(
             params, ModeIndex(k=k, n=n), points=spec.points, ceiling=spec.ceiling
         )
-        # Lambda rises from 0, so the last value scales to the largest
-        finite("ordinate_scale * Lambda", scale * profile.lambdas[-1])
-        for t, lam in zip(profile.times, profile.lambdas):
-            rows.append((cid, t, scale * lam))
+        rows.extend((cid, t, lam) for t, lam in zip(profile.times, profile.lambdas))
     return rows

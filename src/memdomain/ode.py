@@ -18,11 +18,11 @@ Steps are set by the error control alone, not by the output grid: the
 integration runs in free steps from the first grid time to the last, and
 only the final step is clipped to end there. Every grid time between is
 read from DOP853's own 7th-order dense output (Hairer, Norsett & Wanner,
-II.6): each accepted step evaluates the two extra stages its q-interpolant
-needs, and a step that holds a grid time keeps that interpolant's seven
-coefficients as one row of doubles. So the memory grows with the grid, not
-with the steps. One numpy pass evaluates the rows at the grid times; the
-first and last grid values are the step ends themselves.
+II.6): a step that holds a grid time evaluates the two extra stages its
+q-interpolant needs and keeps that interpolant's seven coefficients as one
+row of doubles. So the memory grows with the grid, not with the steps. One
+numpy pass evaluates the rows at the grid times; the first and last grid
+values are the step ends themselves.
 
 The state is two Python floats and the stages are written out: on a
 2-vector, numpy's per-call overhead is nearly all of the cost. Each stage
@@ -268,8 +268,11 @@ def integrate_oscillator(omega_sq, damping, q0, p0, t_grid, rel_tol):
     Returns (q, stats): q on the grid, stats = {"nfev", "accepted",
     "rejected", "h_min", "h_max"}, the RHS evaluations, step counts and the
     smallest and largest accepted step (the clipped last step included).
-    nfev is 1 + 14 accepted + 11 rejected: a trial step evaluates stages 2
-    to 12, and an accepted one also the end value and the two dense stages.
+    nfev is 1 + 12 accepted + 11 rejected + 2 per step that holds a grid
+    time between the ends: a trial step evaluates stages 2 to 12, an
+    accepted one also the end value, and one that holds a grid time also
+    the two dense stages. So of the stats only nfev follows the grid times
+    between the ends.
     Raises DomainError, naming t, when a trial step leaves the float range
     although omega_sq is finite at all its stages, and StepSizeUnderflow
     otherwise if a step is nan or below the floor 1e-14 * max(1, |t|). The
@@ -416,32 +419,32 @@ def integrate_oscillator(omega_sq, damping, q0, p0, t_grid, rel_tol):
         err = step * n5 / math.sqrt(den * 2) if den else 0.0
         if err <= 1.0:
             dpn = nd * pn - w2_end * qn
-            q14 = q + step * (
-                0.0 + _A14_1 * p + _A14_7 * p7 + _A14_8 * p8 + _A14_9 * p9 + _A14_10 * p10
-                + _A14_11 * p11 + _A14_12 * p12 + _A14_13 * pn
-            )
-            p14 = p + step * (
-                0.0 + _A14_1 * dp + _A14_7 * dp7 + _A14_8 * dp8 + _A14_9 * dp9
-                + _A14_10 * dp10 + _A14_11 * dp11 + _A14_12 * dp12 + _A14_13 * dpn
-            )
-            dp14 = nd * p14 - omega_sq(t + _C14 * step) * q14
-            q15 = q + step * (
-                0.0 + _A15_1 * p + _A15_6 * p6 + _A15_7 * p7 + _A15_8 * p8 + _A15_11 * p11
-                + _A15_12 * p12 + _A15_13 * pn + _A15_14 * p14
-            )
-            p15 = p + step * (
-                0.0 + _A15_1 * dp + _A15_6 * dp6 + _A15_7 * dp7 + _A15_8 * dp8
-                + _A15_11 * dp11 + _A15_12 * dp12 + _A15_13 * dpn + _A15_14 * dp14
-            )
-            dp15 = nd * p15 - omega_sq(t + _C15 * step) * q15
-            p16 = p + step * (
-                0.0 + _A16_1 * dp + _A16_6 * dp6 + _A16_7 * dp7 + _A16_8 * dp8
-                + _A16_9 * dp9 + _A16_13 * dpn + _A16_14 * dp14 + _A16_15 * dp15
-            )
             # t + (t_end - t) can fall one ulp short of t_end, which would
             # leave a step below the resolution floor
             t_next = t_end if lands else t_new
             if times[j] < t_next:
+                q14 = q + step * (
+                    0.0 + _A14_1 * p + _A14_7 * p7 + _A14_8 * p8 + _A14_9 * p9 + _A14_10 * p10
+                    + _A14_11 * p11 + _A14_12 * p12 + _A14_13 * pn
+                )
+                p14 = p + step * (
+                    0.0 + _A14_1 * dp + _A14_7 * dp7 + _A14_8 * dp8 + _A14_9 * dp9
+                    + _A14_10 * dp10 + _A14_11 * dp11 + _A14_12 * dp12 + _A14_13 * dpn
+                )
+                dp14 = nd * p14 - omega_sq(t + _C14 * step) * q14
+                q15 = q + step * (
+                    0.0 + _A15_1 * p + _A15_6 * p6 + _A15_7 * p7 + _A15_8 * p8 + _A15_11 * p11
+                    + _A15_12 * p12 + _A15_13 * pn + _A15_14 * p14
+                )
+                p15 = p + step * (
+                    0.0 + _A15_1 * dp + _A15_6 * dp6 + _A15_7 * dp7 + _A15_8 * dp8
+                    + _A15_11 * dp11 + _A15_12 * dp12 + _A15_13 * dpn + _A15_14 * dp14
+                )
+                dp15 = nd * p15 - omega_sq(t + _C15 * step) * q15
+                p16 = p + step * (
+                    0.0 + _A16_1 * dp + _A16_6 * dp6 + _A16_7 * dp7 + _A16_8 * dp8
+                    + _A16_9 * dp9 + _A16_13 * dpn + _A16_14 * dp14 + _A16_15 * dp15
+                )
                 dq = qn - q
                 f3 = step * (
                     0.0 + _D3_1 * p + _D3_6 * p6 + _D3_7 * p7 + _D3_8 * p8 + _D3_9 * p9
@@ -480,7 +483,7 @@ def integrate_oscillator(omega_sq, damping, q0, p0, t_grid, rel_tol):
             rejected += 1
 
     stats = {
-        "nfev": 1 + 14 * accepted + 11 * rejected,
+        "nfev": 1 + 12 * accepted + 11 * rejected + 2 * (len(rows) // 11),
         "accepted": accepted,
         "rejected": rejected,
         "h_min": h_min,

@@ -24,8 +24,9 @@ while the frequency stays above L/2 (the reality window).
 
 The adaptive oracle `integrate_pair` uses the same structure: it integrates
 the amplified line v and derives u = exp(-Lt) v and r = sqrt(2) v exp(-Lt/2)
-from it. It integrates the damped line as well only for a start whose u half
-is not the image of its v half, which no closed-form start is.
+from it. For a start whose u half is not the image of its v half, which no
+closed-form start is, it also integrates U = exp(Lt) u, which solves v's
+equation, and takes u = exp(-Lt) U.
 
 The mirrored branch n -> -(n+1) (growing frequency) is excluded by design.
 SystemParams, ModeIndex, omega_mode and common_frequency belong to the
@@ -180,21 +181,24 @@ def integrate_pair(
     """Adaptive-RK oracle for the pair: init = (u, du, v, dv) at t_grid[0].
 
     The amplified line v is integrated. u and v share one undamped solution
-    w (u = exp(-Lt/2) w, v = exp(+Lt/2) w), so u = exp(-Lt) v and
-    r = sqrt(2) v exp(-Lt/2) follow from it. The damped line u is integrated
-    too only when its start is not the image of v's start,
+    when u's start is the image of v's start,
     (exp(-L t0) v0, exp(-L t0) (dv0 - L v0)), to within the stepper's own
-    error scale rel_tol (1 + |image|); closed_form_state starts always are.
-    r comes from v in either case. Each line steps freely from the first
-    grid time to the last, and its values in between come from the dense
-    output (memdomain.ode.integrate_oscillator), so the steps do not depend
-    on the grid times between. meta holds rel_tol and, under "v" and "u",
-    each integrated line's step statistics; "u" is None when u was derived.
-    A v that leaves the float range before the last grid time is a
-    DomainError naming the time. So is, before the first step, a grid whose
-    phase, the integral of w dt from the first grid time to the last, is
-    above 1e5: with z = epsilon x(t) that phase is exactly z(t_0) - z(t_end),
-    the fall of the Bessel argument.
+    error scale rel_tol (1 + |image|), as closed_form_state starts always
+    are; then u = exp(-Lt) v. Otherwise the amplified line U = exp(Lt) u,
+    which solves v's equation, is integrated from
+    (exp(L t0) u0, exp(L t0) (du0 + L u0)) with v's damping, and
+    u = exp(-Lt) U: so u is integrated at v's scale, not under an absolute
+    tolerance far larger than a decayed u. r = sqrt(2) v exp(-Lt/2) comes
+    from v in either case. Each line steps freely from the first grid time
+    to the last, and its values in between come from the dense output
+    (memdomain.ode.integrate_oscillator), so the steps do not depend on the
+    grid times between. meta holds rel_tol and the step statistics of v
+    under "v" and of U under "u"; "u" is None when u was derived from v.
+    A v or U that leaves the float range before the last grid time is a
+    DomainError naming the time, and so is a U whose exp(L t0) does. So is,
+    before the first step, a grid whose phase, the integral of w dt from the
+    first grid time to the last, is above 1e5: with z = epsilon x(t) that
+    phase is exactly z(t_0) - z(t_end), the fall of the Bessel argument.
     """
     init = tuple(init)
     if len(init) != 4:
@@ -223,13 +227,20 @@ def integrate_pair(
         return w * w
 
     v, v_stats = integrate_oscillator(w2, neg_l, v0, dv0, t_grid, rel_tol)
-    shift = exp(neg_l * float(t_grid[0]))
+    t0 = float(t_grid[0])
+    shift = exp(neg_l * t0)
     image = (shift * v0, shift * (dv0 - params.L * v0))
     if all(abs(q - q_img) <= rel_tol * (1.0 + abs(q_img))
            for q, q_img in zip((u0, du0), image)):
-        u, u_stats = v * np.exp(neg_l * t_grid), None
+        lifted, u_stats = v, None
     else:
-        u, u_stats = integrate_oscillator(w2, params.L, u0, du0, t_grid, rel_tol)
+        try:
+            lift = exp(params.L * t0)
+        except OverflowError:
+            raise DomainError(f"exp(L t0) leaves the float range at t0 = {t0:g}") from None
+        lifted, u_stats = integrate_oscillator(
+            w2, neg_l, lift * u0, lift * (du0 + params.L * u0), t_grid, rel_tol)
+    u = lifted * np.exp(neg_l * t_grid)
     r = math.sqrt(2.0) * v * np.exp(neg_l * t_grid / 2)
     return Trajectory(t_grid, u, v, r, meta={"rel_tol": rel_tol, "v": v_stats, "u": u_stats})
 

@@ -111,7 +111,7 @@ class TestBessel:
 class TestEvolve:
     def _run(self, tmp_path, *extra):
         out = tmp_path / "traj.csv"
-        code = main(["evolve", "--L", "1", "--omega0", "2", "--n", "1",
+        code = main(["evolve", "--L", "1", "--k", "2", "--n", "1",
                      "--t-max", "3", "--points", "60", "--out", str(out),
                      "--no-timestamp", *extra])
         return code, out
@@ -164,7 +164,13 @@ class TestEvolve:
         assert sorted(results["ode"]) == ["rel_tol", "u", "v"]
         assert results["ode"]["u"] is None
         stats = results["ode"]["v"]
-        assert stats["nfev"] == 1 + 14 * stats["accepted"] + 11 * stats["rejected"]
+        # 1 + 12 per accepted and 11 per rejected step, as on the grid's ends
+        # alone, and 2 more per step that holds one of the 58 times between
+        ends = integrate_pair(P, mode, closed_form_state(P, mode, 0.0), [0.0, 3.0]).meta["v"]
+        assert ends["nfev"] == 1 + 12 * ends["accepted"] + 11 * ends["rejected"]
+        assert (ends["accepted"], ends["rejected"]) == (stats["accepted"], stats["rejected"])
+        held, odd = divmod(stats["nfev"] - ends["nfev"], 2)
+        assert odd == 0 and 0 < held <= min(stats["accepted"], 58)
         assert 0 < stats["h_min"] <= stats["h_max"] <= 3.0
 
     def test_both_large_mode_radius_deviation(self, tmp_path):
@@ -210,11 +216,14 @@ class TestEvolve:
         assert list(tmp_path.iterdir()) == []
 
     def test_momentum_frequency_consistency(self, tmp_path, capsys):
+        # a mode is named by --k alone and its frequency is c*k, so no
+        # second spelling can contradict it: --omega0 is not an option
         out = tmp_path / "x.csv"
         assert main(["evolve", "--L", "1", "--omega0", "2", "--k", "3",
                      "--n", "1", "--t-max", "1", "--out", str(out)]) == 2
-        assert "inconsistent" in capsys.readouterr().err
-        assert main(["evolve", "--L", "1", "--omega0", "2", "--k", "2",
+        assert "unrecognized arguments: --omega0 2" in capsys.readouterr().err
+        assert not out.exists()
+        assert main(["evolve", "--L", "1", "--k", "2",
                      "--n", "1", "--t-max", "1", "--out", str(out)]) == 0
 
     def test_momentum_required(self, tmp_path):
@@ -224,10 +233,10 @@ class TestEvolve:
     def test_window_guard(self, tmp_path, capsys):
         out = tmp_path / "x.csv"
         window = recording_window(P, ModeIndex(k=2.0, n=1))
-        assert main(["evolve", "--L", "1", "--omega0", "2", "--n", "1",
+        assert main(["evolve", "--L", "1", "--k", "2", "--n", "1",
                      "--t-max", "5", "--out", str(out)]) == 2
         assert f"{window:.12g}"[:8] in capsys.readouterr().err
-        assert main(["evolve", "--L", "1", "--omega0", "0.4", "--n", "1",
+        assert main(["evolve", "--L", "1", "--k", "0.4", "--n", "1",
                      "--t-max", "1", "--out", str(out)]) == 2
 
     @pytest.mark.parametrize(
@@ -236,7 +245,7 @@ class TestEvolve:
          ("--rel-tol", "1"), ("--rel-tol", "nan")],
     )
     def test_range_validation(self, tmp_path, extra):
-        args = ["evolve", "--L", "1", "--omega0", "2", "--n", "1",
+        args = ["evolve", "--L", "1", "--k", "2", "--n", "1",
                 "--t-max", "1", "--out", str(tmp_path / "x.csv")]
         i = args.index(extra[0]) if extra[0] in args else None
         if i is not None:
@@ -279,7 +288,7 @@ class TestGoldenBytes:
     EVOLVE_BOTH_SHA256 = {
         "traj.csv": EVOLVE_SHA256,
         "traj.csv.manifest.json":
-            "45d515cfb76c27ec46cf67e414e35dcb4ab91f7e11db5390e0db3cff330a4066",
+            "ae093bf5e7cab728d862a5c033defc9adedbf2f304a5db02c642249aa015f996",
         "traj.ode.csv": "b5c49691ad8faf1343eaabb5559e0ca9cbb44f4a034701335e111f76acea246e",
     }
     SQUEEZE_SHA256 = {
@@ -344,8 +353,7 @@ class TestLifetimes:
         assert (tmp_path / "life.csv.manifest.json").exists()
 
     def test_never_recordable_explained(self, capsys):
-        assert main(["lifetimes", "--L", "1", "--omega0", "0.4", "--n", "1",
-                     "--k", "0.4"]) == 2
+        assert main(["lifetimes", "--L", "1", "--n", "1", "--k", "0.4"]) == 2
         assert "never" in capsys.readouterr().err
 
     def test_underflowed_lambda(self, capsys):
@@ -365,10 +373,6 @@ class TestLifetimes:
         assert main(["lifetimes", "--L", L, "--k", k, "--n", "1", "--t", "1"]) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.startswith("error: ")
-
-    def test_list_length_mismatch(self):
-        assert main(["lifetimes", "--L", "1", "--k", "2", "6",
-                     "--omega0", "2", "--n", "1"]) == 2
 
     def test_duplicate_momenta_deduped(self, capsys):
         assert main(["lifetimes", "--L", "1", "--k", "2", "2", "--n", "1"]) == 0
@@ -424,14 +428,19 @@ class TestFigures:
                      str(tmp_path / "f"), "--L", "20"]) == 2
 
     @pytest.mark.parametrize("extra", [
-        ("--ordinate-scale", "nan"), ("--ordinate-scale", "inf"),
-        ("--ordinate-scale", "-inf"), ("--ceiling", "nan"), ("--ceiling", "-inf"),
+        # --ordinate-scale is gone, so any value of it is an unknown argument
+        ("--ordinate-scale", "nan", "unrecognized arguments: --ordinate-scale=nan"),
+        ("--ordinate-scale", "inf", "unrecognized arguments: --ordinate-scale=inf"),
+        ("--ordinate-scale", "-inf", "unrecognized arguments: --ordinate-scale=-inf"),
+        ("--ceiling", "nan", "--ceiling must be finite or inf, got nan"),
+        ("--ceiling", "-inf", "--ceiling must be finite or inf, got -inf"),
     ])
     def test_non_numeric_scale_or_ceiling_refused(self, tmp_path, capsys, extra):
+        flag, value, message = extra
         out = tmp_path / "figs"
         assert main(["figures", "--which", "fig1", "--out", str(out),
-                     "--points", "20", "=".join(extra)]) == 2
-        assert f"{extra[0]} must be" in capsys.readouterr().err
+                     "--points", "20", f"{flag}={value}"]) == 2
+        assert message in capsys.readouterr().err
         assert not list(tmp_path.rglob("*.csv"))
 
     def test_infinite_ceiling_means_none(self, tmp_path):
@@ -724,7 +733,7 @@ class TestConfig:
         cfg = tmp_path / "cfg.ini"
         cfg.write_text(
             "[memdomain]\nL = 1\nno-timestamp = true\n"
-            "[evolve]\nomega0 = 2\nn = 1\nt-max = 2.0\npoints = 20\n"
+            "[evolve]\nk = 2\nn = 1\nt-max = 2.0\npoints = 20\n"
         )
         out = tmp_path / "a.csv"
         assert main(["evolve", "--config", str(cfg), "--out", str(out)]) == 0
@@ -775,7 +784,7 @@ class TestConfig:
     def test_unknown_key_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.ini"
         cfg.write_text("[evolve]\ntmax = 2\n")
-        assert main(["evolve", "--config", str(cfg), "--L", "1", "--omega0",
+        assert main(["evolve", "--config", str(cfg), "--L", "1", "--k",
                      "2", "--n", "1", "--t-max", "1",
                      "--out", str(tmp_path / "x.csv")]) == 2
         assert "tmax" in capsys.readouterr().err
@@ -791,10 +800,32 @@ class TestConfig:
         assert "unrecognized arguments: --seed 7" in err
         assert "unknown key 'seed' in config section [memdomain]" in err
 
+    @pytest.mark.parametrize("command,key,args", [
+        ("evolve", "omega0", ["--L", "1", "--k", "2", "--n", "1", "--t-max", "1",
+                              "--out", "x.csv"]),
+        ("lifetimes", "omega0", ["--L", "1", "--k", "2", "--n", "1"]),
+        ("figures", "ordinate-scale", ["--which", "fig1", "--points", "20",
+                                       "--out", "figs"]),
+    ])
+    def test_removed_options_are_unknown(self, tmp_path, monkeypatch, capsys,
+                                         command, key, args):
+        # --omega0 spelled k a second way and --ordinate-scale multiplied
+        # Lambda under a header that names Lambda; both are gone, as flags
+        # and as config keys
+        monkeypatch.chdir(tmp_path)
+        assert main([command, *args, f"--{key}", "2"]) == 2
+        cfg = tmp_path / "cfg.ini"
+        cfg.write_text(f"[{command}]\n{key} = 2\n")
+        assert main([command, *args, "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert f"unrecognized arguments: --{key} 2" in err
+        assert f"unknown key '{key}' in config section [{command}]" in err
+        assert list(tmp_path.iterdir()) == [cfg]
+
     def test_unknown_section_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.ini"
         cfg.write_text("[evolv]\npoints = 3\n")
-        assert main(["evolve", "--config", str(cfg), "--L", "1", "--omega0",
+        assert main(["evolve", "--config", str(cfg), "--L", "1", "--k",
                      "2", "--n", "1", "--t-max", "1",
                      "--out", str(tmp_path / "x.csv")]) == 2
         assert "evolv" in capsys.readouterr().err
@@ -802,7 +833,7 @@ class TestConfig:
     def test_global_key_must_be_global(self, tmp_path):
         cfg = tmp_path / "cfg.ini"
         cfg.write_text("[memdomain]\npoints = 20\n")
-        assert main(["evolve", "--config", str(cfg), "--L", "1", "--omega0",
+        assert main(["evolve", "--config", str(cfg), "--L", "1", "--k",
                      "2", "--n", "1", "--t-max", "1",
                      "--out", str(tmp_path / "x.csv")]) == 2
 
@@ -819,7 +850,7 @@ class TestConfig:
         ("evolve", "t-max", "nan"),
         ("evolve", "points", "1"),
         ("evolve", "method", "euler"),
-        ("figures", "ordinate-scale", "inf"),
+        ("figures", "ceiling", "nan"),
         ("figures", "which", "fig1 fig9"),
         ("squeeze", "t", "-1"),
     ])

@@ -79,10 +79,8 @@ def _recall(p, m, energy, t):
     return memory.recall(reg, memory.StimulusSpectrum(((m.k, m.n, 1.0),)), energy, t, p)
 
 
-def _figure(p, m, points, ceiling, scale):
-    spec = lifetime.default_figure_spec(
-        "fig1", L=p.L, c=p.c, points=points, ceiling=ceiling, ordinate_scale=scale
-    )
+def _figure(p, m, points, ceiling):
+    spec = lifetime.default_figure_spec("fig1", L=p.L, c=p.c, points=points, ceiling=ceiling)
     return lifetime.curve_table(spec)
 
 
@@ -101,7 +99,7 @@ MODEL_CALLS = {
     "lifetime_profile": (lifetime.lifetime_profile, 2, ()),
     "domain_snapshot": (
         lambda p, m, n, t, k: lifetime.domain_snapshot(p, n, t, [k]), 3, (math.inf,)),
-    "curve_table": (_figure, 3, ()),
+    "curve_table": (_figure, 2, ()),
     "coupling_frequencies": (fock.coupling_frequencies, 1, ()),
     "mixing_angle": (fock.mixing_angle, 1, ()),
     "build_hamiltonians": (fock.build_hamiltonians, 2, ()),

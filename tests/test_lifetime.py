@@ -5,6 +5,7 @@ common-frequency expression, which never sees the log formula.
 """
 
 import ast
+import dataclasses
 import math
 import operator
 import random
@@ -343,11 +344,20 @@ class TestFigures:
             assert all(v <= 1.0 for v in lams[:-1])
 
     def test_ordinate_scale(self):
-        base = curve_table(default_figure_spec("fig2", points=20))
-        doubled = curve_table(default_figure_spec("fig2", points=20, ordinate_scale=2.0))
-        for (ca, ta, la), (cb, tb, lb) in zip(base, doubled):
-            assert (ca, ta) == (cb, tb)
-            assert lb == pytest.approx(2 * la, rel=1e-15, abs=1e-300)
+        # the third column, headed lambda, equals lifetime_profile's Lambda;
+        # a spec carries no scale to apply to it
+        spec = default_figure_spec("fig2", points=20)
+        rows = curve_table(spec)
+        expected = []
+        for k, n in sorted(spec.modes, key=lambda kn: spec.curve_id(*kn)):
+            prof = lifetime_profile(P, ModeIndex(k=k, n=n), points=20, ceiling=spec.ceiling)
+            expected += [(spec.curve_id(k, n), t, lam)
+                         for t, lam in zip(prof.times, prof.lambdas)]
+        assert rows == expected
+        assert [f.name for f in dataclasses.fields(spec)] == [
+            "figure", "L", "c", "modes", "ceiling", "points"]
+        with pytest.raises(TypeError):
+            default_figure_spec("fig2", ordinate_scale=2.0)
 
     def test_unrecordable_spec_rejected(self):
         with pytest.raises(NeverRecordable):
