@@ -43,7 +43,6 @@ decay_codes, which refuses a --t behind the registry clock; the file is kept.
 from __future__ import annotations
 
 import argparse
-import configparser
 import contextlib
 import dataclasses
 import errno
@@ -53,7 +52,6 @@ import math
 import os
 import re
 import sys
-from datetime import datetime, timezone
 from pathlib import Path
 
 from . import __version__
@@ -195,6 +193,13 @@ def _options(command: str) -> tuple:
 
 
 def _parse_args(argv):
+    """(command, namespace) of argv. Every command is named to the parser,
+    so -h lists them all and a wrong name is refused alike, but only the
+    command argv names (its first item that is not an option) gets its
+    arguments: the one parse that runs needs no others."""
+    if argv is None:
+        argv = sys.argv[1:]
+    chosen = next((arg for arg in argv if not arg.startswith("-")), None)
     parser = argparse.ArgumentParser(
         prog="memdomain",
         description="dissipative-mode memory domain toolkit",
@@ -202,6 +207,8 @@ def _parse_args(argv):
     subs = parser.add_subparsers(dest="command", required=True)
     for command, opts in _COMMANDS.items():
         sub = subs.add_parser(command)
+        if command != chosen:
+            continue
         for opt in opts + _SHARED:
             flag = "--" + opt.name
             if opt.flag:
@@ -219,6 +226,8 @@ def _parse_args(argv):
 
 def _load_config(path: str, text: str, command: str) -> dict:
     """Validated {option-name: raw string} for the active command."""
+    import configparser  # only a run given --config reads one
+
     cfg = configparser.ConfigParser(interpolation=None)
     cfg.optionxform = str
     try:
@@ -388,6 +397,8 @@ class _Run:
         if self.results:
             doc["results"] = self.results
         if not self.resolved["no_timestamp"]:
+            from datetime import datetime, timezone
+
             doc["timestamp"] = datetime.now(timezone.utc).strftime(
                 "%Y-%m-%dT%H:%M:%SZ"
             )

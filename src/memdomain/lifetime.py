@@ -44,6 +44,7 @@ __all__ = [
     "domain_size",
     "lambda_lifetime",
     "mode_alive",
+    "alive_at",
     "LifetimeProfile",
     "lifetime_profile",
     "DomainSnapshot",
@@ -59,8 +60,9 @@ __all__ = [
 # window boundary rather than a genuine reality violation.
 _BOUNDARY_SLACK = 1e-12
 
+_MAX = sys.float_info.max
 # the largest mode index n for which 2n + 1 is still a float
-_N_MAX = sys.float_info.max / 2
+_N_MAX = _MAX / 2
 
 
 @dataclass(frozen=True)
@@ -133,19 +135,33 @@ def common_frequency(params: SystemParams, mode: ModeIndex, t: float) -> float:
     return math.sqrt(val)
 
 
+def _window(params: SystemParams, k: float, n: int) -> tuple:
+    """(ratio, T): ratio = 2 omega0 / L = 2 (c k) / L and the window end
+    T = ((2n+1)/L) ln(ratio), the one place these float operations are
+    written. No gate: T is nan unless 1 <= ratio <= max, and may pass the
+    float range; the callers word or route what is left."""
+    ratio = 2 * (params.c * k) / params.L
+    if 1.0 <= ratio <= _MAX:
+        return ratio, (2 * n + 1) / params.L * math.log(ratio)
+    return ratio, math.nan
+
+
 def recording_window(params: SystemParams, mode: ModeIndex) -> float:
-    """Window length T for the mode; 0.0 for the degenerate boundary case
-    2 omega0 = L. Raises NeverRecordable when 2 omega0 < L (the mode sits
-    below threshold from the start), DomainError when 2 omega0 / L or T
-    passes the float range."""
+    """Window length T = ((2n+1)/L) ln(2 omega0 / L) for the mode; 0.0 for
+    the degenerate boundary case 2 omega0 = L. Raises NeverRecordable when
+    2 omega0 < L (the mode sits below threshold from the start),
+    DomainError when 2 omega0 / L or T passes the float range. The float
+    operations are _window's, which alive_at tests t < T on, so the
+    registry's decay sweep and this window agree to the last bit."""
     w0 = params.omega0(mode.k)
-    ratio = finite("2 omega0 / L", 2 * w0 / params.L)
+    ratio, T = _window(params, mode.k, mode.n)
+    finite("2 omega0 / L", ratio)
     if ratio < 1.0:
         raise NeverRecordable(
             f"2 omega0 = {2 * w0:.6g} is below L = {params.L:.6g}; "
             "mode is never above threshold"
         )
-    return finite("window T", (2 * mode.n + 1) / params.L * math.log(ratio))
+    return finite("window T", T)
 
 
 def open_window(params: SystemParams, mode: ModeIndex, t: float) -> float:
@@ -198,6 +214,22 @@ def mode_alive(params: SystemParams, mode: ModeIndex, t: float) -> bool:
     except NeverRecordable:
         return False
     return t < T
+
+
+def alive_at(params: SystemParams, k: float, n: int, t: float) -> bool:
+    """mode_alive(params, ModeIndex(k, n), t) without building the mode, for
+    a float momentum k and a float t >= 0 that the caller has gated.
+
+    Where plain floats decide it (n an int in ModeIndex's range, 2 c k / L
+    in [1, max], T finite) this is the one test t < T(k, n). Anything else,
+    a ratio below 1, a value past the float range, an n beyond 2n + 1 being
+    a float, goes through mode_alive: the same decision, or the same error.
+    """
+    if type(n) is int and 0 <= n <= _N_MAX:
+        T = _window(params, k, n)[1]
+        if T <= _MAX:
+            return t < T
+    return mode_alive(params, ModeIndex(k=k, n=n), t)
 
 
 @dataclass(frozen=True)

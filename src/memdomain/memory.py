@@ -37,14 +37,24 @@ import enum
 import json
 import math
 import os
+import sys
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii as _json_str
 
 from .errors import POSITIVE, finite, integer
-from .lifetime import ModeIndex, SystemParams, mode_alive, momentum_threshold, recording_window
+from .lifetime import (
+    ModeIndex,
+    SystemParams,
+    alive_at,
+    momentum_threshold,
+    recording_window,
+)
 
 SCHEMA_VERSION = 1
 MATCH_THRESHOLD = 0.5
+
+_MAX = sys.float_info.max
+_ENTRY_KEYS = frozenset(("weight", "n", "t_rec"))
 
 
 def _clock(registry: "MemoryRegistry", t) -> float:
@@ -92,6 +102,25 @@ def _parse_json(text: str):
         return json.loads(text)
     except RecursionError:
         raise ValueError("JSON nested too deeply") from None
+
+
+def _entry(cid, kstr, ent, entries) -> tuple:
+    """(k, CodeEntry) of entry kstr of code cid, through the field gates,
+    else the ValueError naming what is wrong; entries holds the code's
+    momenta so far."""
+    if not isinstance(ent, dict) or set(ent) != _ENTRY_KEYS:
+        raise ValueError(f"{cid} entry {kstr} must have keys weight, n, t_rec")
+    try:
+        k = float(kstr)
+    except ValueError:
+        raise ValueError(f"{cid} entry key must be a momentum, got {kstr!r}") from None
+    names = (f"{cid} entry key", f"{cid} n", f"{cid} weight")
+    k, weight = _spectral_line(k, ent["n"], ent["weight"], names)
+    if k in entries:
+        # a second key for one momentum would be lost on the next save
+        raise ValueError(f"{cid} entry key {kstr!r} names momentum {k!r} twice")
+    t_rec = finite(f"{cid} t_rec", ent["t_rec"], 0.0)
+    return k, CodeEntry(weight=weight, n=ent["n"], t_rec=t_rec)
 
 
 # MemoryRegistry.dumps templates: the json.dumps(..., sort_keys=True,
@@ -261,6 +290,15 @@ class MemoryRegistry:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "MemoryRegistry":
+        """The registry a document of dumps's schema describes, else
+        ValueError naming the first field that is wrong.
+
+        An entry that is exactly as dumps writes it (a dict of the keys
+        weight, n, t_rec; a momentum key parsing to a float in (0, max]
+        not yet seen in its code; weight and t_rec floats in [0, max]; n an
+        int >= 0) is accepted in one test.  Every other entry goes through
+        _entry, which converts it or words the error.
+        """
         if not isinstance(doc, dict):
             raise ValueError("registry document must be a JSON object")
         if type(doc.get("schema")) is not int or doc["schema"] != SCHEMA_VERSION:
@@ -285,26 +323,24 @@ class MemoryRegistry:
             if not isinstance(body["entries"], dict):
                 raise ValueError(f"code {cid} entries must be an object")
             entries: dict = {}
-            names = (f"{cid} entry key", f"{cid} n", f"{cid} weight")
             for kstr, ent in body["entries"].items():
-                if not isinstance(ent, dict) or set(ent) != {"weight", "n", "t_rec"}:
-                    raise ValueError(
-                        f"{cid} entry {kstr} must have keys weight, n, t_rec"
-                    )
-                try:
-                    k = float(kstr)
-                except ValueError:
-                    raise ValueError(
-                        f"{cid} entry key must be a momentum, got {kstr!r}"
-                    ) from None
-                k, weight = _spectral_line(k, ent["n"], ent["weight"], names)
-                if k in entries:
-                    # a second key for one momentum would be lost on the next save
-                    raise ValueError(
-                        f"{cid} entry key {kstr!r} names momentum {k!r} twice"
-                    )
-                t_rec = finite(f"{cid} t_rec", ent["t_rec"], 0.0)
-                entries[k] = CodeEntry(weight=weight, n=ent["n"], t_rec=t_rec)
+                # a canonical entry, as dumps writes it, passes in one test
+                if type(ent) is dict and ent.keys() == _ENTRY_KEYS:
+                    weight, n, t_rec = ent["weight"], ent["n"], ent["t_rec"]
+                    try:
+                        k = float(kstr)
+                    except (TypeError, ValueError):
+                        k = math.nan
+                    if (
+                        type(weight) is float and 0.0 <= weight <= _MAX
+                        and type(n) is int and n >= 0
+                        and type(t_rec) is float and 0.0 <= t_rec <= _MAX
+                        and POSITIVE <= k <= _MAX and k not in entries
+                    ):
+                        entries[k] = CodeEntry(weight, n, t_rec)
+                        continue
+                k, entry = _entry(cid, kstr, ent, entries)
+                entries[k] = entry
             if status is CodeStatus.FORGOTTEN and entries:
                 raise ValueError(f"{cid} is Forgotten but still has entries")
             codes[cid] = MemoryCode(id=cid, entries=entries, status=status)
@@ -397,8 +433,9 @@ def record(
 ):
     """Record a stimulus at time t, returning (code, rejections).
 
-    A component is accepted iff its mode is alive at t (mode_alive, the
-    test decay_codes applies); the recorded weight is the intensity.
+    A component is accepted iff its mode is alive at t (t < T(k, n) by
+    lifetime.alive_at, the test decay_codes applies); the recorded weight is
+    the intensity.
     Refusals come back in the rejections list: BelowThreshold for momenta at
     or below the permanent floor k0 = L/(2c) (those can never record), and
     WindowClosed for momenta whose recording window has already passed.
@@ -414,8 +451,7 @@ def record(
     accepted: dict = {}
     rejections = []
     for comp in stimulus.components:
-        mode = ModeIndex(k=comp.k, n=comp.n)
-        if mode_alive(params, mode, t):
+        if alive_at(params, comp.k, comp.n, t):
             # duplicate momenta within one stimulus: last one wins
             accepted[comp.k] = CodeEntry(weight=comp.intensity, n=comp.n, t_rec=t)
             continue
@@ -429,7 +465,8 @@ def record(
             reason = RejectionReason.WINDOW_CLOSED
             detail = (
                 f"recording window for (k={comp.k:g}, n={comp.n}) closed at "
-                f"T={recording_window(params, mode):g} <= t={t:g}"
+                f"T={recording_window(params, ModeIndex(k=comp.k, n=comp.n)):g}"
+                f" <= t={t:g}"
             )
         rejections.append(Rejection(component=comp, reason=reason, detail=detail))
     if not accepted:
@@ -454,17 +491,16 @@ def decay_codes(
 ) -> MemoryRegistry:
     """Sweep out entries whose mode is dead at t; idempotent at fixed t.
 
-    Codes that lose some entries become Degraded, codes that lose all
-    become Forgotten, and the registry remembers t so later operations can
-    insist on a decayed-to-t view.  t must not be behind that clock.
+    Each entry is tested by t < T(k, n), its closed-form death time
+    (lifetime.alive_at: mode_alive's decision, or error, without building a
+    ModeIndex).  Codes that lose some entries become Degraded, codes that
+    lose all become Forgotten, and the registry remembers t so later
+    operations can insist on a decayed-to-t view.  t must not be behind
+    that clock.
     """
     t = _clock(registry, t)
     for code in registry.codes.values():
-        dead = [
-            k
-            for k, e in code.entries.items()
-            if not mode_alive(params, ModeIndex(k=k, n=e.n), t)
-        ]
+        dead = [k for k, e in code.entries.items() if not alive_at(params, k, e.n, t)]
         if not dead:
             continue
         for k in dead:
@@ -492,6 +528,9 @@ def recall(
     threshold E_thr = c * k_tilde(n_min, t), with n_min the smallest order
     among the matched code's entries: short energy means
     DifficultyRecalling, enough means Recalled.
+
+    Codes that share no momentum with the signal are skipped unscored:
+    their cosine is 0, which never wins.
     """
     t = finite("t", t, 0.0)
     energy = finite("energy", energy)
@@ -504,7 +543,10 @@ def recall(
     best_id = None
     best_score = 0.0
     for cid in sorted(registry.codes):
-        score = _cosine(probe, registry.codes[cid].weight_vector())
+        code = registry.codes[cid]
+        if probe.keys().isdisjoint(code.entries):
+            continue
+        score = _cosine(probe, code.weight_vector())
         if score > best_score:
             best_id, best_score = cid, score
     if best_id is None or best_score < MATCH_THRESHOLD:
@@ -522,9 +564,7 @@ def recall(
 
 
 def is_forgotten(code: MemoryCode, t: float, params: SystemParams) -> bool:
-    """True iff every entry's mode is dead at t (an empty code is forgotten)."""
+    """True iff every entry's mode is dead at t, by decay_codes's test t >= T
+    (an empty code is forgotten)."""
     t = finite("t", t, 0.0)
-    return all(
-        not mode_alive(params, ModeIndex(k=k, n=e.n), t)
-        for k, e in code.entries.items()
-    )
+    return not any(alive_at(params, k, e.n, t) for k, e in code.entries.items())

@@ -10,6 +10,12 @@ DOP853 stepper (same tableau, same controller, arrays instead of floats,
 and its dense output one grid time at a time),
 `registry_json`, the json.dumps spelling of the registry's canonical text,
 and `kron_pair_coupling`, the Kronecker-product build of the pair coupling.
+The registry's reads have linear references: `linear_recall` scores every
+code, `linear_decay_codes` and `linear_is_forgotten` gate a `ModeIndex`
+per entry through `mode_alive`, and `per_entry_registry` loads a document through every field
+gate, entry by entry. `full_cli_parser` is the CLI parser with every
+command's arguments built, the reference for what the CLI prints on -h and
+on a refused command line.
 `full_vector` embeds a paired state in the joint two-mode basis, which only
 the operator tests need.
 """
@@ -23,7 +29,21 @@ from scipy import sparse
 
 from memdomain.errors import StepSizeUnderflow
 from memdomain.fock import ladder
-from memdomain.memory import SCHEMA_VERSION
+from memdomain.errors import finite, integer
+from memdomain.lifetime import ModeIndex, mode_alive, momentum_threshold
+from memdomain.memory import (
+    MATCH_THRESHOLD,
+    SCHEMA_VERSION,
+    CodeEntry,
+    CodeStatus,
+    MemoryCode,
+    MemoryRegistry,
+    RecallOutcome,
+    RecallResult,
+    _clock,
+    _cosine,
+    _spectral_line,
+)
 from memdomain.ode import (
     _A,
     _A_DENSE,
@@ -298,3 +318,135 @@ def registry_json(registry) -> str:
         },
     }
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+def linear_decay_codes(registry, t, params):
+    """decay_codes with a ModeIndex and mode_alive per entry: the reference
+    for the sweep's direct t < T test."""
+    t = _clock(registry, t)
+    for code in registry.codes.values():
+        dead = [
+            k
+            for k, e in code.entries.items()
+            if not mode_alive(params, ModeIndex(k=k, n=e.n), t)
+        ]
+        if not dead:
+            continue
+        for k in dead:
+            del code.entries[k]
+        if not code.entries:
+            code.status = CodeStatus.FORGOTTEN
+        elif code.status is CodeStatus.INTACT:
+            code.status = CodeStatus.DEGRADED
+    registry.last_decay_t = t
+    return registry
+
+
+def linear_recall(registry, signal, energy, t, params):
+    """recall scoring every code, those sharing no momentum with the signal
+    included: the reference for the skip."""
+    t = finite("t", t, 0.0)
+    energy = finite("energy", energy)
+    if registry.last_decay_t != t:
+        raise ValueError(
+            f"registry is decayed to t={registry.last_decay_t!r}; run "
+            f"decay_codes(..., t={t!r}) before recalling at that time"
+        )
+    probe = {c.k: c.intensity for c in signal.components}
+    best_id = None
+    best_score = 0.0
+    for cid in sorted(registry.codes):
+        score = _cosine(probe, registry.codes[cid].weight_vector())
+        if score > best_score:
+            best_id, best_score = cid, score
+    if best_id is None or best_score < MATCH_THRESHOLD:
+        return RecallResult(matched=None, score=best_score, outcome=RecallOutcome.NO_MATCH)
+    matched = registry.codes[best_id]
+    n_min = min(e.n for e in matched.entries.values())
+    e_thr = params.c * momentum_threshold(params, n_min, t)
+    outcome = RecallOutcome.DIFFICULTY if energy < e_thr else RecallOutcome.RECALLED
+    return RecallResult(matched=best_id, score=best_score, outcome=outcome)
+
+
+def per_entry_registry(doc):
+    """MemoryRegistry.from_json_dict with every entry through every field
+    gate: the reference for the loader's one-test path, errors included."""
+    if not isinstance(doc, dict):
+        raise ValueError("registry document must be a JSON object")
+    if type(doc.get("schema")) is not int or doc["schema"] != SCHEMA_VERSION:
+        raise ValueError(
+            f"unsupported registry schema {doc.get('schema')!r}; "
+            f"this build reads schema {SCHEMA_VERSION}"
+        )
+    expected = {"schema", "last_decay_t", "next_id", "codes"}
+    if set(doc) != expected:
+        raise ValueError(f"registry keys must be exactly {sorted(expected)}")
+    last_decay_t = finite("last_decay_t", doc["last_decay_t"], 0.0)
+    next_id = integer("next_id", doc["next_id"], 1, math.inf)
+    if not isinstance(doc["codes"], dict):
+        raise ValueError("registry 'codes' must be an object")
+    codes = {}
+    for cid, body in doc["codes"].items():
+        if not isinstance(cid, str) or not cid:
+            raise ValueError(f"code id must be a non-empty string, got {cid!r}")
+        if not isinstance(body, dict) or set(body) != {"status", "entries"}:
+            raise ValueError(f"code {cid} must have keys status, entries")
+        status = CodeStatus(body["status"])
+        if not isinstance(body["entries"], dict):
+            raise ValueError(f"code {cid} entries must be an object")
+        entries = {}
+        names = (f"{cid} entry key", f"{cid} n", f"{cid} weight")
+        for kstr, ent in body["entries"].items():
+            if not isinstance(ent, dict) or set(ent) != {"weight", "n", "t_rec"}:
+                raise ValueError(f"{cid} entry {kstr} must have keys weight, n, t_rec")
+            try:
+                k = float(kstr)
+            except ValueError:
+                raise ValueError(f"{cid} entry key must be a momentum, got {kstr!r}") from None
+            k, weight = _spectral_line(k, ent["n"], ent["weight"], names)
+            if k in entries:
+                raise ValueError(f"{cid} entry key {kstr!r} names momentum {k!r} twice")
+            t_rec = finite(f"{cid} t_rec", ent["t_rec"], 0.0)
+            entries[k] = CodeEntry(weight=weight, n=ent["n"], t_rec=t_rec)
+        if status is CodeStatus.FORGOTTEN and entries:
+            raise ValueError(f"{cid} is Forgotten but still has entries")
+        codes[cid] = MemoryCode(id=cid, entries=entries, status=status)
+    return MemoryRegistry(codes=codes, last_decay_t=last_decay_t, next_id=next_id)
+
+
+def full_cli_parser():
+    """memdomain's argument parser with the arguments of every command
+    added: the reference for the help text and refusals of cli._parse_args,
+    which adds the arguments of the command it runs only."""
+    import argparse
+
+    from memdomain.cli import _COMMANDS, _SHARED
+
+    parser = argparse.ArgumentParser(
+        prog="memdomain",
+        description="dissipative-mode memory domain toolkit",
+    )
+    subs = parser.add_subparsers(dest="command", required=True)
+    for command, opts in _COMMANDS.items():
+        sub = subs.add_parser(command)
+        for opt in opts + _SHARED:
+            flag = "--" + opt.name
+            if opt.flag:
+                sub.add_argument(flag, dest=opt.attr, action="store_const",
+                                 const=True, default=None, help=opt.help)
+            elif opt.multi:
+                sub.add_argument(flag, dest=opt.attr, nargs="+",
+                                 type=opt.conv, default=None, help=opt.help)
+            else:
+                sub.add_argument(flag, dest=opt.attr, type=opt.conv,
+                                 default=None, help=opt.help)
+    return parser
+
+
+def linear_is_forgotten(code, t, params):
+    """is_forgotten through a ModeIndex and mode_alive per entry."""
+    t = finite("t", t, 0.0)
+    return all(
+        not mode_alive(params, ModeIndex(k=k, n=e.n), t)
+        for k, e in code.entries.items()
+    )

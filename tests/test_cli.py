@@ -27,6 +27,8 @@ from memdomain.oscillator import (
     integrate_pair,
 )
 
+from _oracles import full_cli_parser
+
 P = SystemParams(L=1.0, c=1.0)
 
 
@@ -1284,6 +1286,30 @@ class TestFreshProcess:
         codes = MemoryRegistry.load(reg).codes
         assert len(new) == 8 and new <= set(codes) and len(codes) == 308
         assert (tmp_path / "reg.json.lock").exists()
+
+
+class TestParser:
+    """The parser adds arguments only to the command argv names; what it
+    prints and how it exits stay those of the parser with every command's
+    arguments (_oracles.full_cli_parser)."""
+
+    @pytest.mark.parametrize("argv,code,pinned", [
+        (["-h"], 0, "{bessel,evolve,lifetimes,figures,squeeze,record,recall,forget-sweep}"),
+        (["record", "-h"], 0, "--registry REGISTRY"),
+        (["recrd"], 2, "invalid choice: 'recrd'"),
+        (["--L", "1", "recall", "-h"], 2, "invalid choice: '1'"),
+        (["recall", "--L", "1", "--spectrum", "s.json"], 2, "unrecognized arguments: --spectrum"),
+    ])
+    def test_output_and_exit_code_as_with_every_command_built(self, argv, code, pinned, capsys):
+        assert main(argv) == code
+        got = capsys.readouterr()
+        try:
+            full_cli_parser().parse_args(argv)
+        except SystemExit as exc:
+            assert (exc.code or 0) == code
+        want = capsys.readouterr()
+        assert (got.out, got.err) == (want.out, want.err)
+        assert pinned in got.out + got.err
 
 
 ROOT = Path(__file__).resolve().parents[1]

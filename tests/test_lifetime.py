@@ -23,6 +23,7 @@ from memdomain.errors import DomainError, ModeDead, NeverRecordable, Unsupported
 from memdomain.lifetime import (
     FIGURE_NAMES,
     FigureSpec,
+    alive_at,
     curve_table,
     default_figure_spec,
     domain_size,
@@ -130,6 +131,30 @@ class TestThreshold:
 
     def test_never_recordable_modes_report_dead(self):
         assert not mode_alive(P, ModeIndex(k=0.1, n=4), 0.0)
+
+    @settings(derandomize=True, database=None, max_examples=400, deadline=None)
+    @given(
+        hs.sampled_from([P, SystemParams(L=3.0, c=0.25), SystemParams(L=1e-300),
+                         SystemParams(L=1e300)]),
+        hs.floats(5e-324, 1e308) | hs.sampled_from([0.5, 0.5000000000000001, 6.0, 1e308]),
+        hs.integers(0, 9) | hs.sampled_from([-1, True, 2**1022, 2**1023, 2**1024, 10**400]),
+        hs.floats(0.0, 1e3) | hs.just("T"),
+    )
+    def test_alive_at_is_mode_alive(self, params, k, n, t):
+        # the same decision, or the same error, as building the mode
+        def outcome(fn, *args):
+            try:
+                return fn(*args)
+            except Exception as exc:
+                return type(exc), str(exc)
+
+        def built(fn, *args):
+            return fn(params, ModeIndex(k=k, n=n), *args)
+
+        if t == "T":  # the window end itself, where one exists
+            t = outcome(built, recording_window)
+            t = t if isinstance(t, float) else 0.0
+        assert outcome(alive_at, params, k, n, t) == outcome(built, mode_alive, t)
 
     def test_higher_n_sweeps_slower(self):
         ts = 2.5

@@ -33,7 +33,13 @@ from memdomain.memory import (
 )
 from memdomain.oscillator import ModeIndex, SystemParams
 
-from _oracles import registry_json
+from _oracles import (
+    linear_decay_codes,
+    linear_is_forgotten,
+    linear_recall,
+    per_entry_registry,
+    registry_json,
+)
 
 P = SystemParams(L=1.0, c=1.0)
 
@@ -842,3 +848,173 @@ class TestCanonicalWriter:
         assert MemoryRegistry().dumps() == (
             '{\n  "codes": {},\n  "last_decay_t": 0.0,\n  "next_id": 1,\n  "schema": 1\n}\n'
         )
+
+
+# -- the registry's reads against their linear references ------------------
+
+
+def _outcome(fn, *args):
+    """fn(*args), or the type and message of what it raised."""
+    try:
+        return fn(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def _recorded(registry, spec, t):
+    code, rejections = record(registry, spec, t, P)
+    return None if code is None else code.id, rejections
+
+
+def _window_end(k, n):
+    return recording_window(P, ModeIndex(k=k, n=n))
+
+
+def _one_code(entries):
+    return {"schema": 1, "last_decay_t": 0.0, "next_id": 2,
+            "codes": {"code000001": {"status": "Intact", "entries": entries}}}
+
+
+def _entry(weight=1.0, n=1, t_rec=0.0):
+    return {"weight": weight, "n": n, "t_rec": t_rec}
+
+
+def _malformed_registries():
+    """(name, document) for each malformed registry the tests above feed
+    to the loader, and entries that fail one field of the one-test path."""
+    base = json.loads(TestPersistence()._populated().dumps())
+    first = next(iter(base["codes"]))
+
+    def edited(edit):
+        doc = json.loads(json.dumps(base))
+        edit(doc)
+        return doc
+
+    docs = [
+        ("missing next_id", edited(lambda d: d.pop("next_id"))),
+        ("bad status", edited(lambda d: d["codes"][first].update(status="Mangled"))),
+        ("Forgotten with entries", edited(lambda d: d["codes"].update(codeX={
+            "status": "Forgotten", "entries": {"2.0": _entry()}}))),
+        ("empty code id", edited(lambda d: d["codes"].update({"": d["codes"].pop(first)}))),
+        *((f"schema {v!r}", edited(lambda d, v=v: d.update(schema=v))) for v in (2, True, 1.0)),
+        *((f"keys {keys}", _one_code(dict.fromkeys(keys, _entry())))
+          for keys in (("2", "2.0"), ("100", "1e2"), ("abc",))),
+        ("codes a list", {**_one_code({}), "codes": []}),
+        ("entry a number", _one_code({"2.0": 5})),
+        ("entries a list", _one_code([])),
+    ]
+    fields = [
+        ("weight", -1.0), ("weight", "1"), ("weight", True), ("weight", math.inf),
+        ("weight", math.nan), ("n", -1), ("n", 1.0), ("n", True), ("n", None),
+        ("t_rec", -0.5), ("t_rec", math.nan), ("t_rec", 10**400),
+    ]
+    docs += [(f"{name} {value!r}", _one_code({"2.0": _entry(**{name: value})}))
+             for name, value in fields]
+    docs += [(f"key {key!r}", _one_code({key: _entry()}))
+             for key in ("0", "-0.0", "-1", "inf", "nan", "1e400", "", "2.0.0")]
+    docs += [
+        ("entry key missing", _one_code({"2.0": {"weight": 1.0, "n": 1}})),
+        ("entry key extra", _one_code({"2.0": {**_entry(), "x": 0}})),
+        ("entry a list", _one_code({"2.0": [1.0, 1, 0.0]})),
+        ("key twice after a gated entry", _one_code({"2": _entry(weight=1), "2.0": _entry()})),
+        ("key twice before a gated entry", _one_code({"2.0": _entry(), "2": _entry(weight=1)})),
+    ]
+    return docs
+
+
+class TestAgainstLinearOracles:
+    """recall's skip of disjoint codes, decay_codes's direct t < T test and
+    the loader's one-test path give what the linear references give: the
+    same results, the same errors, the same dumps bytes. Both sides record
+    with the library's record, whose acceptance test_lifetime holds to
+    mode_alive (test_alive_at_is_mode_alive)."""
+
+    @pytest.mark.parametrize("doc", [pytest.param(doc, id=name)
+                                     for name, doc in _malformed_registries()])
+    def test_malformed_registry_same_message(self, doc):
+        got = _outcome(MemoryRegistry.from_json_dict, doc)
+        assert isinstance(got, tuple) and issubclass(got[0], ValueError)
+        assert got == _outcome(per_entry_registry, doc)
+
+    def test_accepted_alike(self):
+        # entries the one-test path leaves to the gates, and ones it takes
+        doc = _one_code({"2": _entry(weight=1), "3.5": _entry(), "5": _entry(t_rec=0),
+                         " 4": _entry(n=10**400), "1_0": _entry(weight=-0.0)})
+        assert MemoryRegistry.from_json_dict(doc).dumps() == per_entry_registry(doc).dumps()
+
+    @_FUZZ
+    @given(_REGISTRY)
+    def test_arbitrary_documents(self, doc):
+        got = _outcome(MemoryRegistry.from_json_dict, doc)
+        want = _outcome(per_entry_registry, doc)
+        if isinstance(want, MemoryRegistry):
+            assert isinstance(got, MemoryRegistry) and got.dumps() == want.dumps()
+        else:
+            assert got == want
+
+    # momenta: below k0 = 1/2, exactly k0 (2ck/L = 1, T = 0), near it,
+    # ordinary, and past the float range once doubled; orders: ordinary,
+    # one whose window overflows, and two beyond ModeIndex's range
+    _K = st.sampled_from([5e-324, 0.2, 0.5, 0.5000000000000001, 0.6, 2.0, 6.0, 55.0,
+                          1e308]) | st.floats(0.1, 60.0)
+    _N = st.integers(0, 4) | st.sampled_from([2**1022, 2**1024, 10**400])
+    _WEIGHT = st.sampled_from([0.0, 1.0, 2.5]) | st.floats(0.0, 5.0)
+    _START = st.dictionaries(
+        st.integers(1, 30).map(lambda i: f"code{i:06d}"),
+        st.dictionaries(_K.map(repr), st.builds(_entry, _WEIGHT, _N, st.floats(0.0, 5.0)),
+                        min_size=1, max_size=4).filter(
+            lambda entries: len(set(map(float, entries))) == len(entries)),
+        max_size=6,
+    )
+    _SPEC = st.lists(st.tuples(_K.filter(lambda k: k < 1e300), st.integers(0, 4), _WEIGHT),
+                     min_size=1, max_size=4)
+    _OPS = st.lists(
+        st.tuples(st.just("record"), _SPEC, st.floats(0.0, 2.0))
+        | st.tuples(st.just("decay"), st.floats(0.0, 3.0))
+        | st.tuples(st.just("decay at T"), st.integers(0, 50))
+        | st.tuples(st.just("recall"), _SPEC, st.floats(0.0, 50.0))
+        | st.tuples(st.just("reload")),
+        max_size=25,
+    )
+
+    @settings(derandomize=True, database=None, max_examples=200, deadline=None)
+    @given(_START, _OPS)
+    def test_streams(self, start, ops):
+        doc = {"schema": 1, "last_decay_t": 0.0, "next_id": 31, "codes": {
+            cid: {"status": "Intact", "entries": entries} for cid, entries in start.items()}}
+        lib, ref = MemoryRegistry.from_json_dict(doc), per_entry_registry(doc)
+        for op in ops:
+            t = lib.last_decay_t
+            if op[0] == "record":
+                spec = spectrum(*op[1])
+                assert _outcome(_recorded, lib, spec, t + op[2]) == _outcome(
+                    _recorded, ref, spec, t + op[2])
+            elif op[0] in ("decay", "decay at T"):
+                if op[0] == "decay":
+                    t += op[1]
+                else:
+                    modes = [(k, e.n) for cid in sorted(lib.codes)
+                             for k, e in lib.codes[cid].entries.items()]
+                    if not modes:
+                        continue
+                    k, n = modes[op[1] % len(modes)]
+                    t = _outcome(_window_end, k, n)
+                    if not isinstance(t, float):
+                        continue
+                forgotten = {cid: _outcome(is_forgotten, code, t, P)
+                             for cid, code in lib.codes.items()}
+                assert forgotten == {cid: _outcome(linear_is_forgotten, code, t, P)
+                                     for cid, code in ref.codes.items()}
+                got = _outcome(decay_codes, lib, t, P)
+                want = _outcome(linear_decay_codes, ref, t, P)
+                assert (got is lib) == (want is ref)
+                if got is not lib:
+                    assert got == want
+            elif op[0] == "recall":
+                spec = spectrum(*op[1])
+                assert (_outcome(recall, lib, spec, op[2], t, P)
+                        == _outcome(linear_recall, ref, spec, op[2], t, P))
+            else:
+                lib = MemoryRegistry.loads(lib.dumps())
+                ref = per_entry_registry(json.loads(ref.dumps()))
+            assert lib.dumps() == ref.dumps()
