@@ -73,8 +73,8 @@ from .memory import write_atomic
 
 # lifetime (the scalar model) and memory load no numpy, so the registry,
 # lifetimes and figures commands never do. The numeric modules (bessel,
-# oscillator, ode; scipy through fock) are imported inside the runners that
-# use them.
+# oscillator, ode, fock; numpy, never scipy) are imported inside the runners
+# that use them.
 
 
 # ---------------------------------------------------------------------------

@@ -1,39 +1,30 @@
 """Truncated two-mode Fock space: squeezing, pairing, and dissipative flow.
 
 The damped mode A and its mirror Atilde live on a joint occupation basis
-|m_A, m_Atilde> truncated at `cutoff` quanta per mode. Three pieces of the
-quadratic Hamiltonian are built from ladder matrices:
+|m_A, m_Atilde> truncated at `cutoff` quanta per mode. The quadratic
+Hamiltonian has three pieces
 
     H0  = (1/2) W0 (A^. A - At^. At)            (W0 = w0 (W^2/w0^2 + 1))
     HI1 = -(1/4) W1 [(A^2 + A^.2) - (At^2 + At^.2)]
     HI2 = i G (A^. At^. - A At),   G = L/2
 
 (dagger written ^.). HI1 can be rotated away by exp(-i theta K2) with
-tanh theta = -W1/W0; HI2 then drives the vacuum into the paired squeezed
-state with coefficients tanh^m(G t)/cosh(G t) on |m, m>. All of that is
-checked against a brute-force evolution under the matrix generator, so the
-closed forms and the matrix layer validate each other.
+tanh theta = -W1/W0 (mixing_angle returns theta as a float); HI2 then
+drives the vacuum into the paired squeezed state with coefficients
+tanh^m(G t)/cosh(G t) on |m, m>. The closed forms here use plain math; the
+joint-basis matrices that check them live with the tests.
 
-The builders return plain scipy.sparse csr matrices on the joint basis and
-mixing_angle returns theta as a float. Each joint operator but the pair
-coupling is a single-mode one (a, a^. a, a^2 + a^.2, the K2 factor) placed
-on both modes by one Kronecker embedding, (s (x) 1, 1 (x) s). Their
-algebraic form (self-adjoint; H0 and HI1 real symmetric; HI2 and K2 i times
-a real matrix; number operators diagonal and non-negative) is pinned by the
-tests, not re-checked on every build.
-
-The oracle uses structure, not formulas: HI2 conserves m_A - m_Atilde, so
-it maps the paired states |m, m> into themselves and couples |m, m> only
-to |m+-1, m+-1>. brute_force_evolve, the one function that takes a matrix
-from its caller, reads the generator's paired columns and their paired
-block by sparse indexing and checks its shape, that invariance, that the
-paired block is tridiagonal (a wider band is refused) and that it is
-self-adjoint. A diagonal unitary of phases turns t times that
-(cutoff+1)-dim block into a real symmetric tridiagonal matrix, which it
-exponentiates by a real eigendecomposition (numpy.linalg.eigh), instead of
-working on all (cutoff+1)^2 joint states.
-pair_coupling writes its entries directly, bit for bit the Kronecker
-product of the ladders that the tests keep as its reference.
+The oracle uses structure, not formulas: the pair coupling conserves
+m_A - m_Atilde, so it maps the paired states |m, m> into themselves and
+couples |m, m> only to |m+-1, m+-1>. Its paired block B is a PairedBlock:
+a real diagonal and the complex sub-diagonal b_m = B[m+1, m], with
+B[m, m+1] = conj(b_m), so it is self-adjoint by construction.
+pair_coupling writes that block from the ladder entries sqrt(m+1), without
+the (cutoff+1)^2-dim joint matrix; the tests tie it byte for byte to the
+block read out of the Kronecker build of the ladders. brute_force_evolve
+turns t times the block into a real symmetric tridiagonal matrix with a
+diagonal unitary of phases and exponentiates that by a real
+eigendecomposition (numpy.linalg.eigh).
 
 A TwoModeState is its coefficients (its cutoff is len(coeffs) - 1) and
 checks only what a caller-built state needs: numbers, finite, normalized.
@@ -42,20 +33,16 @@ Truncation policy: tails scale as tanh^{2(m+1)}(G t), so the default cutoff
 is the smallest m with tanh^{2(m+1)} < 1e-12, at least 8; a default above
 the single-mode limit below is refused, not clamped. squeezed_vacuum, the
 one place an explicit cutoff meets G t, refuses one whose tail exceeds
-1e-12 (CutoffTooSmall). Commutator and
-conjugation identities are asserted on interior occupations only; the
-boundary rows of a truncated ladder matrix cannot satisfy them.
+1e-12 (CutoffTooSmall).
 
 Cost limits, checked before anything is allocated (DomainError above
-them): a cutoff of at most 100000 for single-mode and paired objects
-(ladder, k2_single_mode, vacuum_state, squeezed_vacuum), whose size grows
-as the cutoff, and a cutoff in [1, 512] for the joint basis (pair_ladders,
-number_operators, build_hamiltonians, pair_coupling, k2_generator,
-brute_force_evolve), whose matrices grow as its square: pair_coupling at
-512 holds 524288 nonzeros. A cutoff too small for the evolved state is
-left to brute_force_evolve's top-two-level check (CutoffTooSmall); it also
-refuses a 1-norm of t times the paired block above 4 * 2^20, where its
-phases lose accuracy.
+them): a cutoff of at most 100000 for paired states (vacuum_state,
+squeezed_vacuum), whose size grows as the cutoff, and a cutoff in
+[1, 512] for a paired block (pair_coupling, PairedBlock), whose dense
+eigendecomposition grows as its cube. A cutoff too small for the evolved
+state is left to brute_force_evolve's top-two-level check (CutoffTooSmall);
+it also refuses a 1-norm of t times the paired block above 4 * 2^20, where
+its phases lose accuracy.
 """
 
 import math
@@ -63,17 +50,14 @@ import numbers
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
 
-from .errors import POSITIVE, CutoffTooSmall, DomainError, finite, integer
+from .errors import POSITIVE, CutoffTooSmall, DomainError, finite, integer, reals
 from .lifetime import ModeIndex, SystemParams, common_frequency, open_window
 
 __all__ = [
     "TAIL_BOUND",
     "TwoModeState",
-    "ladder",
-    "pair_ladders",
-    "number_operators",
+    "PairedBlock",
     "coupling_frequencies",
     "mixing_angle",
     "bogoliubov_theta_coeffs",
@@ -84,9 +68,6 @@ __all__ = [
     "expected_pair_number",
     "inner_product",
     "vacuum_overlap",
-    "build_hamiltonians",
-    "k2_generator",
-    "k2_single_mode",
     "pair_coupling",
     "brute_force_evolve",
 ]
@@ -98,39 +79,14 @@ _CUTOFF_MIN = 8
 
 # cost limits on an explicit cutoff (module docstring)
 _MODE_CUTOFF_LIMIT = 100_000
-_JOINT_CUTOFF_LIMIT = 512
+_BLOCK_CUTOFF_LIMIT = 512
 # largest ||t * paired block||_1 brute_force_evolve exponentiates
 _PHASE_NORM_LIMIT = 4.0 * 2**20
 
 
-def _joint_cutoff(cutoff) -> int:
-    """cutoff as an int in [1, 512], the joint-basis range; else DomainError."""
-    return integer("cutoff", cutoff, 1, _JOINT_CUTOFF_LIMIT)
-
-
-def ladder(cutoff: int) -> sparse.csr_matrix:
-    """Single-mode annihilation matrix on occupations 0..cutoff."""
-    cutoff = integer("cutoff", cutoff, 1, _MODE_CUTOFF_LIMIT)
-    amp = np.sqrt(np.arange(1, cutoff + 1, dtype=float))
-    return sparse.diags(amp, offsets=1, format="csr", dtype=complex)
-
-
-def _on_each_mode(single):
-    """(s (x) 1, 1 (x) s): the single-mode operator s placed on mode A and on
-    its mirror Atilde in the joint |m_A, m_At> basis, A-index major."""
-    eye = sparse.identity(single.shape[0], format="csr", dtype=complex)
-    return sparse.kron(single, eye, format="csr"), sparse.kron(eye, single, format="csr")
-
-
-def pair_ladders(cutoff: int):
-    """(A, Atilde) acting on the joint |m_A, m_At> basis, A-index major."""
-    return _on_each_mode(ladder(_joint_cutoff(cutoff)))
-
-
-def number_operators(cutoff: int):
-    """(N_A, N_Atilde) = (A^. A, At^. At) on the joint basis."""
-    a = ladder(_joint_cutoff(cutoff))
-    return _on_each_mode(a.getH() @ a)
+def _block_cutoff(cutoff) -> int:
+    """cutoff as an int in [1, 512], the paired-block range; else DomainError."""
+    return integer("cutoff", cutoff, 1, _BLOCK_CUTOFF_LIMIT)
 
 
 def coupling_frequencies(params: SystemParams, mode: ModeIndex, t: float):
@@ -281,136 +237,98 @@ def vacuum_overlap(gammas, t: float, t_prime: float) -> float:
     return math.exp(-total)
 
 
-def build_hamiltonians(params: SystemParams, mode: ModeIndex, t: float, cutoff: int):
-    """(H0, HI1, HI2) on the truncated joint basis at t in [0, T) (open_window)."""
-    cutoff = _joint_cutoff(cutoff)
-    open_window(params, mode, t)
-    w0_sum, w0_diff = coupling_frequencies(params, mode, t)
-    a = ladder(cutoff)
-    ad = a.getH()
-    num, num_t = _on_each_mode(ad @ a)
-    squares, squares_t = _on_each_mode(a @ a + ad @ ad)
-    h0 = 0.5 * w0_sum * (num - num_t)
-    hi1 = -0.25 * w0_diff * (squares - squares_t)
-    return h0, hi1, pair_coupling(params.L / 2, cutoff)
+@dataclass(frozen=True, eq=False)
+class PairedBlock:
+    """The paired block B of a generator that keeps the paired states
+    |m, m> (m = 0..cutoff) invariant and couples |m, m> only to
+    |m+-1, m+-1>: diag holds B[m, m], real, and sub holds b_m = B[m+1, m];
+    B[m, m+1] is conj(b_m), so B is self-adjoint by construction.
 
-
-def pair_coupling(gamma: float, cutoff: int) -> sparse.csr_matrix:
-    """The pair-creation coupling i*gamma*(A+ At+ - A At) on its own.
-
-    Evolving the joint vacuum under this generator for time t produces the
-    squeezed pair state with parameter gamma*t; build_hamiltonians returns
-    the same matrix as its third element with gamma = L/2.
+    Both are copied into read-only float and complex arrays, each -0.0 part
+    stored as 0.0, so that no zero part carries a sign into the phases of
+    brute_force_evolve. The diagonal must be finite reals and sub finite and
+    one entry shorter, with a cutoff len(diag) - 1 in [1, 512]; else
+    DomainError (or ValueError for the lengths).
     """
-    cutoff = _joint_cutoff(cutoff)
+
+    diag: np.ndarray
+    sub: np.ndarray
+
+    def __post_init__(self):
+        diag = reals("diagonal", self.diag) + 0.0
+        try:
+            sub = np.asarray(self.sub, dtype=complex) + complex(0)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise DomainError(f"sub-diagonal must be an array of numbers: {exc}") from None
+        if diag.ndim != 1 or sub.shape != (diag.size - 1,):
+            raise ValueError(
+                f"a paired block has a diagonal of n+1 and a sub-diagonal of n "
+                f"entries, got shapes {diag.shape} and {sub.shape}"
+            )
+        _block_cutoff(sub.size)
+        if not np.all(np.isfinite(sub)):
+            raise DomainError("sub-diagonal must be finite")
+        diag.flags.writeable = sub.flags.writeable = False
+        object.__setattr__(self, "diag", diag)
+        object.__setattr__(self, "sub", sub)
+
+    @property
+    def cutoff(self) -> int:
+        return self.sub.size
+
+
+def pair_coupling(gamma: float, cutoff: int) -> PairedBlock:
+    """The paired block of the pair-creation coupling i*gamma*(A+ At+ - A At).
+
+    Evolving the vacuum under it for time t produces the squeezed pair state
+    with parameter gamma*t; with gamma = L/2 it is the block of HI2. Its
+    diagonal is 0, and A+ At+ takes |m, m> to |m+1, m+1> with the ladder
+    entries sqrt(m+1) sqrt(m+1), so b_m = i gamma sqrt(m+1) sqrt(m+1),
+    bit for bit the entry of the joint matrix's Kronecker build.
+    """
+    cutoff = _block_cutoff(cutoff)
     coef = 1j * finite("gamma", gamma)
-    side = cutoff + 1
-    # A+ At+ takes |m, m'> (joint index m side + m', m and m' below cutoff)
-    # to |m+1, m'+1> with sqrt(m+1) sqrt(m'+1), and A At takes it back. The
-    # entries are the complex products and difference of the Kronecker
-    # build, so even their signed zeros match it; they are written into one
-    # array, as large temporaries cost more than the arithmetic here
-    amp = np.sqrt(np.arange(1, side, dtype=float)) + 0j  # the ladder's entries
-    count = cutoff * cutoff
-    data = np.empty(2 * count, dtype=complex)
-    raised, lowered = data[:count].reshape(cutoff, cutoff), data[count:].reshape(cutoff, cutoff)
-    np.multiply.outer(amp.conj(), amp.conj(), out=raised)
-    np.multiply.outer(amp, amp, out=lowered)
-    np.subtract(0, lowered, out=lowered)
-    data *= coef
-    below = np.arange(cutoff, dtype=np.int32)
-    low = (below[:, None] * side + below).ravel()
-    high = low + (side + 1)
-    return sparse.csr_matrix(
-        (data, (np.concatenate((high, low)), np.concatenate((low, high)))),
-        shape=(side * side, side * side),
-    )
+    amp = np.sqrt(np.arange(1, cutoff + 1, dtype=float)) + 0j  # the ladder's entries
+    # the complex products of that build, A+ as the conjugate of A
+    return PairedBlock(np.zeros(cutoff + 1), coef * (amp.conj() * amp.conj()))
 
 
-def k2_single_mode(cutoff: int) -> sparse.csr_matrix:
-    """Per-mode factor of the rotation generator: (i/4)(a^2 - a^.2)."""
-    a = ladder(cutoff)
-    return (0.25j * (a @ a - a.getH() @ a.getH())).tocsr()
-
-
-def k2_generator(cutoff: int) -> sparse.csr_matrix:
-    """Rotation generator K2 = k (x) 1 + 1 (x) k with k the per-mode factor.
-
-    Conjugating a ladder matrix by exp(-i theta K2) mixes it with its
-    adjoint with weights cosh(theta/2), sinh(theta/2); the sign of the
-    quadratic form was fixed by that requirement.
-    """
-    k, k_t = _on_each_mode(k2_single_mode(_joint_cutoff(cutoff)))
-    return k + k_t
-
-
-def brute_force_evolve(generator, t: float, init: TwoModeState) -> TwoModeState:
-    """Evolve init by exp(-i t generator) on the paired sector |m, m>.
+def brute_force_evolve(block: PairedBlock, t: float, init: TwoModeState) -> TwoModeState:
+    """Evolve init by exp(-i t B) on the paired sector |m, m>, B the block.
 
     Used as the independent oracle for the closed-form squeezed vacuum; no
-    coefficient formula enters. The generator is a matrix on the joint
-    basis; its cutoff n is read from its shape ((n+1)^2, (n+1)^2), with n in
-    [1, 512] and at least init.cutoff, else ValueError. Its paired columns
-    |m, m> and, among their rows, the paired block B are read by sparse
-    indexing, duplicate entries summed, and checked, else ValueError: no
-    nonzero of those columns lies outside B (an unpaired row); B couples
-    |m, m> only to |m+-1, m+-1> (tridiagonal; a wider block is refused,
-    naming its band); and B is self-adjoint. The paired states then span an
-    invariant subspace, so exp(-i t generator) restricted to them is
-    exp(-i t B). ||t B||_1 above 4 * 2^20 is refused with DomainError
-    before the decomposition: each phase lam below is accurate to about
-    ||t B|| 2^-52, about 1e-9 rad at that bound.
+    coefficient formula enters. The block's cutoff n must be at least
+    init.cutoff, else ValueError. ||t B||_1 above 4 * 2^20 is refused with
+    DomainError before the decomposition: each phase lam below is accurate
+    to about ||t B|| 2^-52, about 1e-9 rad at that bound.
 
     With b_m = B[m+1, m], the diagonal unitary D of phases d_0 = 1,
     d_{m+1} = d_m b_m/|b_m| (d_{m+1} = d_m where b_m = 0) turns t B into the
-    real symmetric tridiagonal T = D^H t B D, with diagonal t Re B[m, m] and
-    off-diagonal t |b_m| (read, as LAPACK reads a Hermitian matrix, from
-    the diagonal's real part and the lower triangle). T = U diag(lam) U^T
-    comes from numpy.linalg.eigh on a real matrix, and exp(-i t B) v =
-    D U diag(exp(-i lam)) U^T D^H v; the coefficients still come from the
-    matrix alone. Where the exact flow is real (as under pair_coupling) the
-    coefficients carry round-off imaginary parts of about 1e-15, and at
-    large cutoffs their last bits can depend on the BLAS thread count.
-    Raises CutoffTooSmall when the evolved state puts more than 1e-8 of its
-    mass on the top two occupation levels of either mode (the truncated
-    dynamics is untrustworthy past that point).
+    real symmetric tridiagonal T = D^H t B D, with diagonal t B[m, m] and
+    off-diagonal t |b_m|. T = U diag(lam) U^T comes from numpy.linalg.eigh,
+    and exp(-i t B) v = D U diag(exp(-i lam)) U^T D^H v; the coefficients
+    still come from the block alone. Where the exact flow is real (as under
+    pair_coupling) the coefficients carry round-off imaginary parts of
+    about 1e-15, and at large cutoffs their last bits can depend on the
+    BLAS thread count. Raises CutoffTooSmall when the evolved state puts
+    more than 1e-8 of its mass on the top two occupation levels of either
+    mode (the truncated dynamics is untrustworthy past that point).
     """
     t = finite("t", t)
-    shape = np.shape(generator)
-    side = shape[0] if len(shape) == 2 else 0
-    if shape != (side, side) or math.isqrt(side) ** 2 != side:
-        raise ValueError(f"generator shape {shape} is not ((n+1)^2, (n+1)^2)")
-    n = _joint_cutoff(math.isqrt(side) - 1)
+    if not isinstance(block, PairedBlock):
+        raise TypeError(
+            f"brute_force_evolve takes a PairedBlock (pair_coupling builds one), "
+            f"got {type(block).__name__}"
+        )
+    n = block.cutoff
     if init.cutoff > n:
-        raise ValueError("initial state does not fit inside the generator cutoff")
-    paired = np.arange(n + 1) * (n + 2)  # the joint index of |m, m>
-    columns = sparse.csr_matrix(generator)[:, paired]
-    columns.sum_duplicates()
-    block = columns[paired]
-    stray = columns.count_nonzero() - block.count_nonzero()
-    if stray:
-        raise ValueError(
-            f"evolution left the paired subspace ({stray} generator "
-            "entries lead from |m, m> to unpaired states); "
-            "the result cannot be represented as a paired state"
-        )
-    row = np.repeat(np.arange(n + 1), np.diff(block.indptr))  # of each entry of B
-    band = int(np.abs(block.indices - row)[block.data != 0].max(initial=0))
-    if band > 1:
-        raise ValueError(
-            f"the generator's paired block has band {band}; the oracle needs "
-            "a tridiagonal one (|m, m> coupled to |m+-1, m+-1> only)"
-        )
-    # B[m, m], B[m, m+1] and B[m+1, m] as complex numbers; + 0 makes each
-    # -0.0 part 0.0, so that no zero part carries a sign into the phases
-    diag, upper, lower = (block.diagonal(d) + complex(0) for d in (0, 1, -1))
-    asym = np.abs(np.concatenate((diag - diag.conj(), upper - lower.conj()))).max()
-    if asym > 1e-12 * (np.abs(np.concatenate((diag, upper, lower))).max() + 1.0):
-        raise ValueError("the generator's paired block is not self-adjoint")
+        raise ValueError("initial state does not fit inside the block's cutoff")
+    diag, lower = block.diag, block.sub
     with np.errstate(over="ignore"):  # an overflowed t * block fails the norm check
-        t_diag, t_upper, t_lower = t * diag, t * upper, t * lower
-    col_sums = np.abs(t_diag)  # the 1-norm of t B, column by column
-    col_sums[1:] += np.abs(t_upper)
+        t_diag, t_lower = t * diag, t * lower
+    # the 1-norm of t B, column by column; |t B[m, m+1]| = |t b_m|
+    col_sums = np.abs(t_diag)
+    col_sums[1:] += np.abs(t_lower)
     col_sums[:-1] += np.abs(t_lower)
     norm = float(col_sums.max())
     if not norm <= _PHASE_NORM_LIMIT:  # nan and inf too
@@ -426,7 +344,7 @@ def brute_force_evolve(generator, t: float, init: TwoModeState) -> TwoModeState:
     phase = np.concatenate(([1.0 + 0j], np.cumprod(unit)))
     off = np.copysign(np.abs(t_lower), t)  # t |b_m|
     tri = np.zeros((n + 1, n + 1))
-    tri.flat[:: n + 2] = t_diag.real
+    tri.flat[:: n + 2] = t_diag
     tri.flat[1 :: n + 2] = off
     tri.flat[n + 1 :: n + 2] = off
     lam, u = np.linalg.eigh(tri)

@@ -70,13 +70,14 @@ def _clock(registry: "MemoryRegistry", t) -> float:
 
 
 def _spectral_line(k, n, amount, names=("k", "n", "intensity")):
-    """(k, amount) as floats for one line of a spectrum or a code: k > 0 and
-    finite, n a non-negative integer, amount >= 0 and finite; errors name
-    the field as `names` spells it (with the code id, for a registry)."""
+    """(k, n, amount) for one line of a spectrum or a code: k > 0 and finite
+    as a float, n a non-negative integer as an int, amount >= 0 and finite
+    as a float; errors name the field as `names` spells it (with the code
+    id, for a registry)."""
     k_name, n_name, amount_name = names
     k = finite(k_name, k, POSITIVE)
-    integer(n_name, n, 0, math.inf)
-    return k, finite(amount_name, amount, 0.0)
+    n = integer(n_name, n, 0, math.inf)
+    return k, n, finite(amount_name, amount, 0.0)
 
 
 def write_atomic(path, data: bytes) -> None:
@@ -115,12 +116,12 @@ def _entry(cid, kstr, ent, entries) -> tuple:
     except ValueError:
         raise ValueError(f"{cid} entry key must be a momentum, got {kstr!r}") from None
     names = (f"{cid} entry key", f"{cid} n", f"{cid} weight")
-    k, weight = _spectral_line(k, ent["n"], ent["weight"], names)
+    k, n, weight = _spectral_line(k, ent["n"], ent["weight"], names)
     if k in entries:
         # a second key for one momentum would be lost on the next save
         raise ValueError(f"{cid} entry key {kstr!r} names momentum {k!r} twice")
     t_rec = finite(f"{cid} t_rec", ent["t_rec"], 0.0)
-    return k, CodeEntry(weight=weight, n=ent["n"], t_rec=t_rec)
+    return k, CodeEntry(weight=weight, n=n, t_rec=t_rec)
 
 
 # MemoryRegistry.dumps templates: the json.dumps(..., sort_keys=True,
@@ -166,8 +167,9 @@ class StimulusComponent:
     intensity: float
 
     def __post_init__(self):
-        k, intensity = _spectral_line(self.k, self.n, self.intensity)
+        k, n, intensity = _spectral_line(self.k, self.n, self.intensity)
         object.__setattr__(self, "k", k)
+        object.__setattr__(self, "n", n)
         object.__setattr__(self, "intensity", intensity)
 
 

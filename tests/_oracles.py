@@ -9,15 +9,19 @@ here. Three are bit-identity references for a faster package kernel instead:
 DOP853 stepper (same tableau, same controller, arrays instead of floats,
 and its dense output one grid time at a time),
 `registry_json`, the json.dumps spelling of the registry's canonical text,
-and `kron_pair_coupling`, the Kronecker-product build of the pair coupling.
+and `paired_block(kron_pair_coupling(...))`, the paired block read out of
+the Kronecker-product build of the pair coupling.
 The registry's reads have linear references: `linear_recall` scores every
 code, `linear_decay_codes` and `linear_is_forgotten` gate a `ModeIndex`
 per entry through `mode_alive`, and `per_entry_registry` loads a document through every field
 gate, entry by entry. `full_cli_parser` is the CLI parser with every
 command's arguments built, the reference for what the CLI prints on -h and
 on a refused command line.
-`full_vector` embeds a paired state in the joint two-mode basis, which only
-the operator tests need.
+The joint two-mode basis lives here too, since only the operator tests
+need it: the ladder matrices and Hamiltonians as scipy.sparse matrices,
+`paired_block`, which reads and checks the paired block of a joint
+generator for `fock.brute_force_evolve`, and `full_vector`, which embeds a
+paired state in that basis.
 """
 
 import json
@@ -27,10 +31,20 @@ import mpmath as mp
 import numpy as np
 from scipy import sparse
 
-from memdomain.errors import StepSizeUnderflow
-from memdomain.fock import ladder
-from memdomain.errors import finite, integer
-from memdomain.lifetime import ModeIndex, mode_alive, momentum_threshold
+from memdomain.errors import StepSizeUnderflow, finite, integer
+from memdomain.fock import (
+    _MODE_CUTOFF_LIMIT,
+    PairedBlock,
+    _block_cutoff,
+    coupling_frequencies,
+)
+from memdomain.lifetime import (
+    ModeIndex,
+    SystemParams,
+    mode_alive,
+    momentum_threshold,
+    open_window,
+)
 from memdomain.memory import (
     MATCH_THRESHOLD,
     SCHEMA_VERSION,
@@ -179,13 +193,127 @@ def full_vector(state, cutoff=None) -> np.ndarray:
     return vec
 
 
+# -- the joint |m_A, m_At> basis ---------------------------------------------
+# Each joint operator but the pair coupling is a single-mode one (a, a^. a,
+# a^2 + a^.2, the K2 factor) placed on both modes by one Kronecker embedding,
+# (s (x) 1, 1 (x) s). The builders return scipy.sparse csr matrices; their
+# algebraic form (self-adjoint; H0 and HI1 real symmetric; HI2 and K2 i times
+# a real matrix; number operators diagonal and non-negative) is pinned by the
+# operator tests, and their commutator and conjugation identities hold on
+# interior occupations only: the boundary rows of a truncated ladder matrix
+# cannot satisfy them. A cutoff is at most 100000 for single-mode matrices
+# and, as for a paired block, in [1, 512] on the joint basis, whose
+# matrices grow as its square.
+
+
+def ladder(cutoff: int) -> sparse.csr_matrix:
+    """Single-mode annihilation matrix on occupations 0..cutoff."""
+    cutoff = integer("cutoff", cutoff, 1, _MODE_CUTOFF_LIMIT)
+    amp = np.sqrt(np.arange(1, cutoff + 1, dtype=float))
+    return sparse.diags(amp, offsets=1, format="csr", dtype=complex)
+
+
+def _on_each_mode(single):
+    """(s (x) 1, 1 (x) s): the single-mode operator s placed on mode A and on
+    its mirror Atilde in the joint |m_A, m_At> basis, A-index major."""
+    eye = sparse.identity(single.shape[0], format="csr", dtype=complex)
+    return sparse.kron(single, eye, format="csr"), sparse.kron(eye, single, format="csr")
+
+
+def pair_ladders(cutoff: int):
+    """(A, Atilde) acting on the joint |m_A, m_At> basis, A-index major."""
+    return _on_each_mode(ladder(_block_cutoff(cutoff)))
+
+
+def number_operators(cutoff: int):
+    """(N_A, N_Atilde) = (A^. A, At^. At) on the joint basis."""
+    a = ladder(_block_cutoff(cutoff))
+    return _on_each_mode(a.getH() @ a)
+
+
 def kron_pair_coupling(gamma, cutoff):
     """i*gamma*(A+ At+ - A At) as kron(a+, a+) - kron(a, a) of the
-    single-mode ladder a: the reference for fock.pair_coupling, which
-    writes the same entries directly."""
+    single-mode ladder a: the joint matrix whose paired block
+    fock.pair_coupling writes directly."""
+    a = ladder(_block_cutoff(cutoff))
+    ad = a.getH()
+    return (1j * finite("gamma", gamma) * (sparse.kron(ad, ad) - sparse.kron(a, a))).tocsr()
+
+
+def build_hamiltonians(params: SystemParams, mode: ModeIndex, t: float, cutoff: int):
+    """(H0, HI1, HI2) on the truncated joint basis at t in [0, T) (open_window)."""
+    cutoff = _block_cutoff(cutoff)
+    open_window(params, mode, t)
+    w0_sum, w0_diff = coupling_frequencies(params, mode, t)
     a = ladder(cutoff)
     ad = a.getH()
-    return (1j * gamma * (sparse.kron(ad, ad) - sparse.kron(a, a))).tocsr()
+    num, num_t = _on_each_mode(ad @ a)
+    squares, squares_t = _on_each_mode(a @ a + ad @ ad)
+    h0 = 0.5 * w0_sum * (num - num_t)
+    hi1 = -0.25 * w0_diff * (squares - squares_t)
+    return h0, hi1, kron_pair_coupling(params.L / 2, cutoff)
+
+
+def k2_single_mode(cutoff: int) -> sparse.csr_matrix:
+    """Per-mode factor of the rotation generator: (i/4)(a^2 - a^.2)."""
+    a = ladder(cutoff)
+    return (0.25j * (a @ a - a.getH() @ a.getH())).tocsr()
+
+
+def k2_generator(cutoff: int) -> sparse.csr_matrix:
+    """Rotation generator K2 = k (x) 1 + 1 (x) k with k the per-mode factor.
+
+    Conjugating a ladder matrix by exp(-i theta K2) mixes it with its
+    adjoint with weights cosh(theta/2), sinh(theta/2); the sign of the
+    quadratic form was fixed by that requirement.
+    """
+    k, k_t = _on_each_mode(k2_single_mode(_block_cutoff(cutoff)))
+    return k + k_t
+
+
+def paired_block(generator) -> PairedBlock:
+    """The paired block of a matrix on the joint basis, checked.
+
+    The cutoff n is read from the shape ((n+1)^2, (n+1)^2), with n in
+    [1, 512], else ValueError. The paired columns |m, m> and, among their
+    rows, the paired block B are read by sparse indexing, duplicate entries
+    summed, and checked, else ValueError: no nonzero of those columns lies
+    outside B (an unpaired row); B couples |m, m> only to |m+-1, m+-1>
+    (tridiagonal; a wider block is refused, naming its band); and B is
+    self-adjoint to 1e-12 of its largest entry. The paired states then span
+    an invariant subspace, so exp(-i t generator) restricted to them is
+    exp(-i t B). The block keeps the real part of B's diagonal and its
+    sub-diagonal B[m+1, m], as LAPACK reads a Hermitian matrix.
+    """
+    shape = np.shape(generator)
+    side = shape[0] if len(shape) == 2 else 0
+    if shape != (side, side) or math.isqrt(side) ** 2 != side:
+        raise ValueError(f"generator shape {shape} is not ((n+1)^2, (n+1)^2)")
+    n = _block_cutoff(math.isqrt(side) - 1)
+    paired = np.arange(n + 1) * (n + 2)  # the joint index of |m, m>
+    columns = sparse.csr_matrix(generator)[:, paired]
+    columns.sum_duplicates()
+    block = columns[paired]
+    stray = columns.count_nonzero() - block.count_nonzero()
+    if stray:
+        raise ValueError(
+            f"evolution left the paired subspace ({stray} generator "
+            "entries lead from |m, m> to unpaired states); "
+            "the result cannot be represented as a paired state"
+        )
+    row = np.repeat(np.arange(n + 1), np.diff(block.indptr))  # of each entry of B
+    band = int(np.abs(block.indices - row)[block.data != 0].max(initial=0))
+    if band > 1:
+        raise ValueError(
+            f"the generator's paired block has band {band}; the oracle needs "
+            "a tridiagonal one (|m, m> coupled to |m+-1, m+-1> only)"
+        )
+    # B[m, m], B[m, m+1] and B[m+1, m]
+    diag, upper, lower = (block.diagonal(d) for d in (0, 1, -1))
+    asym = np.abs(np.concatenate((diag - diag.conj(), upper - lower.conj()))).max()
+    if asym > 1e-12 * (np.abs(np.concatenate((diag, upper, lower))).max() + 1.0):
+        raise ValueError("the generator's paired block is not self-adjoint")
+    return PairedBlock(diag.real, lower)
 
 
 def _initial_step(f, t0, y0, tol, span, floor):
@@ -403,11 +531,11 @@ def per_entry_registry(doc):
                 k = float(kstr)
             except ValueError:
                 raise ValueError(f"{cid} entry key must be a momentum, got {kstr!r}") from None
-            k, weight = _spectral_line(k, ent["n"], ent["weight"], names)
+            k, n, weight = _spectral_line(k, ent["n"], ent["weight"], names)
             if k in entries:
                 raise ValueError(f"{cid} entry key {kstr!r} names momentum {k!r} twice")
             t_rec = finite(f"{cid} t_rec", ent["t_rec"], 0.0)
-            entries[k] = CodeEntry(weight=weight, n=ent["n"], t_rec=t_rec)
+            entries[k] = CodeEntry(weight=weight, n=n, t_rec=t_rec)
         if status is CodeStatus.FORGOTTEN and entries:
             raise ValueError(f"{cid} is Forgotten but still has entries")
         codes[cid] = MemoryCode(id=cid, entries=entries, status=status)

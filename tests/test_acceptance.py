@@ -12,21 +12,24 @@ import numpy as np
 from scipy import linalg
 from scipy.sparse.linalg import expm_multiply
 
-from _oracles import bisect_root, full_vector
+from _oracles import (
+    bisect_root,
+    build_hamiltonians,
+    full_vector,
+    k2_generator,
+    k2_single_mode,
+    ladder,
+    number_operators,
+    pair_ladders,
+)
 from memdomain.bessel import BesselKind, sph_deriv, sph_j, sph_second_deriv, sph_y
 from memdomain.fock import (
     bogoliubov_theta_coeffs,
     brute_force_evolve,
-    build_hamiltonians,
     expected_pair_number,
     inner_product,
-    k2_generator,
-    k2_single_mode,
-    ladder,
     mixing_angle,
-    number_operators,
     pair_coupling,
-    pair_ladders,
     squeezed_vacuum,
     vacuum_overlap,
     vacuum_state,

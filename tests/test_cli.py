@@ -16,7 +16,7 @@ import pytest
 
 import memdomain
 from memdomain.bessel import sph_j, sph_y
-from memdomain.cli import main
+from memdomain.cli import _COMMANDS, main
 from memdomain.lifetime import recording_window
 from memdomain.memory import CodeEntry, MemoryCode, MemoryRegistry
 from memdomain.oscillator import (
@@ -1210,14 +1210,41 @@ class TestFreshProcess:
         ) == "0 False"
 
     def test_squeeze_oracle_loads_no_scipy_linalg(self, tmp_path):
-        # the oracle needs numpy.linalg only; scipy.linalg would add about
-        # a tenth of a second to every squeeze --oracle start
+        # the oracle evolves the paired block with numpy.linalg alone; no
+        # scipy module loads, which would add about a tenth of a second to
+        # every squeeze --oracle start
         argv = ["squeeze", "--gamma", "0.5", "--t", "2", "--oracle",
                 "--out", str(tmp_path / "sq.json")]
         assert _child(
             f"import sys; from memdomain.cli import main; rc = main({argv!r}); "
-            "print(rc, 'scipy.sparse' in sys.modules, 'scipy.linalg' in sys.modules)"
-        ) == "0 True False"
+            "print(rc, sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))"
+        ) == "0 []"
+
+    def test_every_command_runs_without_scipy(self, tmp_path):
+        # the package depends on numpy alone: with scipy unimportable, every
+        # command, squeeze --oracle included, exits 0 and writes its output
+        spec = write_spectrum(tmp_path / "stim.json", (2.0, 1, 1.5))
+        reg, out = str(tmp_path / "reg.json"), tmp_path / "out"
+        runs = [
+            ["lifetimes", "--L", "1", "--k", "2", "--n", "1", "--out", f"{out}.l.csv"],
+            ["bessel", "--kind", "j", "--order", "3", "--z", "1e20", "--out", f"{out}.b.csv"],
+            ["evolve", "--L", "1", "--k", "2", "--n", "1", "--t-max", "1", "--points", "5",
+             "--method", "both", "--out", f"{out}.e.csv"],
+            ["squeeze", "--gamma", "0.5", "--t", "2", "--oracle", "--out", f"{out}.s.json"],
+            ["figures", "--which", "fig1", "--out", f"{out}.figs"],
+            ["record", "--L", "1", "--registry", reg, "--spectrum", str(spec), "--t", "1"],
+            ["forget-sweep", "--L", "1", "--registry", reg, "--t", "5"],
+            ["recall", "--L", "1", "--registry", reg, "--signal", str(spec), "--energy", "2",
+             "--t", "5", "--out", f"{out}.r.json"],
+        ]
+        assert sorted({argv[0] for argv in runs}) == sorted(_COMMANDS)
+        assert _child(
+            "import sys; sys.modules['scipy'] = None; from memdomain.cli import main; "
+            f"print([main(argv) for argv in {runs!r}])"
+        ) == str([0] * len(runs))
+        assert "oracle_max_deviation" in json.loads(Path(f"{out}.s.json").read_text())
+        for suffix in (".l.csv", ".b.csv", ".e.csv", ".figs", ".r.json"):
+            assert Path(f"{out}{suffix}").exists()
 
     @pytest.mark.parametrize("module", ["memdomain.errors", "memdomain.lifetime",
                                         "memdomain.memory"])

@@ -1,7 +1,8 @@
 """One domain contract for every public scalar input of the library.
 
 Each public function of lifetime, bessel, fock, memory, oscillator and ode,
-and the TwoModeState constructor, is fed, in every scalar argument, the
+the TwoModeState and PairedBlock constructors, and the joint-basis builders
+the tests keep in _oracles, are fed, in every scalar argument, the
 values that broke some layer before they all went through memdomain.errors:
 nan, +-inf, -0.0, the least and the largest float, 1e-300 and 1e300, an int
 beyond the float range, a bool and a string, mixed with ordinary numbers.
@@ -27,6 +28,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import sparse
 
+import _oracles
 from memdomain import bessel, errors, fock, lifetime, memory, ode, oscillator
 from memdomain.bessel import BesselKind
 from memdomain.errors import DomainError, MemdomainError
@@ -102,7 +104,7 @@ MODEL_CALLS = {
     "curve_table": (_figure, 2, ()),
     "coupling_frequencies": (fock.coupling_frequencies, 1, ()),
     "mixing_angle": (fock.mixing_angle, 1, ()),
-    "build_hamiltonians": (fock.build_hamiltonians, 2, ()),
+    "build_hamiltonians": (_oracles.build_hamiltonians, 2, ()),
     "closed_form_state": (oscillator.closed_form_state, 1, ()),
     "record": (_record, 1, ()),
     "decay_codes": (_decay, 1, ()),
@@ -125,9 +127,9 @@ CALLS = {
         lambda n, z: bessel.sph_second_deriv(FIRST, n, z), 2, ()),
     "sph_second_deriv y": (
         lambda n, z: bessel.sph_second_deriv(SECOND, n, z), 2, (-math.inf,)),
-    "ladder": (fock.ladder, 1, ()),
-    "pair_ladders": (fock.pair_ladders, 1, ()),
-    "number_operators": (fock.number_operators, 1, ()),
+    "ladder": (_oracles.ladder, 1, ()),
+    "pair_ladders": (_oracles.pair_ladders, 1, ()),
+    "number_operators": (_oracles.number_operators, 1, ()),
     "bogoliubov_theta_coeffs": (fock.bogoliubov_theta_coeffs, 1, ()),
     "bogoliubov_time_coeffs": (fock.bogoliubov_time_coeffs, 2, ()),
     "default_cutoff": (fock.default_cutoff, 1, ()),
@@ -136,13 +138,14 @@ CALLS = {
     "squeezed_vacuum default cutoff": (fock.squeezed_vacuum, 2, ()),
     "vacuum_overlap": (lambda g, t, tp: fock.vacuum_overlap([g], t, tp), 3, ()),
     "pair_coupling": (fock.pair_coupling, 2, ()),
-    "k2_single_mode": (fock.k2_single_mode, 1, ()),
-    "k2_generator": (fock.k2_generator, 1, ()),
+    "k2_single_mode": (_oracles.k2_single_mode, 1, ()),
+    "k2_generator": (_oracles.k2_generator, 1, ()),
     "brute_force_evolve": (
         lambda t: fock.brute_force_evolve(
             fock.pair_coupling(0.5, 8), t, fock.vacuum_state(8)), 1, ()),
     "StimulusComponent": (memory.StimulusComponent, 3, ()),
     "TwoModeState": (lambda a, b: fock.TwoModeState((a, b)), 2, ()),
+    "PairedBlock": (lambda a, b, c: fock.PairedBlock((a, b), (c,)), 3, ()),
     "is_forgotten": (
         lambda t: memory.is_forgotten(_registry().codes["code000001"], t, P), 1, ()),
     "closed_form_trajectory grid": (lambda a, b: _trajectory([a, b]), 2, ()),
@@ -244,18 +247,22 @@ REFUSED = {
         lifetime.SystemParams(L=5e-324, c=1e-300), MODE),
     "common_frequency w^2 overflows": lambda: lifetime.common_frequency(
         P, lifetime.ModeIndex(k=1e200, n=1), 0.0),
-    "ladder above the cutoff limit": lambda: fock.ladder(100_001),
+    "ladder above the cutoff limit": lambda: _oracles.ladder(100_001),
     "vacuum_state above the cutoff limit": lambda: fock.vacuum_state(100_001),
     "squeezed_vacuum above the cutoff limit": lambda: fock.squeezed_vacuum(
         0.5, 1.0, cutoff=100_001),
-    "k2_single_mode above the cutoff limit": lambda: fock.k2_single_mode(100_001),
+    "k2_single_mode above the cutoff limit": lambda: _oracles.k2_single_mode(100_001),
     **{f"{fn.__name__} above the joint limit": functools.partial(fn, 513)
-       for fn in (fock.pair_ladders, fock.number_operators, fock.k2_generator)},
+       for fn in (_oracles.pair_ladders, _oracles.number_operators, _oracles.k2_generator)},
     "pair_coupling above the joint limit": lambda: fock.pair_coupling(0.5, 513),
-    "build_hamiltonians above the joint limit": lambda: fock.build_hamiltonians(
+    "build_hamiltonians above the joint limit": lambda: _oracles.build_hamiltonians(
         P, MODE, 0.0, 513),
+    # a block past the limit is refused as it is built, before it can reach
+    # brute_force_evolve, whether written directly or read from a joint matrix
     "brute_force_evolve above the joint limit": lambda: fock.brute_force_evolve(
-        sparse.csr_matrix((514**2, 514**2)), 0.1, fock.vacuum_state(8)),
+        fock.PairedBlock(np.zeros(514), np.zeros(513)), 0.1, fock.vacuum_state(8)),
+    "paired_block above the joint limit": lambda: _oracles.paired_block(
+        sparse.csr_matrix((514**2, 514**2))),
     # pair_coupling(0.5, 8) has paired-block 1-norm 7.5
     "brute_force_evolve t * 1-norm just above 4 * 2^20": lambda: fock.brute_force_evolve(
         fock.pair_coupling(0.5, 8), 4 * 2**20 / 7.5 * (1 + 1e-12), fock.vacuum_state(8)),

@@ -1,9 +1,10 @@
 """Squeezing, pairing, and Hamiltonian-structure tests.
 
 The closed-form squeezed vacuum and the brute-force matrix exponential are
-independent routes to the same state; each cross-checks the other. All
-interior-subspace windows below were sized so the truncated identities hold
-with an order of magnitude to spare.
+independent routes to the same state; each cross-checks the other. The
+joint-basis operators come from the tests' own oracles, and the oracle
+evolves their paired blocks. All interior-subspace windows below were sized
+so the truncated identities hold with an order of magnitude to spare.
 """
 
 import math
@@ -15,25 +16,30 @@ from hypothesis import strategies as hs
 from scipy import linalg, sparse
 from scipy.sparse.linalg import expm_multiply
 
-from _oracles import full_vector, kron_pair_coupling
+from _oracles import (
+    build_hamiltonians,
+    full_vector,
+    k2_generator,
+    k2_single_mode,
+    kron_pair_coupling,
+    ladder,
+    number_operators,
+    pair_ladders,
+    paired_block,
+)
 from memdomain.errors import CutoffTooSmall, DomainError, ModeDead, NeverRecordable
 from memdomain.fock import (
+    PairedBlock,
     TwoModeState,
     bogoliubov_theta_coeffs,
     bogoliubov_time_coeffs,
     brute_force_evolve,
-    build_hamiltonians,
     coupling_frequencies,
     default_cutoff,
     expected_pair_number,
     inner_product,
-    k2_generator,
-    k2_single_mode,
-    ladder,
     mixing_angle,
-    number_operators,
     pair_coupling,
-    pair_ladders,
     squeezed_vacuum,
     vacuum_overlap,
     vacuum_state,
@@ -96,7 +102,7 @@ class TestLadder:
 def _joint_builders(n):
     h0, hi1, hi2 = build_hamiltonians(P, MODE, 0.0, cutoff=n)
     num_a, num_t = number_operators(n)
-    return {"H0": h0, "HI1": hi1, "HI2": hi2, "pair_coupling": pair_coupling(0.7, n),
+    return {"H0": h0, "HI1": hi1, "HI2": hi2, "pair_coupling": kron_pair_coupling(0.7, n),
             "K2": k2_generator(n), "NumberA": num_a, "NumberTilde": num_t}
 
 
@@ -525,7 +531,7 @@ class TestBruteForce:
     def test_time_zero(self):
         _, _, hi2 = build_hamiltonians(P, MODE, 0.0, cutoff=20)
         init = squeezed_vacuum(0.5, 1.0, cutoff=20)
-        out = brute_force_evolve(hi2, 0.0, init)
+        out = brute_force_evolve(paired_block(hi2), 0.0, init)
         assert out.cutoff == 20
         for a, b in zip(out.coeffs, init.coeffs):
             assert complex(a) == pytest.approx(complex(b), abs=1e-15)
@@ -533,7 +539,7 @@ class TestBruteForce:
     @staticmethod
     def _worst_formula_dev(cutoff, t, gamma_t):
         _, _, hi2 = build_hamiltonians(P, MODE, 0.0, cutoff=cutoff)
-        out = brute_force_evolve(hi2, t, vacuum_state(cutoff))
+        out = brute_force_evolve(paired_block(hi2), t, vacuum_state(cutoff))
         th, ch = math.tanh(gamma_t), math.cosh(gamma_t)
         return out, max(
             abs(complex(c) - th**m / ch) for m, c in enumerate(out.coeffs)
@@ -556,8 +562,9 @@ class TestBruteForce:
 
     def test_pair_coupling_is_the_third_hamiltonian(self):
         _, _, hi2 = build_hamiltonians(P, MODE, 0.0, cutoff=12)
-        standalone = pair_coupling(P.L / 2, 12)
-        assert abs(hi2 - standalone).max() == 0.0
+        standalone, read = pair_coupling(P.L / 2, 12), paired_block(hi2)
+        assert standalone.diag.tobytes() == read.diag.tobytes()
+        assert standalone.sub.tobytes() == read.sub.tobytes()
         with pytest.raises(ValueError):
             pair_coupling(math.inf, 12)
         for cutoff in (0, 513):
@@ -568,7 +575,7 @@ class TestBruteForce:
         for gamma_t, cutoff in ((0.25, 48), (1.0, 80)):
             t = gamma_t / 0.5
             _, _, hi2 = build_hamiltonians(P, MODE, 0.0, cutoff=cutoff)
-            oracle = brute_force_evolve(hi2, t, vacuum_state(cutoff))
+            oracle = brute_force_evolve(paired_block(hi2), t, vacuum_state(cutoff))
             closed = squeezed_vacuum(0.5, t, cutoff=cutoff)
             worst = max(
                 abs(complex(a) - complex(b))
@@ -576,22 +583,34 @@ class TestBruteForce:
             )
             assert worst <= 1e-8
 
-    @pytest.mark.parametrize("cutoff", [4, 12, 97, 253, 512])
+    @pytest.mark.parametrize("cutoff", [1, 2, 4, 12, 97, 253, 511, 512])
     def test_pair_coupling_equals_ladder_products(self, cutoff):
-        # written entry by entry, pair_coupling is the Kronecker build bit
-        # for bit (signed zeros included, for either sign of gamma), and
-        # that build is entry for entry the A+ At+ - A At product
-        for gamma in (0.7, -0.3):
-            got, want = pair_coupling(gamma, cutoff), kron_pair_coupling(gamma, cutoff)
-            assert got.indptr.tobytes() == want.indptr.tobytes()
-            assert got.indices.tobytes() == want.indices.tobytes()
-            assert got.data.tobytes() == want.data.tobytes()
+        # written from the ladder entries, pair_coupling is the paired block
+        # of the Kronecker build byte for byte (signed zeros included, for
+        # either sign of gamma, subnormal and huge gamma), and that build is
+        # entry for entry the A+ At+ - A At product
+        for gamma in (0.7, -0.3, 0.0, -0.0, 5e-324, -2.5e-310, 1e300, -3.7e-5):
+            got = pair_coupling(gamma, cutoff)
+            want = kron_pair_coupling(gamma, cutoff)
+            read = paired_block(want)
+            assert got.diag.tobytes() == read.diag.tobytes()
+            assert got.sub.tobytes() == read.sub.tobytes()
         A, At = pair_ladders(cutoff)
-        products = (1j * -0.3 * (A.getH() @ At.getH() - A @ At)).tocsr()
+        products = (1j * -3.7e-5 * (A.getH() @ At.getH() - A @ At)).tocsr()
         products.sort_indices()
-        assert np.array_equal(products.indptr, got.indptr)
-        assert np.array_equal(products.indices, got.indices)
-        assert np.array_equal(products.data, got.data)
+        assert np.array_equal(products.indptr, want.indptr)
+        assert np.array_equal(products.indices, want.indices)
+        assert np.array_equal(products.data, want.data)
+
+    def test_pair_coupling_blocks_nest(self):
+        # b_m depends on m and gamma alone, so with the byte tie above at
+        # 512 every cutoff from 1 to 512 is tied: each block is a prefix
+        for gamma in (0.7, -0.3, -0.0, 5e-324, -2.5e-310, 1e300):
+            top = pair_coupling(gamma, 512)
+            for n in range(1, 513):
+                block = pair_coupling(gamma, n)
+                assert block.diag.tobytes() == top.diag[: n + 1].tobytes()
+                assert block.sub.tobytes() == top.sub[:n].tobytes()
 
     @pytest.mark.parametrize("gamma_t", [0.3, 1.0, 1.5])
     def test_block_matches_full_space(self, gamma_t):
@@ -600,11 +619,11 @@ class TestBruteForce:
         # scipy's action-of-exponential on the full space
         gamma, t = 0.5, gamma_t / 0.5
         n = default_cutoff(gamma_t)
-        gen, vac = pair_coupling(gamma, n), vacuum_state(n)
+        gen, vac = kron_pair_coupling(gamma, n), vacuum_state(n)
         full = expm_multiply(-1j * t * gen.tocsc(), full_vector(vac))
         grid = full.reshape(n + 1, n + 1)
         assert np.count_nonzero(grid - np.diag(np.diag(grid))) == 0
-        out = brute_force_evolve(gen, t, vac)
+        out = brute_force_evolve(paired_block(gen), t, vac)
         assert np.abs(np.array(out.coeffs, dtype=complex) - np.diag(grid)).max() <= 1e-12
 
     @pytest.mark.parametrize("t", [0.5, 2.0, 5.0])
@@ -615,11 +634,11 @@ class TestBruteForce:
         # frequency 1 above the coupling 0.5 the occupation stays bounded
         gamma, n = 0.5, 40
         na, nat = number_operators(n)
-        gen, vac = (pair_coupling(gamma, n) + na + nat).tocsr(), vacuum_state(n)
+        gen, vac = (kron_pair_coupling(gamma, n) + na + nat).tocsr(), vacuum_state(n)
         assert gen.diagonal()[np.arange(n + 1) * (n + 2)].real.max() > 0
         full = expm_multiply(-1j * t * gen.tocsc(), full_vector(vac))
         grid = full.reshape(n + 1, n + 1)
-        out = brute_force_evolve(gen, t, vac)
+        out = brute_force_evolve(paired_block(gen), t, vac)
         assert np.abs(np.array(out.coeffs, dtype=complex) - np.diag(grid)).max() <= 1e-12
 
     @settings(derandomize=True, database=None, max_examples=40, deadline=None)
@@ -654,7 +673,7 @@ class TestBruteForce:
         init = TwoModeState(tuple(coeffs / np.linalg.norm(coeffs)))
         full = expm_multiply(-1j * t * gen.tocsc(), full_vector(init, n))
         grid = full.reshape(n + 1, n + 1)
-        out = brute_force_evolve(gen, t, init)
+        out = brute_force_evolve(paired_block(gen), t, init)
         assert np.abs(np.array(out.coeffs, dtype=complex) - np.diag(grid)).max() <= 1e-12
         assert np.abs(grid - np.diag(np.diag(grid))).max() == 0.0
 
@@ -669,37 +688,37 @@ class TestBruteForce:
         gen = sparse.csr_matrix(([b, np.conj(b)], ([idx[2], idx[1]], [idx[1], idx[2]])),
                                 shape=((n + 1) ** 2,) * 2)
         init = TwoModeState((0.0, 0.6, 0.8j))
-        out = np.array(brute_force_evolve(gen, t, init).coeffs, dtype=complex)
+        out = np.array(brute_force_evolve(paired_block(gen), t, init).coeffs, dtype=complex)
         assert np.abs(out[:3] - np.array(init.coeffs)).max() <= 1e-15
 
     def test_wider_than_tridiagonal_block_rejected(self):
         # the square of the pair coupling keeps pairing and is self-adjoint,
         # but couples |m, m> to |m+-2, m+-2> as well
-        gen = (pair_coupling(0.5, 8) @ pair_coupling(0.5, 8)).tocsr()
+        gen = (kron_pair_coupling(0.5, 8) @ kron_pair_coupling(0.5, 8)).tocsr()
         with pytest.raises(ValueError, match="band 2"):
-            brute_force_evolve(gen, 0.1, vacuum_state(8))
+            paired_block(gen)
 
     def test_duplicate_entries_are_summed(self):
         # the generator is the matrix its entries sum to: a paired entry
         # split in two halves evolves as the whole, a stray pair that
         # cancels is no stray, and one that does not counts once
-        gen = pair_coupling(0.5, 8).tocoo()
-        want = brute_force_evolve(gen, 0.3, vacuum_state(8)).coeffs
+        gen = kron_pair_coupling(0.5, 8).tocoo()
+        want = brute_force_evolve(paired_block(gen), 0.3, vacuum_state(8)).coeffs
 
-        def with_entries(data, row, col):
-            return sparse.coo_matrix((data, (row, col)), shape=gen.shape)
+        def evolved(data, row, col):
+            block = paired_block(sparse.coo_matrix((data, (row, col)), shape=gen.shape))
+            return brute_force_evolve(block, 0.3, vacuum_state(8)).coeffs
 
-        split = with_entries(np.tile(gen.data / 2, 2), np.tile(gen.row, 2), np.tile(gen.col, 2))
-        assert brute_force_evolve(split, 0.3, vacuum_state(8)).coeffs == want
+        assert evolved(np.tile(gen.data / 2, 2), np.tile(gen.row, 2), np.tile(gen.col, 2)) == want
         for values, refused in (((0.25, -0.25), False), ((0.25, 0.25), True)):
             # two entries from |0, 0> to |0, 1>: joint column 0, row 1
-            gen2 = with_entries(np.append(gen.data, values), np.append(gen.row, [1, 1]),
-                                np.append(gen.col, [0, 0]))
+            entries = (np.append(gen.data, values), np.append(gen.row, [1, 1]),
+                       np.append(gen.col, [0, 0]))
             if refused:
                 with pytest.raises(ValueError, match=r"\(1 generator entries"):
-                    brute_force_evolve(gen2, 0.3, vacuum_state(8))
+                    evolved(*entries)
             else:
-                assert brute_force_evolve(gen2, 0.3, vacuum_state(8)).coeffs == want
+                assert evolved(*entries) == want
 
     def test_real_flow_has_round_off_imaginary_parts(self):
         # exp(-i t pair_coupling) is a real matrix; the eigendecomposition
@@ -714,7 +733,8 @@ class TestBruteForce:
         # straddles the 1e-8 threshold finely enough that some t has the
         # top level alone below it and the top two together above it
         n, gamma = 30, 0.5
-        gen, vac = pair_coupling(gamma, n), vacuum_state(n)
+        gen, vac = kron_pair_coupling(gamma, n), vacuum_state(n)
+        block = paired_block(gen)
         fired = []
         for t in np.linspace(1.8, 1.95, 31):
             grid = expm_multiply(-1j * t * gen.tocsc(), full_vector(vac))
@@ -725,7 +745,7 @@ class TestBruteForce:
                 - mass[n - 1 :, n - 1 :].sum()
             )
             try:
-                brute_force_evolve(gen, float(t), vac)
+                brute_force_evolve(block, float(t), vac)
                 raised = False
             except CutoffTooSmall:
                 raised = True
@@ -737,28 +757,51 @@ class TestBruteForce:
         # gamma t = 1.5 leaks 2.8e-5 into the top levels at cutoff 48
         _, _, hi2 = build_hamiltonians(P, MODE, 0.0, cutoff=48)
         with pytest.raises(CutoffTooSmall):
-            brute_force_evolve(hi2, 3.0, vacuum_state(48))
+            brute_force_evolve(paired_block(hi2), 3.0, vacuum_state(48))
 
     def test_unpaired_flow_rejected(self):
         # HI1 and K2 couple each mode to itself, driving |0> off the paired
-        # axis; the generator is rejected on structure, even at t = 0
+        # axis; the generator is rejected on structure, with no time given
         _, hi1, _ = build_hamiltonians(P, MODE, 0.0, cutoff=16)
         for gen in (hi1, k2_generator(16)):
-            for t in (0.0, 0.5):
-                with pytest.raises(ValueError, match="left the paired subspace"):
-                    brute_force_evolve(gen, t, vacuum_state(16))
+            with pytest.raises(ValueError, match="left the paired subspace"):
+                paired_block(gen)
 
     @pytest.mark.parametrize("generator,message", [
         (lambda: np.eye(5), r"shape \(5, 5\) is not"),
         (lambda: np.zeros(81), r"shape \(81,\) is not"),
         # paired block i * (a self-adjoint block): not self-adjoint
-        (lambda: 1j * pair_coupling(0.5, 8), "paired block is not self-adjoint"),
+        (lambda: 1j * kron_pair_coupling(0.5, 8), "paired block is not self-adjoint"),
     ], ids=["5x5", "1-D", "i*pair_coupling"])
     def test_malformed_generator_rejected(self, generator, message):
         with pytest.raises(ValueError, match=message):
-            brute_force_evolve(generator(), 0.1, vacuum_state(4))
+            paired_block(generator())
 
     def test_init_must_fit(self):
         _, _, hi2 = build_hamiltonians(P, MODE, 0.0, cutoff=8)
         with pytest.raises(ValueError):
-            brute_force_evolve(hi2, 0.1, vacuum_state(12))
+            brute_force_evolve(paired_block(hi2), 0.1, vacuum_state(12))
+
+    def test_paired_block_is_frozen_and_checked(self):
+        # the block is stored as read-only copies, zero parts unsigned; a
+        # block of the wrong lengths, past the cutoff range or not finite is
+        # refused, and brute_force_evolve takes nothing else
+        sub = np.array([-0.0 - 0.0j, 2.0 - 0.0j])
+        block = PairedBlock([-0.0, 1.0, 2.0], sub)
+        sub[1] = 5.0
+        assert block.sub.tolist() == [0j, 2 + 0j]
+        assert [math.copysign(1.0, x) for x in (*block.diag[:1], *block.sub.real,
+                                                 *block.sub.imag)] == [1.0] * 5
+        with pytest.raises(ValueError, match="read-only"):
+            block.diag[0] = 1.0
+        with pytest.raises(ValueError, match=r"got shapes \(3,\) and \(3,\)"):
+            PairedBlock(np.zeros(3), np.zeros(3))
+        for diag, sub, message in ((np.zeros(1), np.zeros(0), "cutoff"),
+                                   (np.zeros(514), np.zeros(513), "cutoff"),
+                                   ([0.0, math.nan], [1.0], "diagonal must be finite"),
+                                   ([0.0, 1j], [1.0], "diagonal must be an array of real"),
+                                   ([0.0, 0.0], [math.inf], "sub-diagonal must be finite")):
+            with pytest.raises(DomainError, match=message):
+                PairedBlock(diag, sub)
+        with pytest.raises(TypeError, match="takes a PairedBlock"):
+            brute_force_evolve(kron_pair_coupling(0.5, 8), 0.1, vacuum_state(8))

@@ -455,6 +455,22 @@ class TestImportGraph:
         imports = _module_level_imports("fock")
         assert "memdomain.lifetime" in imports
         assert not imports & {"memdomain.oscillator", "memdomain.bessel", "memdomain.ode"}
+        assert _non_stdlib(imports) <= {"numpy", "memdomain.errors", "memdomain.lifetime"}
+
+    def test_package_imports_no_scipy(self):
+        # scipy serves the tests as an oracle; no module of the package
+        # imports it, at module level or inside a function
+        found = []
+        for path in sorted(Path(memdomain.__file__).parent.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom) and not node.level:
+                    names = [node.module]
+                else:
+                    continue
+                found += [(path.name, m) for m in names if m.partition(".")[0] == "scipy"]
+        assert found == []
 
     def test_oscillator_reexports_the_scalar_model(self):
         for name in ("SystemParams", "ModeIndex", "omega_mode", "common_frequency"):

@@ -4,6 +4,7 @@ import json
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -58,6 +59,17 @@ class TestStimulus:
         s = spectrum((2.0, 1, 1.5))
         assert isinstance(s.components[0], StimulusComponent)
         assert s.components[0] == StimulusComponent(2.0, 1, 1.5)
+
+    def test_numpy_integer_n_round_trips(self):
+        # n is kept as the int the gate returns, so a registry recorded from
+        # a numpy integer n dumps canonical text that loads back
+        comp = StimulusComponent(2.0, np.int64(1), 1.5)
+        assert type(comp.n) is int and comp == StimulusComponent(2.0, 1, 1.5)
+        reg = MemoryRegistry()
+        record(reg, StimulusSpectrum(((2.0, np.int64(1), 1.5),)), 0.0, P)
+        text = reg.dumps()
+        assert '"n": 1,' in text
+        assert MemoryRegistry.loads(text).dumps() == text
 
     @pytest.mark.parametrize(
         "k,n,intensity",
