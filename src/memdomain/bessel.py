@@ -31,12 +31,14 @@ perform the same IEEE operations per element as the scalar functions, so
 their results are bitwise equal. The series and the upward recurrence are
 one function each, serving a float or an array z; the descent is one
 scalar loop, which sph_j_array runs over its points with 1 <= z < n only.
+numpy is imported by the array functions alone, so the scalar ones load no
+numpy.
 """
+
+from __future__ import annotations
 
 import enum
 import math
-
-import numpy as np
 
 from .errors import POSITIVE, DomainError, finite, integer, reals
 
@@ -76,6 +78,8 @@ class BesselKind(enum.Enum):
 
 
 def _check_z_array(z, positive_only):
+    import numpy as np
+
     arr = reals("z", z)
     if np.any(arr < 0):
         raise DomainError("z must be non-negative")
@@ -195,6 +199,8 @@ def _seed_columns(seeds, z):
     from libm in the last bit, and the recurrences only use +, -, *, /,
     which numpy rounds exactly as Python does.
     """
+    import numpy as np
+
     pairs = np.array([seeds(x) for x in z.tolist()], dtype=float)
     return pairs.reshape(-1, 2).T
 
@@ -206,6 +212,8 @@ def sph_j_array(n: int, z) -> np.ndarray:
     recurrence run vectorised over their points, the descent point by
     point, so the result equals sph_j(n, x) bit for bit at every x.
     """
+    import numpy as np
+
     n = integer("order", n, 0, _ORDER_MAX)
     z = _check_z_array(z, positive_only=False)
     flat = z.ravel()
@@ -224,6 +232,8 @@ def sph_y_array(n: int, z) -> np.ndarray:
 
     One vectorised upward recurrence; equals sph_y(n, x) bit for bit.
     """
+    import numpy as np
+
     n = integer("order", n, 0, _ORDER_MAX)
     z = _check_z_array(z, positive_only=True)
     flat = z.ravel()

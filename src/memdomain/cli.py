@@ -55,7 +55,7 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .errors import MemdomainError, StepSizeUnderflow
+from .errors import DomainError, MemdomainError, StepSizeUnderflow
 from .lifetime import (
     FIGURE_NAMES,
     ModeIndex,
@@ -69,12 +69,21 @@ from .lifetime import (
     omega_mode,
     recording_window,
 )
-from .memory import write_atomic
+from .memory import (
+    MemoryRegistry,
+    StimulusSpectrum,
+    decay_codes,
+    recall,
+    record,
+    registry_lock,
+    write_atomic,
+)
 
 # lifetime (the scalar model) and memory load no numpy, so the registry,
-# lifetimes and figures commands never do. The numeric modules (bessel,
-# oscillator, ode, fock; numpy, never scipy) are imported inside the runners
-# that use them.
+# lifetimes and figures commands never do. The other modules (bessel,
+# oscillator, ode, fock) are imported inside the runners that use them;
+# bessel and fock import numpy (never scipy) only in their array
+# functions, so bessel and squeeze without --oracle load no numpy either.
 
 
 # ---------------------------------------------------------------------------
@@ -155,11 +164,9 @@ _COMMANDS = {
     "squeeze": (
         _Opt("gamma", conv=float, required=True, check=_FINITE),
         _Opt("t", conv=float, required=True, check=_NON_NEGATIVE),
-        _Opt("cutoff", conv=int, help="pair-number cutoff; default is sized "
-             "so the discarded tail stays below 1e-12"),
         _Opt("oracle", flag=True, default=False,
-             help="also evolve the vacuum numerically and report the "
-             "largest coefficient deviation"),
+             help="also evolve the vacuum numerically, at 1.5 times the "
+             "cutoff, and report the largest coefficient deviation"),
         _Opt("out", required=True, help="JSON destination"),
     ),
     "record": _PARAMS + (
@@ -545,8 +552,8 @@ def _run_squeeze(run: _Run, resolved: dict) -> int:
     )
 
     gamma, t = resolved["gamma"], resolved["t"]
-    state = squeezed_vacuum(gamma, t, cutoff=resolved["cutoff"])
-    cutoff = resolved["cutoff"] = state.cutoff
+    state = squeezed_vacuum(gamma, t)
+    cutoff = run.results["cutoff"] = state.cutoff
     occupation, _ = expected_pair_number(state)
     doc = {
         "gamma": gamma,
@@ -558,9 +565,18 @@ def _run_squeeze(run: _Run, resolved: dict) -> int:
         "normalization": state.norm_sq(),
     }
     if resolved["oracle"]:
-        evolved = brute_force_evolve(
-            pair_coupling(gamma, cutoff), t, vacuum_state(cutoff)
-        )
+        # padded by half, the oracle's own truncation error stays far below
+        # the deviation it reports over the closed form's coefficients
+        padded = math.ceil(1.5 * cutoff)
+        try:
+            block = pair_coupling(gamma, padded)
+        except DomainError as exc:
+            raise DomainError(
+                f"--oracle at gamma t = {gamma * t:g} pads the cutoff {cutoff} "
+                f"to {padded}: {exc}"
+            ) from None
+        evolved = brute_force_evolve(block, t, vacuum_state(padded))
+        doc["oracle_cutoff"] = run.results["oracle_cutoff"] = padded
         doc["oracle_max_deviation"] = max(
             abs(a - b) for a, b in zip(evolved.coeffs, state.coeffs)
         )
@@ -578,8 +594,6 @@ def _registry_update(run: _Run, path: str, must_exist: bool):
     saved when the body raises.  A directory at path is refused before the
     lock file is created, so a refused request leaves nothing behind.
     """
-    from .memory import MemoryRegistry, registry_lock
-
     out = Path(path)
     if must_exist and not out.exists():
         raise ValueError(f"registry file not found: {path}")
@@ -592,8 +606,6 @@ def _registry_update(run: _Run, path: str, must_exist: bool):
 
 
 def _run_record(run: _Run, resolved: dict) -> int:
-    from .memory import StimulusSpectrum, record
-
     params = SystemParams(L=resolved["L"], c=resolved["c"])
     with _registry_update(run, resolved["registry"], must_exist=False) as registry:
         stimulus = _load(run, StimulusSpectrum, resolved["spectrum"])
@@ -616,8 +628,6 @@ def _run_record(run: _Run, resolved: dict) -> int:
 
 
 def _run_recall(run: _Run, resolved: dict) -> int:
-    from .memory import MemoryRegistry, StimulusSpectrum, decay_codes, recall
-
     params = SystemParams(L=resolved["L"], c=resolved["c"])
     # a missing registry file is refused by read_input, like any input
     registry = _load(run, MemoryRegistry, resolved["registry"])
@@ -639,8 +649,6 @@ def _run_recall(run: _Run, resolved: dict) -> int:
 
 
 def _run_forget_sweep(run: _Run, resolved: dict) -> int:
-    from .memory import decay_codes
-
     params = SystemParams(L=resolved["L"], c=resolved["c"])
     with _registry_update(run, resolved["registry"], must_exist=True) as registry:
         decay_codes(registry, resolved["t"], params)

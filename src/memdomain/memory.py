@@ -97,10 +97,24 @@ def write_atomic(path, data: bytes) -> None:
         raise
 
 
+def _unique_keys(pairs: list) -> dict:
+    """The object of pairs; a key given twice is a ValueError naming it,
+    since json.loads would keep only its last value."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        seen = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise ValueError(f"JSON object names key {key!r} twice")
+            seen.add(key)
+    return obj
+
+
 def _parse_json(text: str):
-    """json.loads with nesting too deep to parse reported as ValueError."""
+    """json.loads with a duplicate key, or nesting too deep to parse,
+    reported as ValueError."""
     try:
-        return json.loads(text)
+        return json.loads(text, object_pairs_hook=_unique_keys)
     except RecursionError:
         raise ValueError("JSON nested too deeply") from None
 

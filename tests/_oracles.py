@@ -32,12 +32,7 @@ import numpy as np
 from scipy import sparse
 
 from memdomain.errors import StepSizeUnderflow, finite, integer
-from memdomain.fock import (
-    _MODE_CUTOFF_LIMIT,
-    PairedBlock,
-    _block_cutoff,
-    coupling_frequencies,
-)
+from memdomain.fock import _MODE_CUTOFF_LIMIT, PairedBlock, coupling_frequencies
 from memdomain.lifetime import (
     ModeIndex,
     SystemParams,
@@ -202,8 +197,14 @@ def full_vector(state, cutoff=None) -> np.ndarray:
 # operator tests, and their commutator and conjugation identities hold on
 # interior occupations only: the boundary rows of a truncated ladder matrix
 # cannot satisfy them. A cutoff is at most 100000 for single-mode matrices
-# and, as for a paired block, in [1, 512] on the joint basis, whose
-# matrices grow as its square.
+# and in [1, 512] on the joint basis, whose matrices grow as its square.
+
+_JOINT_CUTOFF_LIMIT = 512
+
+
+def _joint_cutoff(cutoff) -> int:
+    """cutoff as an int in [1, 512], the joint-basis range; else DomainError."""
+    return integer("cutoff", cutoff, 1, _JOINT_CUTOFF_LIMIT)
 
 
 def ladder(cutoff: int) -> sparse.csr_matrix:
@@ -222,12 +223,12 @@ def _on_each_mode(single):
 
 def pair_ladders(cutoff: int):
     """(A, Atilde) acting on the joint |m_A, m_At> basis, A-index major."""
-    return _on_each_mode(ladder(_block_cutoff(cutoff)))
+    return _on_each_mode(ladder(_joint_cutoff(cutoff)))
 
 
 def number_operators(cutoff: int):
     """(N_A, N_Atilde) = (A^. A, At^. At) on the joint basis."""
-    a = ladder(_block_cutoff(cutoff))
+    a = ladder(_joint_cutoff(cutoff))
     return _on_each_mode(a.getH() @ a)
 
 
@@ -235,14 +236,14 @@ def kron_pair_coupling(gamma, cutoff):
     """i*gamma*(A+ At+ - A At) as kron(a+, a+) - kron(a, a) of the
     single-mode ladder a: the joint matrix whose paired block
     fock.pair_coupling writes directly."""
-    a = ladder(_block_cutoff(cutoff))
+    a = ladder(_joint_cutoff(cutoff))
     ad = a.getH()
     return (1j * finite("gamma", gamma) * (sparse.kron(ad, ad) - sparse.kron(a, a))).tocsr()
 
 
 def build_hamiltonians(params: SystemParams, mode: ModeIndex, t: float, cutoff: int):
     """(H0, HI1, HI2) on the truncated joint basis at t in [0, T) (open_window)."""
-    cutoff = _block_cutoff(cutoff)
+    cutoff = _joint_cutoff(cutoff)
     open_window(params, mode, t)
     w0_sum, w0_diff = coupling_frequencies(params, mode, t)
     a = ladder(cutoff)
@@ -267,7 +268,7 @@ def k2_generator(cutoff: int) -> sparse.csr_matrix:
     adjoint with weights cosh(theta/2), sinh(theta/2); the sign of the
     quadratic form was fixed by that requirement.
     """
-    k, k_t = _on_each_mode(k2_single_mode(_block_cutoff(cutoff)))
+    k, k_t = _on_each_mode(k2_single_mode(_joint_cutoff(cutoff)))
     return k + k_t
 
 
@@ -289,7 +290,7 @@ def paired_block(generator) -> PairedBlock:
     side = shape[0] if len(shape) == 2 else 0
     if shape != (side, side) or math.isqrt(side) ** 2 != side:
         raise ValueError(f"generator shape {shape} is not ((n+1)^2, (n+1)^2)")
-    n = _block_cutoff(math.isqrt(side) - 1)
+    n = _joint_cutoff(math.isqrt(side) - 1)
     paired = np.arange(n + 1) * (n + 2)  # the joint index of |m, m>
     columns = sparse.csr_matrix(generator)[:, paired]
     columns.sum_duplicates()

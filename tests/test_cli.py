@@ -1,11 +1,13 @@
 """End-to-end command-line tests: files, manifests, exit codes, config."""
 
+import ast
 import builtins
 import hashlib
 import importlib
 import json
 import math
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -296,7 +298,7 @@ class TestGoldenBytes:
     SQUEEZE_SHA256 = {
         "state.json": "a65f7d326e639708e1a9cf2ce285be39adca1f3e5dee742b7dc59967f481a4af",
         "state.json.manifest.json":
-            "682a995c0989821298f7e0f45b70e8a4977ebeaa254855b2484d9b4f853ff1f5",
+            "98363dedd8db42cc990807735c4f6e2a66fc46b77a4e24b19cde9e9dff8c137d",
     }
 
     @staticmethod
@@ -470,44 +472,72 @@ class TestFigures:
 
 
 class TestSqueeze:
-    def test_default_cutoff_and_observables(self, tmp_path):
+    def _squeeze(self, tmp_path, *extra):
+        """(exit code, output document, manifest) of a squeeze into tmp_path."""
         out = tmp_path / "sq.json"
-        assert main(["squeeze", "--gamma", "0.5", "--t", "2",
-                     "--out", str(out), "--no-timestamp"]) == 0
-        doc = json.loads(out.read_text())
+        code = main(["squeeze", *extra, "--out", str(out), "--no-timestamp"])
+        if code:
+            return code, None, None
+        manifest = tmp_path / "sq.json.manifest.json"
+        return code, json.loads(out.read_text()), json.loads(manifest.read_text())
+
+    def test_default_cutoff_and_observables(self, tmp_path):
+        code, doc, manifest = self._squeeze(tmp_path, "--gamma", "0.5", "--t", "2")
+        assert code == 0
         assert doc["cutoff"] == 51
         assert doc["gamma_t"] == 1.0
         assert len(doc["coefficients"]) == 52
         assert doc["coefficients"][0] == pytest.approx(1 / math.cosh(1.0), rel=1e-14)
         assert doc["occupation"] == pytest.approx(math.sinh(1.0) ** 2, abs=1e-10)
         assert abs(doc["normalization"] - 1.0) <= 1e-12
-        assert "oracle_max_deviation" not in doc
+        assert "oracle_max_deviation" not in doc and "oracle_cutoff" not in doc
+        # the applied cutoff is a result, not a setting
+        assert "cutoff" not in manifest["config"]
+        assert manifest["results"] == {"cutoff": 51}
 
     def test_oracle_deviation_reported(self, tmp_path):
-        out = tmp_path / "sq.json"
-        assert main(["squeeze", "--gamma", "0.5", "--t", "2", "--oracle",
-                     "--out", str(out), "--no-timestamp"]) == 0
-        doc = json.loads(out.read_text())
-        # truncation back-reaction at the boundary coefficients dominates
-        assert 0.0 < doc["oracle_max_deviation"] < 1e-5
+        code, doc, manifest = self._squeeze(tmp_path, "--gamma", "0.5", "--t", "2",
+                                            "--oracle")
+        assert code == 0
+        # the oracle runs at 1.5 times the cutoff, so its own truncation
+        # stays far below the deviation over the first 52 coefficients
+        assert doc["oracle_cutoff"] == 77
+        assert 0.0 < doc["oracle_max_deviation"] < 1e-12
+        assert manifest["results"] == {"cutoff": 51, "oracle_cutoff": 77}
 
-    def test_oracle_at_a_small_cutoff(self, tmp_path, capsys):
-        # the joint basis takes any cutoff from 1; one too small for the
-        # evolved state is refused by the oracle's top-two-level check
-        out = tmp_path / "sq.json"
-        assert main(["squeeze", "--gamma", "0.001", "--t", "1", "--cutoff", "3",
-                     "--oracle", "--out", str(out), "--no-timestamp"]) == 0
-        doc = json.loads(out.read_text())
-        assert doc["cutoff"] == 3
+    @pytest.mark.parametrize("gamma_t", [0.01, 0.3, 1.0, 1.8, 2.1, 2.15, 2.152, 2.29])
+    def test_padded_oracle_agrees_to_round_off(self, tmp_path, gamma_t):
+        # at the closed form's own cutoff the two routes agreed only to the
+        # truncated dynamics' error (2.25e-7 at gamma t = 2.1); 2.152 is the
+        # last gamma t an unpadded oracle under a 512 limit served, 2.29
+        # needs a padded cutoff of 1011
+        code, doc, _ = self._squeeze(tmp_path, "--gamma", "1", "--t", repr(gamma_t),
+                                     "--oracle")
+        assert code == 0
+        assert doc["oracle_cutoff"] == math.ceil(1.5 * doc["cutoff"])
+        assert doc["oracle_max_deviation"] <= 1e-12
+
+    def test_oracle_at_a_small_cutoff(self, tmp_path):
+        # the smallest default cutoff, 8, pads to 12
+        code, doc, _ = self._squeeze(tmp_path, "--gamma", "0.001", "--t", "1",
+                                     "--oracle")
+        assert code == 0
+        assert (doc["cutoff"], doc["oracle_cutoff"]) == (8, 12)
         assert 0.0 <= doc["oracle_max_deviation"] < 1e-14
-        assert main(["squeeze", "--gamma", "1", "--t", "0.01", "--cutoff", "2",
-                     "--oracle", "--out", str(tmp_path / "x.json")]) == 2
-        assert "reached the top two levels" in capsys.readouterr().err
 
-    def test_explicit_cutoff_too_small(self, tmp_path, capsys):
-        assert main(["squeeze", "--gamma", "0.5", "--t", "2", "--cutoff", "40",
-                     "--out", str(tmp_path / "x.json")]) == 2
-        assert "cutoff" in capsys.readouterr().err
+    def test_cutoff_is_not_an_option(self, tmp_path, capsys):
+        # the cutoff follows from gamma t; neither a flag nor a config key sets it
+        out = tmp_path / "x.json"
+        assert main(["squeeze", "--gamma", "0.5", "--t", "2", "--cutoff", "100",
+                     "--out", str(out)]) == 2
+        assert "unrecognized arguments: --cutoff 100" in capsys.readouterr().err
+        cfg = tmp_path / "cfg.ini"
+        cfg.write_text("[squeeze]\ncutoff = 100\n")
+        assert main(["squeeze", "--config", str(cfg), "--gamma", "0.5", "--t", "2",
+                     "--out", str(out)]) == 2
+        assert "unknown key 'cutoff' in config section [squeeze]" in capsys.readouterr().err
+        assert not out.exists()
+        assert all(opt.name != "cutoff" for opt in _COMMANDS["squeeze"])
 
     def test_clamped_default_cutoff_names_real_requirement(self, tmp_path, capsys):
         # the default cutoff is the full tail requirement up to the 1e5
@@ -518,12 +548,9 @@ class TestSqueeze:
                      "--no-timestamp"]) == 0
         assert json.loads(out.read_text())["cutoff"] == 20592
         refused = tmp_path / "refused"
-        # past gamma t = 2.15 the oracle's joint matrix is above its 512 limit
-        for extra, need in ((("--t", "5"), "needs cutoff 152154"),
-                            (("--t", "2.2", "--oracle"), "512], got 563")):
-            assert main(["squeeze", "--gamma", "1", *extra,
-                         "--out", str(refused / "y.json")]) == 2
-            assert need in capsys.readouterr().err
+        assert main(["squeeze", "--gamma", "1", "--t", "5",
+                     "--out", str(refused / "y.json")]) == 2
+        assert "needs cutoff 152154" in capsys.readouterr().err
         assert not refused.exists()
 
     def test_saturated_squeeze_is_validation_error(self, tmp_path, capsys):
@@ -536,13 +563,20 @@ class TestSqueeze:
                      "--out", str(tmp_path / "x.json")]) == 2
 
     @pytest.mark.parametrize("extra,limit", [
-        (("--cutoff", "100001"), "100000"), (("--cutoff", "513", "--oracle"), "512"),
+        (("--t", "5"), "100000"), (("--t", "2.3", "--oracle"), "1024"),
     ])
     def test_cutoff_above_its_limit(self, tmp_path, capsys, extra, limit):
-        # refused before the coefficients or the joint matrix are allocated
-        assert main(["squeeze", "--gamma", "0.5", "--t", "2", *extra,
+        # refused before the coefficients or the paired block are allocated;
+        # past gamma t = 2.296 the oracle's padded cutoff is above the block
+        # limit, and the message names gamma t and both cutoffs
+        assert main(["squeeze", "--gamma", "1", *extra,
                      "--out", str(tmp_path / "x.json")]) == 2
-        assert f"{limit}], got" in capsys.readouterr().err
+        assert capsys.readouterr().err == {
+            "100000": "error: gamma_t = 5 needs cutoff 152154 to keep the tail below "
+                      "1e-12, above the limit 100000\n",
+            "1024": "error: --oracle at gamma t = 2.3 pads the cutoff 688 to 1032: "
+                    "cutoff must be in [1, 1024], got 1032\n",
+        }[limit]
         assert list(tmp_path.iterdir()) == []
 
 
@@ -714,6 +748,29 @@ class TestRegistryFlow:
         assert main(["recall", "--registry", str(reg), "--signal", str(spec),
                      "--t", "1", "--L", "1", "--energy", "5"]) == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("name,key", [("registry", "code000001"), ("spectrum", "k")])
+    def test_duplicate_json_key_keeps_the_file(self, tmp_path, capsys, name, key):
+        # json.loads keeps the last value of a key given twice, so a code or
+        # a component's momentum would be replaced without a word
+        code = '"code000001": {"status": "Intact", "entries": ' \
+               '{"2.0": {"weight": 1.0, "n": 1, "t_rec": 0.0}}}'
+        texts = {
+            "registry": f'{{"schema": 1, "last_decay_t": 0.0, "next_id": 2, "codes": {{{code}}}}}',
+            "spectrum": '{"components": [{"k": 6.0, "n": 1, "intensity": 1.0}]}',
+        }
+        texts[name] = {
+            "registry": texts["registry"].replace(code, f"{code}, {code}"),
+            "spectrum": '{"components": [{"k": 6.0, "n": 1, "intensity": 1.0, "k": 2.0}]}',
+        }[name]
+        for which, text in texts.items():
+            (tmp_path / f"{which}.json").write_text(text)
+        assert main(["record", "--registry", str(tmp_path / "registry.json"),
+                     "--spectrum", str(tmp_path / "spectrum.json"),
+                     "--t", "0.5", "--L", "1"]) == 2
+        assert capsys.readouterr().err == f"error: JSON object names key '{key}' twice\n"
+        assert {which: (tmp_path / f"{which}.json").read_text() for which in texts} == texts
+        assert not (tmp_path / "registry.json.manifest.json").exists()
 
     def test_two_keys_for_one_momentum_keep_the_file(self, tmp_path, capsys):
         # loading kept the last of "2" and "2.0", and record then rewrote the
@@ -1255,7 +1312,7 @@ class TestFreshProcess:
         ) == "[]"
 
     @pytest.mark.parametrize("command", ["record", "recall", "forget-sweep", "lifetimes",
-                                         "figures"])
+                                         "figures", "bessel", "squeeze"])
     def test_scalar_command_loads_no_numeric_module(self, tmp_path, command):
         reg = tmp_path / "reg.json"
         spec = write_spectrum(tmp_path / "stim.json", (2.0, 1, 1.0))
@@ -1272,6 +1329,10 @@ class TestFreshProcess:
             "lifetimes": ["lifetimes", "--L", "1", "--k", "2", "--n", "1",
                           "--out", str(tmp_path / "l.csv")],
             "figures": ["figures", "--which", "fig1", "--out", str(tmp_path / "figs")],
+            "bessel": ["bessel", "--kind", "y", "--order", "3", "--z", "0.5", "2", "1e20",
+                       "--out", str(tmp_path / "b.csv")],
+            "squeeze": ["squeeze", "--gamma", "0.5", "--t", "2",
+                        "--out", str(tmp_path / "sq.json")],
         }[command]
         assert _child(
             f"import sys; from memdomain.cli import main; rc = main({argv!r}); "
@@ -1354,11 +1415,50 @@ class TestPackaging:
         assert project["project"]["version"] == memdomain.__version__
 
 
+def _readme_section(section):
+    """The text of the README's `## section`."""
+    body = README.read_text(encoding="utf-8").split(f"\n## {section}\n", 1)[1]
+    return body.split("\n## ", 1)[0]
+
+
 def _readme_block(section, lang):
     """The first fenced `lang` block of the README's `## section`."""
-    body = README.read_text(encoding="utf-8").split(f"\n## {section}\n", 1)[1]
-    body = body.split("\n## ", 1)[0]
-    return body.split(f"```{lang}\n", 1)[1].split("\n```", 1)[0]
+    return _readme_section(section).split(f"```{lang}\n", 1)[1].split("\n```", 1)[0]
+
+
+def _unused_public_names():
+    """module.name of each public top-level function, class or constant of
+    the package that no other code of the package refers to, by name,
+    attribute or import."""
+    package = Path(memdomain.__file__).parent
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(package.glob("*.py"))}
+
+    def refers(node, name):
+        return any(
+            (isinstance(sub, ast.Name) and sub.id == name and isinstance(sub.ctx, ast.Load))
+            or (isinstance(sub, ast.Attribute) and sub.attr == name)
+            or (isinstance(sub, ast.alias) and sub.name == name)
+            for sub in ast.walk(node)
+        )
+
+    unused = set()
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            # the rest of the package: other modules whole, this one but the definition
+            rest = [other for name, t in trees.items()
+                    for other in (t.body if name == module else [t]) if other is not node]
+            unused.update(f"{module}.{name}" for name in names
+                          if not name.startswith("_")
+                          and not any(refers(other, name) for other in rest))
+    return unused
 
 
 class TestReadme:
@@ -1378,3 +1478,13 @@ class TestReadme:
 
     def test_library_example(self):
         exec(compile(_readme_block("Library example", "python"), str(README), "exec"), {})
+
+    def test_library_api_lists_every_public_name_the_package_leaves_unused(self):
+        # a public name no command or package function reaches is either
+        # kept on purpose, and listed, or dead code
+        listed = set(re.findall(r"`(\w+\.\w+)`", _readme_section("Library API")))
+        assert _unused_public_names() <= listed
+        for entry in sorted(listed):
+            module, name = entry.split(".")
+            assert not name.startswith("_"), entry
+            assert hasattr(importlib.import_module(f"memdomain.{module}"), name), entry

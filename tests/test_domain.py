@@ -254,13 +254,13 @@ REFUSED = {
     "k2_single_mode above the cutoff limit": lambda: _oracles.k2_single_mode(100_001),
     **{f"{fn.__name__} above the joint limit": functools.partial(fn, 513)
        for fn in (_oracles.pair_ladders, _oracles.number_operators, _oracles.k2_generator)},
-    "pair_coupling above the joint limit": lambda: fock.pair_coupling(0.5, 513),
+    "pair_coupling above the block limit": lambda: fock.pair_coupling(0.5, 1025),
     "build_hamiltonians above the joint limit": lambda: _oracles.build_hamiltonians(
         P, MODE, 0.0, 513),
-    # a block past the limit is refused as it is built, before it can reach
-    # brute_force_evolve, whether written directly or read from a joint matrix
-    "brute_force_evolve above the joint limit": lambda: fock.brute_force_evolve(
-        fock.PairedBlock(np.zeros(514), np.zeros(513)), 0.1, fock.vacuum_state(8)),
+    # a block past its limit is refused as it is built, before it can reach
+    # brute_force_evolve; one read from a joint matrix past the joint limit
+    "brute_force_evolve above the block limit": lambda: fock.brute_force_evolve(
+        fock.PairedBlock(np.zeros(1026), np.zeros(1025)), 0.1, fock.vacuum_state(8)),
     "paired_block above the joint limit": lambda: _oracles.paired_block(
         sparse.csr_matrix((514**2, 514**2))),
     # pair_coupling(0.5, 8) has paired-block 1-norm 7.5

@@ -567,7 +567,7 @@ class TestBruteForce:
         assert standalone.sub.tobytes() == read.sub.tobytes()
         with pytest.raises(ValueError):
             pair_coupling(math.inf, 12)
-        for cutoff in (0, 513):
+        for cutoff in (0, 1025):
             with pytest.raises(ValueError):
                 pair_coupling(0.5, cutoff)
 
@@ -603,11 +603,12 @@ class TestBruteForce:
         assert np.array_equal(products.data, want.data)
 
     def test_pair_coupling_blocks_nest(self):
-        # b_m depends on m and gamma alone, so with the byte tie above at
-        # 512 every cutoff from 1 to 512 is tied: each block is a prefix
+        # b_m depends on m and gamma alone: each block up to the 1024 limit
+        # is a prefix of the largest, so the byte tie above at 512 holds for
+        # every cutoff from 1 to 512
         for gamma in (0.7, -0.3, -0.0, 5e-324, -2.5e-310, 1e300):
-            top = pair_coupling(gamma, 512)
-            for n in range(1, 513):
+            top = pair_coupling(gamma, 1024)
+            for n in range(1, 1025):
                 block = pair_coupling(gamma, n)
                 assert block.diag.tobytes() == top.diag[: n + 1].tobytes()
                 assert block.sub.tobytes() == top.sub[:n].tobytes()
@@ -797,7 +798,7 @@ class TestBruteForce:
         with pytest.raises(ValueError, match=r"got shapes \(3,\) and \(3,\)"):
             PairedBlock(np.zeros(3), np.zeros(3))
         for diag, sub, message in ((np.zeros(1), np.zeros(0), "cutoff"),
-                                   (np.zeros(514), np.zeros(513), "cutoff"),
+                                   (np.zeros(1026), np.zeros(1025), "cutoff"),
                                    ([0.0, math.nan], [1.0], "diagonal must be finite"),
                                    ([0.0, 1j], [1.0], "diagonal must be an array of real"),
                                    ([0.0, 0.0], [math.inf], "sub-diagonal must be finite")):

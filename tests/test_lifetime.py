@@ -455,7 +455,11 @@ class TestImportGraph:
         imports = _module_level_imports("fock")
         assert "memdomain.lifetime" in imports
         assert not imports & {"memdomain.oscillator", "memdomain.bessel", "memdomain.ode"}
-        assert _non_stdlib(imports) <= {"numpy", "memdomain.errors", "memdomain.lifetime"}
+        assert _non_stdlib(imports) <= {"memdomain.errors", "memdomain.lifetime"}
+
+    def test_bessel_loads_numpy_in_its_array_functions_only(self):
+        # the scalar functions behind the bessel command need no numpy
+        assert _non_stdlib(_module_level_imports("bessel")) <= {"memdomain.errors"}
 
     def test_package_imports_no_scipy(self):
         # scipy serves the tests as an oracle; no module of the package
